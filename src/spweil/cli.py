@@ -154,6 +154,9 @@ def cmd_image(args):
 
 
 def cmd_verify(args):
+    if args.cap < 1:
+        print("error: --cap must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     params = _validated_setup(args)
     gens = weil_generators(params)
     report = run_relation_suite(params, seed=args.seed, gens=gens)

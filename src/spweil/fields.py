@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -214,6 +215,15 @@ class FieldContext:
 
     def inv(self, a):
         raise NotImplementedError
+
+    def dot(self, xs, ys):
+        """sum(x * y) over paired entries; terms with a zero factor are skipped."""
+        add, mul, zero = self.add, self.mul, self.zero
+        acc = zero
+        for a, b in zip(xs, ys):
+            if a != zero and b != zero:
+                acc = add(acc, mul(a, b))
+        return acc
 
     def pow(self, a, e):
         if e < 0:
@@ -430,6 +440,9 @@ class PrimeFieldContext(FieldContext):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
 
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys)) % self.p
+
     def pow(self, a, e):
         if e < 0:
             return pow(self.inv(a), -e, self.p)
@@ -603,14 +616,16 @@ def parse_field_spec(text, r):
     if text == "gf2-auto":
         return FieldSpec("auto-char2", r)
     if text.startswith("gf:"):
-        body = text[3:]
-        if "^" in body:
-            p_str, k_str = body.split("^", 1)
-            p, k = int(p_str), int(k_str)
+        base, caret, exponent = text[3:].partition("^")
+        try:
+            q = int(base)
+            k = int(exponent) if caret else None
+        except ValueError:
+            raise InvalidFieldSpec(f"unrecognised field spec {text!r}") from None
+        if k is not None:
             if k == 1:
-                return FieldSpec("prime", r, p=p)
-            return FieldSpec("extension", r, p=p, k=k)
-        q = int(body)
+                return FieldSpec("prime", r, p=q)
+            return FieldSpec("extension", r, p=q, k=k)
         if is_prime(q):
             return FieldSpec("prime", r, p=q)
         # prime power: factor q = p^k

@@ -13,6 +13,12 @@ on R/Z(R), and conjugation by an element of GL(W) normalising R defines the
 projection pi onto Sp(2l, r), written in the interleaved hyperbolic basis
 (image of A_1, image of B_1, ...).  Ker pi = R*Z with Z the scalars, so
 recognition of conjugates is performed modulo scalars.
+
+W is irreducible under R (it is the Heisenberg, or Schroedinger, module of
+Gerardin 1977, "Weil representations associated to finite fields"; the
+coefficient characteristic is never r).  So pi needs no matrix inverse: once
+x * n = n * g has a solution x for every generator g of R, ker n is an
+R-submodule, hence 0 or W, and a matrix without zero rows is invertible.
 """
 
 from __future__ import annotations
@@ -20,9 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .generators import op_A, op_B
-from .linalg import DenseMatrix, SingularMatrix
-from .operators import (MonomialOp, Operator, ProductOp, WeilParams,
-                        flat_index, index_vectors)
+from .operators import MonomialOp, Operator, flat_index, index_vectors
 from .symplectic import SpMatrix
 
 
@@ -86,24 +90,34 @@ def recognize(mat, params, mod_scalars=False):
     With mod_scalars=True the overall scalar need not be a theta power
     (recognition in R*Z modulo scalars; the returned c is 0).
     """
-    r, ell, ctx = params.r, params.ell, params.ctx
+    zero = params.ctx.zero
+    entries = ((i, j, v) for i, row in enumerate(_square_rows(mat, params))
+               for j, v in enumerate(row) if v != zero)
+    return _recognize_entries(entries, params, mod_scalars)
+
+
+def _square_rows(mat, params):
     n = params.n
-    zero = ctx.zero
     rows = mat.rows
     if len(rows) != n or len(rows[0]) != n:
         raise NotMonomial(f"matrix is {len(rows)}x{len(rows[0])}, expected {n}x{n}")
+    return rows
+
+
+def _recognize_entries(entries, params, mod_scalars):
+    """recognize() for the matrix whose nonzero entries are the (row, column,
+    value) triples of entries."""
+    r, ell, ctx = params.r, params.ell, params.ctx
+    n = params.n
     support = [None] * n
     values = [None] * n
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v != zero:
-                if support[j] is not None:
-                    raise NotMonomial(f"column {j} has more than one nonzero entry")
-                support[j] = i
-                values[j] = v
-    if any(s is None for s in support):
+    for i, j, v in entries:
+        if support[j] is not None:
+            raise NotMonomial(f"column {j} has more than one nonzero entry")
+        support[j] = i
+        values[j] = v
+    if None in support:
         raise NotMonomial("zero column")
-
     vecs = index_vectors(r, ell)
     b = vecs[support[0]]
     for j, xi in enumerate(vecs):
@@ -136,41 +150,47 @@ def recognize(mat, params, mod_scalars=False):
 
 
 def _conjugates_of_basis(n, params):
-    """Matrices n * g * n^-1 for g in (A_1, B_1, ..., A_l, B_l)."""
-    gens = []
-    for i in range(1, params.ell + 1):
-        gens.append(op_A(params, i))
-        gens.append(op_B(params, i))
-    if isinstance(n, MonomialOp):
-        n_inv = n.inverse()
-        return [n.compose(g).compose(n_inv).materialize() for g in gens]
-    if isinstance(n, Operator):
-        factors = n.factors if isinstance(n, ProductOp) else (n,)
-        if len(factors) <= 8:
-            n_inv = n.inverse()
-            return [ProductOp(params, (n, g, n_inv)).materialize() for g in gens]
-        mat = n.materialize()
-    else:
-        mat = n
-    try:
-        mat_inv = mat.inverse()
-    except SingularMatrix:
-        raise DoesNotNormalize("matrix is singular") from None
-    out = []
-    for g in gens:
-        # mat * g is a column scaling/permutation of mat
-        cols = mat.columns()
-        mixed = DenseMatrix.from_columns(
-            mat.ctx,
-            [[params.ctx.mul(d, x) for x in cols[p]]
-             for p, d in zip(_perm_cols(g), g.diag)])
-        out.append(mixed * mat_inv)
-    return out
+    """For g in (A_1, B_1, ..., A_l, B_l), the nonzero entries (row, column,
+    value) of the x_g with x_g * n = n * g, one list per g.
 
+    n is materialised once.  Each n * g is a column permute-and-scale of n.
+    When row i of n * g is s times row c of n, row i of x_g is s times the
+    unit vector e_c; rows are matched on their quotient by their first
+    nonzero entry, so no inverse of n is formed.  This is enough: when
+    every match succeeds, x_g * n = n * g makes ker n invariant under R, and
+    as W is irreducible under R, ker n is 0 or W.  n has no zero row, so
+    ker n = 0 and x_g = n g n^-1; recognising every x_g in R*Z then shows
+    that n normalises R*Z.  A non-normalising n, a singular one included,
+    fails the match or the recognition, and pi_map raises DoesNotNormalize.
+    """
+    ctx = params.ctx
+    zero, one, mul, inv = ctx.zero, ctx.one, ctx.mul, ctx.inv
+    rows = _square_rows(n.materialize() if isinstance(n, Operator) else n, params)
 
-def _perm_cols(g):
-    # column j of the monomial matrix g picks column perm[j] of the left factor
-    return g.perm
+    def keyed(row):
+        # (first nonzero entry, its inverse, the row divided by it)
+        lead = next((a for a in row if a != zero), None)
+        if lead is None:
+            raise DoesNotNormalize("matrix has a zero row")
+        scale = inv(lead)
+        return lead, scale, tuple(a if a == zero else mul(scale, a) for a in row)
+
+    match = {}  # row quotient -> (row index, inverse of its first nonzero entry)
+    for c, row in enumerate(rows):
+        _, scale, key = keyed(row)
+        match[key] = (c, scale)
+    for t in range(1, params.ell + 1):
+        for g in (op_A(params, t), op_B(params, t)):
+            entries = []
+            for i, row in enumerate(rows):
+                moved = [a if d == one or a == zero else mul(d, a)
+                         for a, d in zip((row[p] for p in g.perm), g.diag)]
+                lead, _, key = keyed(moved)
+                hit = match.get(key)
+                if hit is None:
+                    raise NotMonomial(f"row {i} of n*g is not a multiple of a row of n")
+                entries.append((i, hit[0], mul(lead, hit[1])))
+            yield entries
 
 
 def pi_map(n, params):
@@ -181,8 +201,8 @@ def pi_map(n, params):
     """
     cols = []
     try:
-        for conj in _conjugates_of_basis(n, params):
-            elem = recognize(conj, params, mod_scalars=True)
+        for entries in _conjugates_of_basis(n, params):
+            elem = _recognize_entries(entries, params, mod_scalars=True)
             cols.append(elem.coset_vector())
     except RecognitionError as exc:
         raise DoesNotNormalize(f"a conjugate left R*Z: {exc}") from None

@@ -60,42 +60,16 @@ class DenseMatrix:
             if self.ncols != other.nrows:
                 raise ValueError("dimension mismatch")
             cols = list(zip(*other.rows))
-            if ctx.kind == "prime":
-                p = ctx.p
-                rows = [tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
-                        for row in self.rows]
-            else:
-                add, mul, zero = ctx.add, ctx.mul, ctx.zero
-                rows = []
-                for row in self.rows:
-                    out = []
-                    for col in cols:
-                        acc = zero
-                        for a, b in zip(row, col):
-                            if a != zero and b != zero:
-                                acc = add(acc, mul(a, b))
-                        out.append(acc)
-                    rows.append(tuple(out))
-            return DenseMatrix(ctx, rows)
+            dot = ctx.dot
+            return DenseMatrix(ctx, [[dot(row, col) for col in cols] for row in self.rows])
         return NotImplemented
 
     def apply(self, vec):
         """Matrix-vector product (vec is a sequence of field values)."""
-        ctx = self.ctx
         if len(vec) != self.ncols:
             raise ValueError("dimension mismatch")
-        if ctx.kind == "prime":
-            p = ctx.p
-            return [sum(a * b for a, b in zip(row, vec)) % p for row in self.rows]
-        add, mul, zero = ctx.add, ctx.mul, ctx.zero
-        out = []
-        for row in self.rows:
-            acc = zero
-            for a, b in zip(row, vec):
-                if a != zero and b != zero:
-                    acc = add(acc, mul(a, b))
-            out.append(acc)
-        return out
+        dot = self.ctx.dot
+        return [dot(row, vec) for row in self.rows]
 
     def scale(self, c):
         mul = self.ctx.mul

@@ -242,30 +242,16 @@ class FourierOp(Operator):
         n = self.n
         stride = r ** (self.params.ell - self.t)
         block = stride * r
-        out = [ctx.zero] * n
-        table = self._table
         zero = ctx.zero
-        if ctx.kind == "prime":
-            p = ctx.p
-            for base in range(0, n, block):
-                for off in range(base, base + stride):
-                    vals = vec[off:off + block:stride]
-                    for i in range(r):
-                        row = table[i]
-                        out[off + i * stride] = sum(
-                            row[x] * v for x, v in enumerate(vals) if v) % p
-            return out
-        add, mul = ctx.add, ctx.mul
+        out = [zero] * n
+        dot = ctx.dot
         for base in range(0, n, block):
             for off in range(base, base + stride):
                 vals = vec[off:off + block:stride]
-                for i in range(r):
-                    row = table[i]
-                    acc = zero
-                    for x, v in enumerate(vals):
-                        if v != zero:
-                            acc = add(acc, mul(row[x], v))
-                    out[off + i * stride] = acc
+                if vals.count(zero) == r:
+                    continue  # a zero fibre maps to zero
+                for i, row in enumerate(self._table):
+                    out[off + i * stride] = dot(row, vals)
         return out
 
     def inverse(self):
@@ -330,23 +316,9 @@ class ProductOp(Operator):
         return DenseMatrix.from_columns(self.ctx, cols)
 
 
-def operators_equal(op1, op2):
-    """Exact equality, decided on basis vectors."""
-    if op1.n != op2.n:
-        return False
-    n = op1.n
-    zero, one = op1.ctx.zero, op1.ctx.one
-    basis = [zero] * n
-    for j in range(n):
-        basis[j] = one
-        if op1.apply(basis) != op2.apply(basis):
-            return False
-        basis[j] = zero
-    return True
-
-
-def first_operator_difference(op1, op2):
-    """(column, row, value1, value2) of the first disagreement, or None."""
+def first_difference(op1, op2):
+    """(row, column, value1, value2) of the first disagreement on the basis
+    vectors, or None when the operators are equal."""
     n = op1.n
     zero, one = op1.ctx.zero, op1.ctx.one
     basis = [zero] * n
@@ -356,7 +328,11 @@ def first_operator_difference(op1, op2):
         b = op2.apply(basis)
         basis[j] = zero
         if a != b:
-            for i in range(n):
-                if a[i] != b[i]:
-                    return (j, i, a[i], b[i])
+            i = next(i for i in range(n) if a[i] != b[i])
+            return (i, j, a[i], b[i])
     return None
+
+
+def operators_equal(op1, op2):
+    """Exact equality, decided on basis vectors."""
+    return op1.n == op2.n and first_difference(op1, op2) is None

@@ -18,6 +18,7 @@ Matrix keys: "C1".."Cl" are the determinant-one lam*C_t; "D12"... and
 from __future__ import annotations
 
 import json
+import math
 
 from . import __version__
 from .symplectic import GenToken
@@ -83,65 +84,46 @@ def dumps_document(doc):
 # Magma / GAP text
 
 
-def _poly_terms(nums, den, symbol):
-    from fractions import Fraction
+def _poly_terms(coeffs, symbol, den=1, unit=""):
+    """The nonzero terms (c_i/den) * symbol^i, constant term first, with
+    coefficients in lowest terms and a coefficient 1 left out; the constant
+    term multiplies unit ("" prints the bare number)."""
     terms = []
-    for i, c in enumerate(nums):
+    for i, c in enumerate(coeffs):
         if c == 0:
             continue
-        fr = Fraction(c, den)
-        coeff = str(fr.numerator) if fr.denominator == 1 else f"{fr.numerator}/{fr.denominator}"
-        power = "" if i == 0 else (symbol if i == 1 else f"{symbol}^{i}")
+        g = math.gcd(c, den)
+        coeff = str(c // g) if g == den else f"{c // g}/{den // g}"
+        power = unit if i == 0 else symbol if i == 1 else f"{symbol}^{i}"
         if not power:
             terms.append(coeff)
-        elif fr == 1:
+        elif coeff == "1":
             terms.append(power)
-        elif fr == -1:
+        elif coeff == "-1":
             terms.append(f"-{power}")
         else:
             terms.append(f"{coeff}*{power}")
-    return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+    return terms
 
 
-def _magma_cyclo_elem(ctx, value):
-    nums, den = value
-    return _poly_terms(nums, den, "theta")
+def _poly(coeffs, symbol, den=1, unit="", zero="0"):
+    """An element as a polynomial in symbol, as _poly_terms spells it."""
+    terms = _poly_terms(coeffs, symbol, den, unit)
+    return " + ".join(terms).replace("+ -", "- ") if terms else zero
 
 
-def _magma_ext_elem(ctx, value):
-    terms = []
-    for i, c in enumerate(value):
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        elif i == 1:
-            terms.append("x" if c == 1 else f"{c}*x")
-        else:
-            terms.append(f"x^{i}" if c == 1 else f"{c}*x^{i}")
-    return " + ".join(terms) if terms else "0"
+def _modulus(modulus, symbol):
+    """A defining polynomial, highest degree first."""
+    return " + ".join(reversed(_poly_terms(modulus, symbol)))
 
 
 def _magma_elem(ctx, value):
     if ctx.kind == "prime":
         return str(value)
     if ctx.kind == "extension":
-        return _magma_ext_elem(ctx, value)
-    return _magma_cyclo_elem(ctx, value)
-
-
-def _magma_poly(modulus):
-    terms = []
-    for i, c in enumerate(modulus):
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        elif i == 1:
-            terms.append("X" if c == 1 else f"{c}*X")
-        else:
-            terms.append(f"X^{i}" if c == 1 else f"{c}*X^{i}")
-    return " + ".join(reversed(terms))
+        return _poly(value, "x")
+    nums, den = value
+    return _poly(nums, "theta", den)
 
 
 def emit_magma(gens, matrices, out):
@@ -156,7 +138,7 @@ def emit_magma(gens, matrices, out):
         out.write(f"theta := K!{ctx.theta};\n")
     else:
         out.write(f"P<X> := PolynomialRing(GF({ctx.p}));\n")
-        out.write(f"K<x> := ext<GF({ctx.p}) | {_magma_poly(ctx.modulus)}>;\n")
+        out.write(f"K<x> := ext<GF({ctx.p}) | {_modulus(ctx.modulus, 'X')}>;\n")
         out.write(f"theta := {_magma_elem(ctx, ctx.theta)};\n")
     out.write(f"lambda := {_magma_elem(ctx, gens.lam)};\n")
     for name, mat in matrices.items():
@@ -167,41 +149,13 @@ def emit_magma(gens, matrices, out):
         out.write("]);\n")
 
 
-def _gap_cyclo_elem(ctx, value, r):
-    nums, den = value
-    return _poly_terms(nums, den, f"E({r})")
-
-
 def _gap_elem(ctx, value, r):
     if ctx.kind == "prime":
         return f"{value}*Z({ctx.p})^0"
     if ctx.kind == "extension":
-        terms = []
-        for i, c in enumerate(value):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(f"{c}*One(K)" if c != 1 else "One(K)")
-            elif i == 1:
-                terms.append("a" if c == 1 else f"{c}*a")
-            else:
-                terms.append(f"a^{i}" if c == 1 else f"{c}*a^{i}")
-        return " + ".join(terms) if terms else "Zero(K)"
-    return _gap_cyclo_elem(ctx, value, r)
-
-
-def _gap_poly(modulus):
-    terms = []
-    for i, c in enumerate(modulus):
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        elif i == 1:
-            terms.append("x_" if c == 1 else f"{c}*x_")
-        else:
-            terms.append(f"x_^{i}" if c == 1 else f"{c}*x_^{i}")
-    return " + ".join(reversed(terms))
+        return _poly(value, "a", unit="One(K)", zero="Zero(K)")
+    nums, den = value
+    return _poly(nums, f"E({r})", den)
 
 
 def emit_gap(gens, matrices, out):
@@ -217,7 +171,7 @@ def emit_gap(gens, matrices, out):
         out.write(f"theta := Z({ctx.p})^{(ctx.p - 1) // r};;\n")
     else:
         out.write(f"x_ := Indeterminate(GF({ctx.p}), \"x_\");;\n")
-        out.write(f"K := AlgebraicExtension(GF({ctx.p}), {_gap_poly(ctx.modulus)});;\n")
+        out.write(f"K := AlgebraicExtension(GF({ctx.p}), {_modulus(ctx.modulus, 'x_')});;\n")
         out.write("a := RootOfDefiningPolynomial(K);;\n")
         out.write(f"theta := {_gap_elem(ctx, ctx.theta, r)};;\n")
     out.write(f"lambda_ := {_gap_elem(ctx, gens.lam, r)};;\n")

@@ -432,15 +432,13 @@ def decompose(g):
     return eng.word()
 
 
-def weil_image(g, gens):
-    """The image of a symplectic matrix under the Weil representation,
-    materialised from the word in (lam*C_t, D_st, U_t)."""
-    word = decompose(g)
-    op = evaluate_word(word, weil_assignment(gens), identity_op(gens.params))
-    return op.materialize()
-
-
 def weil_image_op(g, gens):
-    """Same as weil_image but returns the structured product, unmaterialised."""
+    """The image of a symplectic matrix under the Weil representation, as the
+    structured product of the word in (lam*C_t, D_st, U_t)."""
     word = decompose(g)
     return evaluate_word(word, weil_assignment(gens), identity_op(gens.params))
+
+
+def weil_image(g, gens):
+    """weil_image_op, materialised."""
+    return weil_image_op(g, gens).materialize()

@@ -20,7 +20,8 @@ from .generators import (WeilGeneratorSet, det_C, lam_C_squared, op_A, op_B,
 from .heisenberg import (DoesNotNormalize, ExtraspecialElement, comm_exponent,
                          pi_map, realize)
 from .linalg import DenseMatrix
-from .operators import (DenseOp, MonomialOp, ProductOp, ScalarOp, identity_op,
+from .operators import (DenseOp, MonomialOp, ProductOp, ScalarOp,
+                        first_difference as _first_difference, identity_op,
                         negation_monomial)
 from .submodules import (NotInvariant, representative_indices, restrict,
                          restrict_quotient, spin, submodule_bases)
@@ -80,22 +81,6 @@ class VerificationReport:
 
 # ---------------------------------------------------------------------------
 # operator comparison with witnesses
-
-
-def _first_difference(op1, op2):
-    n = op1.n
-    ctx = op1.ctx
-    zero, one = ctx.zero, ctx.one
-    basis = [zero] * n
-    for j in range(n):
-        basis[j] = one
-        a = op1.apply(basis)
-        b = op2.apply(basis)
-        basis[j] = zero
-        if a != b:
-            i = next(i for i in range(n) if a[i] != b[i])
-            return (i, j, a[i], b[i])
-    return None
 
 
 def _check_ops(report, cid, pstr, lhs, rhs):
@@ -628,30 +613,15 @@ def closure_order(generators, cap):
     if not generators:
         return 1
     ctx = generators[0].ctx
-    n = generators[0].nrows
-    ident = DenseMatrix.identity(ctx, n)
+    dot = ctx.dot
+    ident = DenseMatrix.identity(ctx, generators[0].nrows)
     seen = {ident.rows}
     queue = deque([ident.rows])
-    if ctx.kind == "prime":
-        p = ctx.p
-        gen_cols = [tuple(zip(*g.rows)) for g in generators]
-        while queue:
-            rows = queue.popleft()
-            for cols in gen_cols:
-                prod = tuple(tuple(sum(a * b for a, b in zip(row, col)) % p
-                                   for col in cols) for row in rows)
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"closure exceeded cap {cap}")
-                    seen.add(prod)
-                    queue.append(prod)
-        return len(seen)
-    gen_mats = list(generators)
+    gen_cols = [tuple(zip(*g.rows)) for g in generators]
     while queue:
         rows = queue.popleft()
-        m = DenseMatrix(ctx, rows)
-        for g in gen_mats:
-            prod = (m * g).rows
+        for cols in gen_cols:
+            prod = tuple(tuple(dot(row, col) for col in cols) for row in rows)
             if prod not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded(f"closure exceeded cap {cap}")

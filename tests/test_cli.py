@@ -36,6 +36,73 @@ U1 := [
 ];;
 """
 
+GOLDEN_MAGMA_31_GF7 = """\
+K := GF(7);
+theta := K!2;
+lambda := 3;
+C1 := Matrix(K, 3, 3, [
+  3, 3, 3,
+  3, 6, 5,
+  3, 5, 6
+]);
+U1 := Matrix(K, 3, 3, [
+  1, 0, 0,
+  0, 4, 0,
+  0, 0, 4
+]);
+"""
+
+GOLDEN_MAGMA_31_GF4 = """\
+P<X> := PolynomialRing(GF(2));
+K<x> := ext<GF(2) | X^2 + X + 1>;
+theta := x;
+lambda := 1;
+C1 := Matrix(K, 3, 3, [
+  1, 1, 1,
+  1, x, 1 + x,
+  1, 1 + x, x
+]);
+U1 := Matrix(K, 3, 3, [
+  1, 0, 0,
+  0, 1 + x, 0,
+  0, 0, 1 + x
+]);
+"""
+
+GOLDEN_GAP_31_CYC = """\
+K := CyclotomicField(3);;
+theta := E(3);;
+lambda_ := -1/3 - 2/3*E(3);;
+C1 := [
+  [ -1/3 - 2/3*E(3), -1/3 - 2/3*E(3), -1/3 - 2/3*E(3) ],
+  [ -1/3 - 2/3*E(3), 2/3 + 1/3*E(3), -1/3 + 1/3*E(3) ],
+  [ -1/3 - 2/3*E(3), -1/3 + 1/3*E(3), 2/3 + 1/3*E(3) ]
+];;
+U1 := [
+  [ 1, 0, 0 ],
+  [ 0, -1 - E(3), 0 ],
+  [ 0, 0, -1 - E(3) ]
+];;
+"""
+
+GOLDEN_GAP_31_GF4 = """\
+x_ := Indeterminate(GF(2), "x_");;
+K := AlgebraicExtension(GF(2), x_^2 + x_ + 1);;
+a := RootOfDefiningPolynomial(K);;
+theta := a;;
+lambda_ := One(K);;
+C1 := [
+  [ One(K), One(K), One(K) ],
+  [ One(K), a, One(K) + a ],
+  [ One(K), One(K) + a, a ]
+];;
+U1 := [
+  [ One(K), Zero(K), Zero(K) ],
+  [ Zero(K), One(K) + a, Zero(K) ],
+  [ Zero(K), Zero(K), One(K) + a ]
+];;
+"""
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -94,6 +161,19 @@ def test_gens_gap_golden(capsys):
     assert out == GOLDEN_GAP_31_GF7
 
 
+@pytest.mark.parametrize("field, fmt, golden", [
+    ("auto-prime", "magma", GOLDEN_MAGMA_31_GF7),
+    ("gf2-auto", "magma", GOLDEN_MAGMA_31_GF4),
+    ("cyclotomic", "gap", GOLDEN_GAP_31_CYC),
+    ("gf2-auto", "gap", GOLDEN_GAP_31_GF4),
+])
+def test_gens_text_golden(capsys, field, fmt, golden):
+    code, out, _ = run_cli(["gens", "--r", "3", "--l", "1",
+                            "--field", field, "--format", fmt], capsys)
+    assert code == 0
+    assert out == golden
+
+
 def test_gens_gap_extension_parses_shape(capsys):
     code, out, _ = run_cli(["gens", "--r", "3", "--l", "1",
                             "--field", "gf2-auto", "--format", "gap"], capsys)
@@ -117,6 +197,13 @@ def test_invalid_field_exits_2(capsys):
     code, _, _ = run_cli(["gens", "--r", "3", "--l", "1",
                           "--field", "bogus"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("field", ["gf:abc", "gf:7^x", "gf:", "gf:7^2^3"])
+def test_malformed_field_exits_2_without_traceback(capsys, field):
+    code, _, err = run_cli(["gens", "--r", "3", "--l", "1", "--field", field], capsys)
+    assert code == 2
+    assert "Traceback" not in err and "unrecognised field spec" in err
 
 
 def test_image_identity(capsys):
@@ -233,3 +320,17 @@ def test_verify_deterministic_output(capsys):
     code2, out2, _ = run_cli(["verify", "--r", "3", "--l", "1", "--seed", "5"], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_verify_rejects_nonpositive_cap(capsys, monkeypatch, cap):
+    import spweil.cli
+
+    def no_generators(params):
+        raise AssertionError("generators built before the cap was checked")
+
+    monkeypatch.setattr(spweil.cli, "weil_generators", no_generators)
+    code, out, err = run_cli(["verify", "--r", "3", "--l", "1", "--closure",
+                              "--cap", cap], capsys)
+    assert code == 2
+    assert out == "" and "--cap" in err

@@ -49,6 +49,24 @@ def test_field_axioms(spec, ints):
 
 
 @pytest.mark.parametrize("spec", ALL_CTXS, ids=str)
+@given(ints=st.lists(st.integers(-50, 50), min_size=20, max_size=20),
+       pattern=st.lists(st.sampled_from(["xy", "x", "y", ""]), max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_dot_matches_add_mul_fold(spec, ints, pattern):
+    # pattern[i] names the operands that are nonzero at position i
+    ctx = make_field(spec)
+    xs = [_elements(ctx, ints[i:i + 5]) if "x" in keep else ctx.zero
+          for i, keep in enumerate(pattern)]
+    ys = [_elements(ctx, ints[i + 10:i + 15]) if "y" in keep else ctx.zero
+          for i, keep in enumerate(pattern)]
+    want = ctx.zero
+    for x, y in zip(xs, ys):
+        want = ctx.add(want, ctx.mul(x, y))
+    assert ctx.dot(xs, ys) == want
+    assert ctx.dot([], []) == ctx.zero
+
+
+@pytest.mark.parametrize("spec", ALL_CTXS, ids=str)
 def test_root_of_unity_invariants(spec):
     ctx = make_field(spec)
     r = ctx.r

@@ -157,3 +157,36 @@ def test_pi_on_dense_input_matches_operator_input(setup7):
     params, gens = setup7
     op = gens.lamC[0] * gens.U[0] * gens.lamC[0]
     assert pi_map(op, params) == pi_map(op.materialize(), params)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 1], [0, 1, 1], [1, 1, 2]],   # rank 2, no two rows proportional
+    [[1, 0, 0], [0, 1, 0], [0, 0, 0]],   # a zero row
+    [[0, 0, 0]] * 3,
+])
+def test_pi_rejects_rank_deficient_matrix(setup7, rows):
+    params, _ = setup7
+    with pytest.raises(DoesNotNormalize):
+        pi_map(DenseMatrix(params.ctx, rows), params)
+
+
+@pytest.mark.parametrize("field", ["cyc3", "gf7", "gf4"])
+def test_pi_structured_matches_materialized(field, request):
+    """A monomial, a product of at most 8 factors and one of more than 8
+    project the same way as their matrices, and as the word's image."""
+    params = WeilParams(3, 2, request.getfixturevalue(field))
+    gens = weil_generators(params)
+    images = gen_images(2, 3)
+    pool = list(gens.sp_generating_ops())
+    rng = random.Random(3)
+    for op in (gens.D[(1, 2)], gens.sigma):
+        assert pi_map(op, params) == pi_map(op.materialize(), params)
+    for length in (3, 12):
+        word = [rng.choice(pool) for _ in range(length)]
+        op = ProductOp(params, tuple(o for _, _, _, o in word))
+        assert (len(op.factors) <= 8) == (length == 3)
+        want = SpMatrix.identity(2, 3)
+        for kind, t, s, _ in word:
+            want = want * images[GenToken(kind, t, s)]
+        assert pi_map(op, params) == want
+        assert pi_map(op.materialize(), params) == want
