@@ -2,10 +2,16 @@
 """Run the identity verification suite over the full parameter grid and print
 one summary row per (r, l, field), with timings.
 
-Usage: python3 scripts/run_verification_grid.py [--closure]
+Usage: python3 scripts/run_verification_grid.py [--closure] [--jsonl]
+
+With --jsonl every row is one JSON object on its own line instead: r, l,
+field, checks (the number of checks), failures (id and witness of each
+failed check) and duration_s; a closure row has closure and group_order in
+place of checks and failures.  The total line is left out.
 """
 
 import argparse
+import json
 import sys
 import time
 
@@ -24,6 +30,8 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--closure", action="store_true",
                         help="also run the group-order closure counts")
+    parser.add_argument("--jsonl", action="store_true",
+                        help="print one JSON object per row")
     args = parser.parse_args()
 
     failures = 0
@@ -35,14 +43,22 @@ def main():
         t0 = time.time()
         ctx = make_field(FieldSpec(kind, r))
         report = run_relation_suite(WeilParams(r, ell, ctx))
-        status = "ok" if report.ok else "FAIL"
+        duration = time.time() - t0
         nfail = len(report.failures())
+        failures += nfail
+        if args.jsonl:
+            print(json.dumps({"r": r, "l": ell, "field": ctx.describe(),
+                              "checks": len(report.entries),
+                              "failures": [{"id": f.id, "witness": f.witness}
+                                           for f in report.failures()],
+                              "duration_s": round(duration, 4)}))
+            continue
+        status = "ok" if report.ok else "FAIL"
         print(f"{status:4s} r={r:2d} l={ell} {ctx.describe():10s} "
               f"{len(report.entries):3d} checks, {nfail} failures "
-              f"[{time.time() - t0:6.2f}s]")
+              f"[{duration:6.2f}s]")
         for f in report.failures():
             print(f"     {f.id}: {f.witness}")
-        failures += nfail
 
     if args.closure:
         for r, ell in CLOSURE_SETS:
@@ -52,17 +68,23 @@ def main():
             mats = [op.materialize() for _, _, _, op in gens.sp_generating_ops()]
             want = group_order(ell, r)
             try:
-                got = closure_order(mats, want + 1)
+                got, exceeded = closure_order(mats, want + 1), None
             except CapExceeded as exc:
-                print(f"FAIL r={r} l={ell} closure: {exc}")
-                failures += 1
-                continue
-            status = "ok" if got == want else "FAIL"
-            print(f"{status:4s} r={r:2d} l={ell} closure {got} "
-                  f"(group order {want}) [{time.time() - t0:6.2f}s]")
+                got, exceeded = None, exc
             failures += got != want
+            if args.jsonl:
+                print(json.dumps({"r": r, "l": ell, "field": ctx.describe(),
+                                  "closure": got, "group_order": want,
+                                  "duration_s": round(time.time() - t0, 4)}))
+            elif exceeded:
+                print(f"FAIL r={r} l={ell} closure: {exceeded}")
+            else:
+                status = "ok" if got == want else "FAIL"
+                print(f"{status:4s} r={r:2d} l={ell} closure {got} "
+                      f"(group order {want}) [{time.time() - t0:6.2f}s]")
 
-    print(f"total {time.time() - grand:.1f}s, {failures} failing checks")
+    if not args.jsonl:
+        print(f"total {time.time() - grand:.1f}s, {failures} failing checks")
     return 1 if failures else 0
 
 

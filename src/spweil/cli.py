@@ -198,6 +198,9 @@ def main(argv=None):
     except InvalidFieldSpec as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # a path named on the command line cannot be opened
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (NotSymplectic, DoesNotNormalize) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH

@@ -14,6 +14,14 @@ Three field families are supported, all exact (no floating point anywhere):
 
 Element values are plain hashable Python objects; all arithmetic goes through
 the owning FieldContext.  Contexts are immutable after construction.
+
+Two primitives serve the structured operators, whose entries are powers of
+theta times one scalar.  mul_theta_power(a, e) is a * theta^e: one modular
+multiply over GF(p), and a rotation of the coefficient vector over Q(theta),
+which keeps the denominator and needs no gcd.  fourier_apply(vec, stride,
+table, scale) applies scale times the Fourier kernel theta^(i*x) in one
+tensor slot; over Q(theta) it sums integer rotations over one common
+denominator and normalises each output once.
 """
 
 from __future__ import annotations
@@ -225,6 +233,29 @@ class FieldContext:
                 acc = add(acc, mul(a, b))
         return acc
 
+    def mul_theta_power(self, a, e):
+        """a * theta^e for any integer e."""
+        return self.mul(a, self.theta_pow[e % self.r])
+
+    def fourier_apply(self, vec, stride, table, scale):
+        """scale * C applied to vec: on each fibre of r entries stride apart,
+        out_i = scale * sum_x theta^(i*x) v_x.  table[i][x] is
+        scale * theta^(i*x).  All-zero fibres are skipped."""
+        r = self.r
+        n = len(vec)
+        block = stride * r
+        zero = self.zero
+        out = [zero] * n
+        dot = self.dot
+        for base in range(0, n, block):
+            for off in range(base, base + stride):
+                vals = vec[off:off + block:stride]
+                if vals.count(zero) == r:
+                    continue  # a zero fibre maps to zero
+                for i, row in enumerate(table):
+                    out[off + i * stride] = dot(row, vals)
+        return out
+
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -258,9 +289,6 @@ class FieldContext:
             cached = tuple(powers)
             self._theta_pow = cached
         return cached
-
-    def theta_power(self, e):
-        return self.theta_pow[e % self.r]
 
     def dlog_theta(self, a):
         """Exponent e in [0, r) with a = theta^e, or None."""
@@ -351,6 +379,49 @@ class CyclotomicContext(FieldContext):
         nums = [conv[i] - high for i in range(d)]
         return self._norm(nums, da * db)
 
+    def mul_theta_power(self, a, e):
+        # theta is a unit of Z[theta], so the content, and with it the
+        # normal form's denominator, is unchanged
+        e %= self.r
+        if not e:
+            return a
+        nums, den = a
+        full = nums + (0,)  # coefficients of theta^0 .. theta^(r-1)
+        rot = full[-e:] + full[:-e]
+        high = rot[-1]
+        if high:
+            return (tuple(x - high for x in rot[:-1]), den)
+        return (rot[:-1], den)
+
+    def fourier_apply(self, vec, stride, table, scale):
+        r = self.r
+        n = len(vec)
+        block = stride * r
+        zero = self.zero
+        out = [zero] * n
+        unit = scale == self.one
+        for base in range(0, n, block):
+            for off in range(base, base + stride):
+                vals = vec[off:off + block:stride]
+                if vals.count(zero) == r:
+                    continue  # a zero fibre maps to zero
+                terms = [(x, v) for x, v in enumerate(vals) if v != zero]
+                den = math.lcm(*(d for _, (_, d) in terms))
+                # v_x over the common denominator, as theta^0 .. theta^(r-1)
+                full = [(x, tuple(c * (den // d) for c in nums) + (0,))
+                        for x, (nums, d) in terms]
+                for i in range(r):
+                    rotated = []
+                    for x, f in full:
+                        s = i * x % r
+                        rotated.append(f[-s:] + f[:-s] if s else f)
+                    acc = [sum(col) for col in zip(*rotated)]
+                    high = acc[-1]
+                    value = ([c - high for c in acc[:-1]], den)
+                    out[off + i * stride] = (self._norm(*value) if unit
+                                             else self.mul(value, scale))
+        return out
+
     def _conjugate(self, a, j):
         # the field automorphism theta -> theta^j
         nums, den = a
@@ -422,6 +493,7 @@ class PrimeFieldContext(FieldContext):
         self.zero = 0
         self.one = 1
         self.spec = FieldSpec("prime", r, p=p)
+        self._theta_table = self.theta_pow
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -442,6 +514,9 @@ class PrimeFieldContext(FieldContext):
 
     def dot(self, xs, ys):
         return sum(map(operator.mul, xs, ys)) % self.p
+
+    def mul_theta_power(self, a, e):
+        return a * self._theta_table[e % self.r] % self.p
 
     def pow(self, a, e):
         if e < 0:
@@ -481,6 +556,8 @@ class ExtensionFieldContext(FieldContext):
             raise InvalidFieldSpec(f"p = {p} is not prime")
         if p == r:
             raise InvalidFieldSpec("characteristic p must differ from r")
+        if k < 1:
+            raise InvalidFieldSpec(f"extension degree k = {k} must be >= 1")
         q = p ** k
         if (q - 1) % r != 0:
             raise InvalidFieldSpec(f"r = {r} does not divide p^k - 1 = {q - 1}")

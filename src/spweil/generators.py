@@ -25,8 +25,7 @@ from .operators import (FourierOp, MonomialOp, Operator, ProductOp, ScalarOp,
 
 
 def op_A(params, t):
-    powers = params.ctx.theta_pow
-    return MonomialOp.from_affine(params, 1, None, lambda xi: powers[xi[t - 1]])
+    return MonomialOp.from_affine(params, 1, None, lambda xi: xi[t - 1])
 
 
 def op_B(params, t):
@@ -41,27 +40,21 @@ def op_C(params, t, scale=None):
 def op_D(params, s, t):
     if not 1 <= s < t <= params.ell:
         raise ValueError("need 1 <= s < t <= ell")
-    r = params.r
-    powers = params.ctx.theta_pow
-    return MonomialOp.from_affine(
-        params, 1, None, lambda xi: powers[(xi[s - 1] * xi[t - 1]) % r])
+    return MonomialOp.from_affine(params, 1, None, lambda xi: xi[s - 1] * xi[t - 1])
 
 
 def op_E(params, t):
-    r = params.r
-    powers = params.ctx.theta_pow
     return MonomialOp.from_affine(
-        params, 1, None, lambda xi: powers[(xi[t - 1] * (xi[t - 1] - 1) // 2) % r])
+        params, 1, None, lambda xi: xi[t - 1] * (xi[t - 1] - 1) // 2)
 
 
 def op_U(params, t, exponent=1):
     """U_t^exponent; the diagonal exponents xi_t(xi_t+r)/2 are exact integers
     reduced mod r."""
     r = params.r
-    powers = params.ctx.theta_pow
     e = exponent % r
     return MonomialOp.from_affine(
-        params, 1, None, lambda xi: powers[(e * (xi[t - 1] * (xi[t - 1] + r) // 2)) % r])
+        params, 1, None, lambda xi: e * (xi[t - 1] * (xi[t - 1] + r) // 2))
 
 
 def base_generators(ctx):
@@ -120,11 +113,10 @@ def gauss_sum_identity(r, ctx):
 def lam_C_squared(params, t):
     """(lam*C_t)^2 as a monomial operator: (-1)^((r-1)/2) times slot-t negation."""
     ctx = params.ctx
-    sign = ctx.one if (params.r - 1) // 2 % 2 == 0 else ctx.neg(ctx.one)
     neg = negation_monomial(params, t)
-    if sign == ctx.one:
+    if (params.r - 1) // 2 % 2 == 0:
         return neg
-    return MonomialOp(params, neg.perm, [ctx.mul(sign, d) for d in neg.diag])
+    return MonomialOp(params, neg.perm, neg.expo, ctx.neg(ctx.one))
 
 
 @dataclass

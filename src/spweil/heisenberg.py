@@ -69,12 +69,9 @@ class ExtraspecialElement:
 
 def realize(elem, params):
     """The monomial operator of theta^c B^b A^a."""
-    r = params.r
-    powers = params.ctx.theta_pow
     a, b, c = elem.a, elem.b, elem.c
     return MonomialOp.from_affine(
-        params, 1, b,
-        lambda xi: powers[(c + sum(ai * x for ai, x in zip(a, xi))) % r])
+        params, 1, b, lambda xi: c + sum(ai * x for ai, x in zip(a, xi)))
 
 
 def comm_exponent(x, y, r):
@@ -164,7 +161,7 @@ def _conjugates_of_basis(n, params):
     fails the match or the recognition, and pi_map raises DoesNotNormalize.
     """
     ctx = params.ctx
-    zero, one, mul, inv = ctx.zero, ctx.one, ctx.mul, ctx.inv
+    zero, mul, inv, mtp = ctx.zero, ctx.mul, ctx.inv, ctx.mul_theta_power
     rows = _square_rows(n.materialize() if isinstance(n, Operator) else n, params)
 
     def keyed(row):
@@ -183,8 +180,8 @@ def _conjugates_of_basis(n, params):
         for g in (op_A(params, t), op_B(params, t)):
             entries = []
             for i, row in enumerate(rows):
-                moved = [a if d == one or a == zero else mul(d, a)
-                         for a, d in zip((row[p] for p in g.perm), g.diag)]
+                moved = [mtp(a, e) if e and a != zero else a
+                         for a, e in zip((row[p] for p in g.perm), g.expo)]
                 lead, _, key = keyed(moved)
                 hit = match.get(key)
                 if hit is None:

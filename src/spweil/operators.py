@@ -7,16 +7,19 @@ r x r matrix M is literally I_{r^(t-1)} (x) M (x) I_{r^(ell-t)}.
 
 Operator variants:
 
-* MonomialOp   -- permutation times diagonal, stored as flat tables;
+* MonomialOp   -- permutation times diagonal; the diagonal is stored as
+                  integer theta exponents in [0, r) and one scalar, so
+                  compose, inverse, powers, equality and det are integer
+                  work plus at most one field operation on the scalar;
 * FourierOp    -- the discrete Fourier kernel theta^(i*xi) in one tensor
-                  slot, times a scalar;
+                  slot, times a scalar; apply is ctx.fourier_apply;
 * ScalarOp     -- c * I;
 * DenseOp      -- arbitrary invertible DenseMatrix;
 * ProductOp    -- composition, factors applied right to left.
 
 apply() costs O(n) for monomial/scalar operators and O(n*r) for a Fourier
-factor.  materialize() returns the DenseMatrix whose column xi is
-apply(e_xi).
+factor; only apply() and materialize() make field values.  materialize()
+returns the DenseMatrix whose column xi is apply(e_xi).
 """
 
 from __future__ import annotations
@@ -133,60 +136,102 @@ def identity_op(params):
 
 
 class MonomialOp(Operator):
-    """out[perm[j]] = diag[j] * v[j]; perm and diag are flat tables."""
+    """out[perm[j]] = scale * theta^expo[j] * v[j]; perm and expo are flat
+    tables, expo in [0, r), and scale is one field element."""
 
-    __slots__ = ("perm", "diag")
+    __slots__ = ("perm", "expo", "scale")
 
-    def __init__(self, params, perm, diag):
+    def __init__(self, params, perm, expo, scale=None):
         super().__init__(params)
         self.perm = tuple(perm)
-        self.diag = tuple(diag)
+        self.expo = tuple(expo)
+        self.scale = params.ctx.one if scale is None else scale
 
     @classmethod
-    def from_affine(cls, params, eps, shift, diag_fn=None):
+    def from_affine(cls, params, eps, shift, expo_fn=None):
         """Permutation xi -> eps*xi + shift (coordinatewise mod r) with
-        diagonal entry diag_fn(xi); eps is +1 or -1."""
+        diagonal entry theta^expo_fn(xi); eps is +1 or -1."""
         r, ell = params.r, params.ell
-        one = params.ctx.one
         shift = tuple(shift) if shift is not None else (0,) * ell
-        perm = []
-        diag = []
-        for xi in itertools.product(range(r), repeat=ell):
-            target = tuple((eps * x + s) % r for x, s in zip(xi, shift))
-            perm.append(flat_index(target, r))
-            diag.append(one if diag_fn is None else diag_fn(xi))
-        return cls(params, perm, diag)
+        # slot m sends x to eps*x + shift_m, worth r^(ell-1-m) in the flat index
+        moves = [[(eps * x + s) % r * r ** (ell - 1 - m) for x in range(r)]
+                 for m, s in enumerate(shift)]
+        perm = [sum(parts) for parts in itertools.product(*moves)]
+        if expo_fn is None:
+            return cls(params, perm, (0,) * len(perm))
+        return cls(params, perm, [expo_fn(xi) % r for xi in index_vectors(r, ell)])
+
+    @property
+    def diag(self):
+        """The diagonal entries scale * theta^expo[j] as field elements."""
+        mtp, scale = self.ctx.mul_theta_power, self.scale
+        return tuple(mtp(scale, e) for e in self.expo)
 
     def apply(self, vec):
         ctx = self.ctx
         out = [ctx.zero] * self.n
-        mul = ctx.mul
-        one = ctx.one
-        for j, (p, d) in enumerate(zip(self.perm, self.diag)):
-            v = vec[j]
-            out[p] = v if d == one else mul(d, v)
+        if self.scale == ctx.one:
+            mtp = ctx.mul_theta_power
+            for p, e, v in zip(self.perm, self.expo, vec):
+                out[p] = mtp(v, e) if e else v
+        else:
+            mul = ctx.mul
+            table = [ctx.mul_theta_power(self.scale, e) for e in range(self.params.r)]
+            for p, e, v in zip(self.perm, self.expo, vec):
+                out[p] = mul(table[e], v)
         return out
 
     def compose(self, other):
         """self after other (= self * other as matrices), staying monomial."""
         ctx = self.ctx
-        mul = ctx.mul
-        p1, d1 = other.perm, other.diag
-        p2, d2 = self.perm, self.diag
-        perm = [p2[p] for p in p1]
-        diag = [mul(d2[p], d) for p, d in zip(p1, d1)]
-        return MonomialOp(self.params, perm, diag)
+        r = self.params.r
+        p2, e2 = self.perm, self.expo
+        perm = [p2[p] for p in other.perm]
+        expo = [(e2[p] + e) % r for p, e in zip(other.perm, other.expo)]
+        if other.scale == ctx.one:
+            scale = self.scale
+        elif self.scale == ctx.one:
+            scale = other.scale
+        else:
+            scale = ctx.mul(self.scale, other.scale)
+        return MonomialOp(self.params, perm, expo, scale)
+
+    def commutator(self, other):
+        """self * other * self^-1 * other^-1."""
+        return self.compose(other).compose(self.inverse()).compose(other.inverse())
 
     def inverse(self):
         ctx = self.ctx
+        r = self.params.r
         n = self.n
         perm_inv = [0] * n
-        diag_inv = [ctx.zero] * n
-        inv = ctx.inv
-        for j, (p, d) in enumerate(zip(self.perm, self.diag)):
+        expo_inv = [0] * n
+        for j, (p, e) in enumerate(zip(self.perm, self.expo)):
             perm_inv[p] = j
-            diag_inv[p] = inv(d)
-        return MonomialOp(self.params, perm_inv, diag_inv)
+            expo_inv[p] = -e % r
+        scale = self.scale if self.scale == ctx.one else ctx.inv(self.scale)
+        return MonomialOp(self.params, perm_inv, expo_inv, scale)
+
+    def __pow__(self, e):
+        if e < 0:
+            return self.inverse() ** (-e)
+        out = MonomialOp(self.params, range(self.n), (0,) * self.n)
+        for _ in range(e):
+            out = out.compose(self)
+        return out
+
+    def __eq__(self, other):
+        """Equal entries: the perms agree, self.expo - other.expo is a
+        constant k mod r, and scale * theta^k is other's scale."""
+        if not isinstance(other, MonomialOp):
+            return NotImplemented
+        if self.perm != other.perm:
+            return False
+        r = self.params.r
+        k = (self.expo[0] - other.expo[0]) % r
+        if any((a - b) % r != k for a, b in zip(self.expo, other.expo)):
+            return False
+        return self.ctx.mul_theta_power(self.scale, k) == other.scale
 
     def materialize(self):
         ctx = self.ctx
@@ -198,11 +243,10 @@ class MonomialOp(Operator):
         return DenseMatrix(ctx, rows)
 
     def det(self):
-        """Determinant: permutation sign times the product of diagonal entries."""
+        """Determinant: permutation sign times scale^n times theta^(sum of
+        the exponents)."""
         ctx = self.ctx
-        acc = ctx.one
-        for d in self.diag:
-            acc = ctx.mul(acc, d)
+        acc = ctx.mul_theta_power(ctx.pow(self.scale, self.n), sum(self.expo))
         seen = [False] * self.n
         transpositions = 0
         for start in range(self.n):
@@ -229,30 +273,14 @@ class FourierOp(Operator):
         self.t = t
         ctx = params.ctx
         self.scale = ctx.one if scale is None else scale
-        mul = ctx.mul
-        powers = ctx.theta_pow
+        mtp = ctx.mul_theta_power
         r = params.r
         # row i of the scaled kernel: scale * theta^(i*x) for x in [0, r)
-        self._table = [[mul(self.scale, powers[(i * x) % r]) for x in range(r)]
-                       for i in range(r)]
+        self._table = [[mtp(self.scale, i * x) for x in range(r)] for i in range(r)]
 
     def apply(self, vec):
-        ctx = self.ctx
-        r = self.params.r
-        n = self.n
-        stride = r ** (self.params.ell - self.t)
-        block = stride * r
-        zero = ctx.zero
-        out = [zero] * n
-        dot = ctx.dot
-        for base in range(0, n, block):
-            for off in range(base, base + stride):
-                vals = vec[off:off + block:stride]
-                if vals.count(zero) == r:
-                    continue  # a zero fibre maps to zero
-                for i, row in enumerate(self._table):
-                    out[off + i * stride] = dot(row, vals)
-        return out
+        stride = self.params.r ** (self.params.ell - self.t)
+        return self.ctx.fourier_apply(vec, stride, self._table, self.scale)
 
     def inverse(self):
         # C_t^2 = r * N_t with N_t negating slot t, so C_t^-1 = r^-1 * N_t * C_t
@@ -271,8 +299,7 @@ def negation_monomial(params, t=None):
         target = tuple(-x % r if (t is None or i == t - 1) else x
                        for i, x in enumerate(xi))
         perm.append(flat_index(target, r))
-    one = params.ctx.one
-    return MonomialOp(params, perm, [one] * params.n)
+    return MonomialOp(params, perm, (0,) * params.n)
 
 
 class DenseOp(Operator):

@@ -221,10 +221,7 @@ def weil_assignment(gens):
 
 def op_D_power(params, s, t, e):
     from .operators import MonomialOp
-    r = params.r
-    powers = params.ctx.theta_pow
-    return MonomialOp.from_affine(
-        params, 1, None, lambda xi: powers[(e * xi[s - 1] * xi[t - 1]) % r])
+    return MonomialOp.from_affine(params, 1, None, lambda xi: e * xi[s - 1] * xi[t - 1])
 
 
 def group_order(ell, r):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spweil
 from spweil.cli import main
 
 GOLDEN_MAGMA_31_CYC = """\
@@ -204,6 +209,26 @@ def test_malformed_field_exits_2_without_traceback(capsys, field):
     code, _, err = run_cli(["gens", "--r", "3", "--l", "1", "--field", field], capsys)
     assert code == 2
     assert "Traceback" not in err and "unrecognised field spec" in err
+
+
+@pytest.mark.parametrize("field", ["gf:7^0", "gf:7^-1"])
+def test_extension_degree_below_one_exits_2(capsys, field):
+    code, _, err = run_cli(["gens", "--r", "3", "--l", "1", "--field", field], capsys)
+    assert code == 2
+    assert "must be >= 1" in err and "does not divide" not in err
+
+
+def test_out_in_missing_directory_exits_2(tmp_path):
+    # a fresh interpreter, so an uncaught exception would show as a traceback
+    src = Path(spweil.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = tmp_path / "missing" / "x.json"
+    proc = subprocess.run([sys.executable, "-m", "spweil", "gens", "--r", "3", "--l", "1",
+                           "--out", str(out)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert not out.exists()
 
 
 def test_image_identity(capsys):

@@ -66,6 +66,27 @@ def test_dot_matches_add_mul_fold(spec, ints, pattern):
     assert ctx.dot([], []) == ctx.zero
 
 
+# Q(theta_3), Q(theta_5), GF(7), GF(11), GF(4)
+FAST_PATH_CTXS = [
+    FieldSpec("cyclotomic", 3),
+    FieldSpec("cyclotomic", 5),
+    FieldSpec("auto-prime", 3),
+    FieldSpec("auto-prime", 5),
+    FieldSpec("auto-char2", 3),
+]
+
+
+@pytest.mark.parametrize("spec", FAST_PATH_CTXS, ids=str)
+@given(ints=st.lists(st.integers(-50, 50), min_size=5, max_size=5),
+       e=st.integers(-40, 40))
+@settings(max_examples=60, deadline=None)
+def test_mul_theta_power_matches_mul(spec, ints, e):
+    # cyclotomic elements from _elements carry denominators 1..6
+    ctx = make_field(spec)
+    a = _elements(ctx, ints)
+    assert ctx.mul_theta_power(a, e) == ctx.mul(a, ctx.theta_pow[e % ctx.r])
+
+
 @pytest.mark.parametrize("spec", ALL_CTXS, ids=str)
 def test_root_of_unity_invariants(spec):
     ctx = make_field(spec)
@@ -129,6 +150,13 @@ def test_invalid_specs():
     with pytest.raises(InvalidFieldSpec):
         # x^2 + 1 = (x+1)^2 over GF(2)
         make_field(FieldSpec("extension", 3, p=2, k=2, modulus=(1, 0, 1)))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_extension_degree_below_one(k):
+    # rejected before p ** k is formed, with the degree named in the message
+    with pytest.raises(InvalidFieldSpec, match=rf"extension degree k = {k} must be >= 1"):
+        ExtensionFieldContext(3, 7, k)
 
 
 def test_find_irreducible_polynomial():

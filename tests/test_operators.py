@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spweil.fields import FieldSpec, make_field
 from spweil.linalg import DenseMatrix
 from spweil.operators import (DenseOp, FourierOp, MonomialOp, ProductOp,
                               ScalarOp, WeilParams, flat_index, identity_op,
@@ -131,3 +134,129 @@ def test_pow_and_dimension_mismatch(gf7):
     assert operators_equal(B ** -1, B * B)
     with pytest.raises(ValueError):
         op_C(params, 2)  # slot out of range
+
+
+# Q(theta_3), Q(theta_5), GF(7), GF(11), GF(4)
+FAST_PATH_CTXS = [
+    FieldSpec("cyclotomic", 3),
+    FieldSpec("cyclotomic", 5),
+    FieldSpec("auto-prime", 3),
+    FieldSpec("auto-prime", 5),
+    FieldSpec("auto-char2", 3),
+]
+
+
+def _element(ctx, rng):
+    """sum_i (c_i / d_i) theta^i with small random c_i, d_i: over Q(theta)
+    the terms have mixed denominators (a d_i that is 0 in ctx counts as 1)."""
+    acc = ctx.zero
+    for i in range(ctx.r - 1):
+        den = ctx.from_int(rng.randrange(1, 7))
+        if den == ctx.zero:
+            den = ctx.one
+        term = ctx.mul(ctx.from_int(rng.randrange(-4, 5)), ctx.inv(den))
+        acc = ctx.add(acc, ctx.mul(term, ctx.theta_pow[i]))
+    return acc
+
+
+def _nonzero_element(ctx, rng):
+    while True:
+        a = _element(ctx, rng)
+        if a != ctx.zero:
+            return a
+
+
+def _dense_fourier(params, t, scale):
+    """scale * C_t entry by entry from theta_pow: theta^(eta_t * xi_t) where
+    eta and xi agree outside slot t."""
+    ctx, r = params.ctx, params.r
+    vecs = index_vectors(r, params.ell)
+    rows = []
+    for eta in vecs:
+        row = []
+        for xi in vecs:
+            same = all(a == b for k, (a, b) in enumerate(zip(eta, xi)) if k != t - 1)
+            row.append(ctx.mul(scale, ctx.theta_pow[eta[t - 1] * xi[t - 1] % r])
+                       if same else ctx.zero)
+        rows.append(row)
+    return DenseMatrix(ctx, rows)
+
+
+@pytest.mark.parametrize("spec", FAST_PATH_CTXS, ids=str)
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@given(seed=st.integers(0, 2 ** 32))
+@settings(max_examples=4, deadline=None)
+def test_fourier_apply_matches_dense_kernel(spec, ell, seed):
+    ctx = make_field(spec)
+    params = WeilParams(ctx.r, ell, ctx)
+    rng = random.Random(seed)
+    scales = [ctx.one, ctx.inv(ctx.from_int(ctx.r)), _nonzero_element(ctx, rng)]
+    for t in range(1, ell + 1):
+        stride = ctx.r ** (ell - t)
+        for scale in scales:
+            dense = _dense_fourier(params, t, scale)
+            # zero out single entries, and whole slot-t fibres at random
+            vec = [_element(ctx, rng) if rng.random() < 0.8 else ctx.zero
+                   for _ in range(params.n)]
+            dropped = {}
+            for j in range(params.n):
+                fibre = (j // (stride * ctx.r), j % stride)
+                if dropped.setdefault(fibre, rng.random() < 0.4):
+                    vec[j] = ctx.zero
+            assert FourierOp(params, t, scale).apply(vec) == dense.apply(vec)
+
+
+def _random_monomial(params, rng, scale):
+    perm = list(range(params.n))
+    rng.shuffle(perm)
+    return MonomialOp(params, perm, [rng.randrange(params.r) for _ in perm], scale)
+
+
+@pytest.mark.parametrize("spec", FAST_PATH_CTXS, ids=str)
+@given(seed=st.integers(0, 2 ** 32))
+@settings(max_examples=10, deadline=None)
+def test_monomial_algebra_matches_dense(spec, seed):
+    ctx = make_field(spec)
+    params = WeilParams(ctx.r, 2, ctx)
+    rng = random.Random(seed)
+    scales = [ctx.one, ctx.neg(ctx.one), ctx.from_int(ctx.r), ctx.theta,
+              _nonzero_element(ctx, rng)]
+    for s1 in scales:
+        x = _random_monomial(params, rng, s1)
+        y = _random_monomial(params, rng, rng.choice(scales))
+        X, Y = x.materialize(), y.materialize()
+        assert x.compose(y).materialize() == X * Y
+        assert x.inverse().materialize() == X.inverse()
+        assert x.det() == X.det()
+        assert (x ** 3).materialize() == X * X * X
+        assert (x ** -2).materialize() == (X * X).inverse()
+        assert x.commutator(y).materialize() == X * Y * X.inverse() * Y.inverse()
+        v = [_element(ctx, rng) for _ in range(params.n)]
+        assert x.apply(v) == X.apply(v)
+        assert list(x.diag) == [X.rows[p][j] for j, p in enumerate(x.perm)]
+
+
+@pytest.mark.parametrize("spec", FAST_PATH_CTXS, ids=str)
+@given(seed=st.integers(0, 2 ** 32))
+@settings(max_examples=10, deadline=None)
+def test_monomial_equality_up_to_theta_shift(spec, seed):
+    ctx = make_field(spec)
+    r = ctx.r
+    params = WeilParams(r, 2, ctx)
+    rng = random.Random(seed)
+    c = _nonzero_element(ctx, rng)
+    x = _random_monomial(params, rng, c)
+    # c * theta^e and (c * theta) * theta^(e - 1) are the same operator
+    y = MonomialOp(params, x.perm, [(e - 1) % r for e in x.expo], ctx.mul(c, ctx.theta))
+    assert x == y and x.materialize() == y.materialize()
+    j = rng.randrange(params.n)
+    bumped = list(x.expo)
+    bumped[j] = (bumped[j] + rng.randrange(1, r)) % r
+    for other in (MonomialOp(params, x.perm, bumped, c),
+                  MonomialOp(params, x.perm, x.expo, ctx.mul(c, ctx.theta)),
+                  MonomialOp(params, x.perm, x.expo, ctx.mul(c, ctx.add(ctx.one, ctx.theta)))):
+        assert x != other
+        assert x.materialize() != other.materialize()
+    swapped = list(x.perm)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    assert x != MonomialOp(params, swapped, x.expo, c)

@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from spweil.fields import FieldSpec, make_field
 from spweil.generators import weil_generators
-from spweil.operators import WeilParams
+from spweil.operators import FourierOp, MonomialOp, WeilParams
 from spweil.symplectic import group_order
 from spweil.verification import (CapExceeded, VerificationReport,
                                  check_sl23_presentation, closure_order,
@@ -57,6 +58,35 @@ def test_negative_controls_trip_the_suite(mutation):
     gens = mutation(weil_generators(params))
     report = run_relation_suite(params, gens=gens)
     assert report.failures(), f"{mutation.__name__} was not detected"
+
+
+@pytest.mark.parametrize("kind", ["cyclotomic", "auto-prime", "auto-char2"])
+def test_bumped_A_exponent_trips_extraspecial_relations(kind):
+    # one theta exponent of A_1 off by one: the integer-equality checks on
+    # monomials must see it, and the suite reports instead of raising
+    ctx = make_field(FieldSpec(kind, 3))
+    params = WeilParams(3, 2, ctx)
+    gens = weil_generators(params)
+    a1 = gens.A[0]
+    expo = list(a1.expo)
+    expo[1] = (expo[1] + 1) % 3
+    bad = replace(gens, A=(MonomialOp(params, a1.perm, expo),) + gens.A[1:])
+    failures = {f.id: f.witness for f in run_relation_suite(params, gens=bad).failures()}
+    assert failures.get("extraspecial-relations") == "[A_1, B_1] != theta^delta"
+
+
+@pytest.mark.parametrize("kind", ["cyclotomic", "auto-prime", "auto-char2"])
+def test_scaled_C_square_trips_negation_check(kind):
+    # theta * C_1 squares to theta^2 * r times the slot-1 negation monomial:
+    # the monomial's scale is theta^2 * r instead of r.  theta^3 = 1 hides the
+    # change from every determinant and cube identity, so C1-squared-negation
+    # is the one check that must fail.
+    ctx = make_field(FieldSpec(kind, 3))
+    params = WeilParams(3, 1, ctx)
+    gens = weil_generators(params)
+    bad = replace(gens, rawC=(FourierOp(params, 1, ctx.theta),) + gens.rawC[1:])
+    fail_ids = [f.id for f in run_relation_suite(params, gens=bad).failures()]
+    assert fail_ids == ["C1-squared-negation"]
 
 
 def test_mutated_lambda_cube_witness():
@@ -130,3 +160,25 @@ def test_group_order_cross_check():
     assert group_order(1, 5) == 120
     assert group_order(1, 7) == 336
     assert group_order(2, 3) == 51840
+
+
+def test_grid_script_jsonl_rows(monkeypatch, capsys):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_verification_grid.py"
+    spec = importlib.util.spec_from_file_location("run_verification_grid", path)
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    monkeypatch.setattr(grid, "GRID", [(3, 1)])
+    monkeypatch.setattr(grid, "CHAR2", [(3, 1)])
+    monkeypatch.setattr(grid, "CLOSURE_SETS", [(3, 1)])
+    monkeypatch.setattr("sys.argv", ["run_verification_grid.py", "--jsonl", "--closure"])
+    assert grid.main() == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [row["field"] for row in rows] == ["Q(theta_3)", "GF(7)", "GF(2^2)", "GF(7)"]
+    for row in rows[:3]:
+        assert set(row) == {"r", "l", "field", "checks", "failures", "duration_s"}
+        assert (row["r"], row["l"], row["failures"]) == (3, 1, [])
+        assert row["checks"] > 0 and row["duration_s"] >= 0
+    assert (rows[3]["closure"], rows[3]["group_order"]) == (24, 24)
