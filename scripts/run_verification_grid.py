@@ -4,6 +4,10 @@ one summary row per (r, l, field), with timings.
 
 Usage: python3 scripts/run_verification_grid.py [--closure] [--jsonl]
 
+--closure adds group-order rows: the closure of the Weil generators of
+Sp(2l, r) over GF(p) at (r, l) = (3, 1), (5, 1), (7, 1), (3, 2), and of
+Sp(2, r) over Q(theta_r) and over GF(2^k) at r = 3, 5, 7.
+
 With --jsonl every row is one JSON object on its own line instead: r, l,
 field, checks (the number of checks), failures (id and witness of each
 failed check) and duration_s; a closure row has closure and group_order in
@@ -23,7 +27,9 @@ from spweil.verification import CapExceeded, closure_order, run_relation_suite
 
 GRID = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1)]
 CHAR2 = [(3, 1), (3, 2), (5, 1)]
-CLOSURE_SETS = [(3, 1), (5, 1), (7, 1), (3, 2)]
+# (r, l) closes over auto-prime; (r, l, kind) names another field family
+CLOSURE_SETS = [(3, 1), (5, 1), (7, 1), (3, 2)] + [
+    (r, 1, kind) for kind in ("cyclotomic", "auto-char2") for r in (3, 5, 7)]
 
 
 def main():
@@ -61,9 +67,9 @@ def main():
             print(f"     {f.id}: {f.witness}")
 
     if args.closure:
-        for r, ell in CLOSURE_SETS:
+        for r, ell, *kind in CLOSURE_SETS:
             t0 = time.time()
-            ctx = make_field(FieldSpec("auto-prime", r))
+            ctx = make_field(FieldSpec(kind[0] if kind else "auto-prime", r))
             gens = weil_generators(WeilParams(r, ell, ctx))
             mats = [op.materialize() for _, _, _, op in gens.sp_generating_ops()]
             want = group_order(ell, r)
@@ -77,10 +83,10 @@ def main():
                                   "closure": got, "group_order": want,
                                   "duration_s": round(time.time() - t0, 4)}))
             elif exceeded:
-                print(f"FAIL r={r} l={ell} closure: {exceeded}")
+                print(f"FAIL r={r} l={ell} {ctx.describe()} closure: {exceeded}")
             else:
                 status = "ok" if got == want else "FAIL"
-                print(f"{status:4s} r={r:2d} l={ell} closure {got} "
+                print(f"{status:4s} r={r:2d} l={ell} {ctx.describe():10s} closure {got} "
                       f"(group order {want}) [{time.time() - t0:6.2f}s]")
 
     if not args.jsonl:

@@ -32,6 +32,10 @@ EXIT_USAGE = 2
 EXIT_MATH = 3
 EXIT_VERIFY = 4
 
+# Largest dimension n = r^l accepted: generator matrices have n^2 entries
+# each, so this keeps one at no more than 4 * 10^6 entries.
+MAX_DIM = 2000
+
 
 def _common_flags(sub):
     sub.add_argument("--r", type=int, required=True, help="odd prime r")
@@ -73,10 +77,16 @@ def build_parser():
 
 
 def _validated_setup(args):
-    if not is_prime(args.r) or args.r == 2:
+    if args.r < 3:
         raise InvalidFieldSpec("r must be an odd prime")
     if args.l < 1:
         raise InvalidFieldSpec("l must be >= 1")
+    # r >= 3 > 2, so r^l is formed only for l below MAX_DIM.bit_length()
+    if args.l >= MAX_DIM.bit_length() or args.r ** args.l > MAX_DIM:
+        raise InvalidFieldSpec(f"dimension r^l = {args.r}^{args.l} exceeds "
+                               f"the limit {MAX_DIM}")
+    if not is_prime(args.r):
+        raise InvalidFieldSpec("r must be an odd prime")
     spec = parse_field_spec(args.field, args.r)
     ctx = make_field(spec)
     return WeilParams(args.r, args.l, ctx)

@@ -59,10 +59,14 @@ class DenseMatrix:
                 raise ValueError("mixed field contexts")
             if self.ncols != other.nrows:
                 raise ValueError("dimension mismatch")
-            cols = list(zip(*other.rows))
-            dot = ctx.dot
-            return DenseMatrix(ctx, [[dot(row, col) for col in cols] for row in self.rows])
+            return DenseMatrix(ctx, self.mul_rows(other.rows))
         return NotImplemented
+
+    def mul_rows(self, rows):
+        """The rows of self * M, for M given as a tuple of row tuples."""
+        cols = list(zip(*rows))
+        dot = self.ctx.dot
+        return tuple(tuple(dot(row, col) for col in cols) for row in self.rows)
 
     def apply(self, vec):
         """Matrix-vector product (vec is a sequence of field values)."""

@@ -18,8 +18,10 @@ Operator variants:
 * ProductOp    -- composition, factors applied right to left.
 
 apply() costs O(n) for monomial/scalar operators and O(n*r) for a Fourier
-factor; only apply() and materialize() make field values.  materialize()
-returns the DenseMatrix whose column xi is apply(e_xi).
+factor; only apply(), mul_rows() and materialize() make field values.
+materialize() returns the DenseMatrix whose column xi is apply(e_xi), and
+mul_rows(rows) the rows of op * M: a monomial permutes and scales M's rows,
+any other operator applies itself to M's columns.
 """
 
 from __future__ import annotations
@@ -78,6 +80,11 @@ class Operator:
 
     def apply(self, vec):
         raise NotImplementedError
+
+    def mul_rows(self, rows):
+        """The rows of self * M, for M given as a tuple of row tuples: each
+        column of M goes through apply."""
+        return tuple(zip(*map(self.apply, zip(*rows))))
 
     def inverse(self):
         raise NotImplementedError
@@ -180,6 +187,22 @@ class MonomialOp(Operator):
             for p, e, v in zip(self.perm, self.expo, vec):
                 out[p] = mul(table[e], v)
         return out
+
+    def mul_rows(self, rows):
+        """The rows of self * M: row j of M, times scale * theta^expo[j],
+        becomes row perm[j].  A row whose factor is 1 is reused as is."""
+        ctx = self.ctx
+        out = [None] * self.n
+        if self.scale == ctx.one:
+            mtp = ctx.mul_theta_power
+            for p, e, row in zip(self.perm, self.expo, rows):
+                out[p] = tuple(map(mtp, row, itertools.repeat(e))) if e else row
+        else:
+            mul = ctx.mul
+            table = [ctx.mul_theta_power(self.scale, e) for e in range(self.params.r)]
+            for p, e, row in zip(self.perm, self.expo, rows):
+                out[p] = tuple(map(mul, itertools.repeat(table[e]), row))
+        return tuple(out)
 
     def compose(self, other):
         """self after other (= self * other as matrices), staying monomial."""

@@ -5,6 +5,11 @@ returns a report; failures carry a concrete witness (the first offending
 matrix entry or value pair) instead of raising.  The three documented
 mutations (negated lam, U replaced by E, a corrupted C entry) are provided
 as negative controls: a suite that cannot detect them would be vacuous.
+
+closure_order counts a matrix group by breadth-first search, multiplying on
+the left by each generator's structure: a generator recognised as monomial
+permutes and scales rows, a Fourier kernel maps columns through
+fourier_apply, and any other matrix stays a dense product.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from .generators import (WeilGeneratorSet, det_C, lam_C_squared, op_A, op_B,
 from .heisenberg import (DoesNotNormalize, ExtraspecialElement, comm_exponent,
                          pi_map, realize)
 from .linalg import DenseMatrix
-from .operators import (DenseOp, MonomialOp, ProductOp, ScalarOp,
-                        first_difference as _first_difference, identity_op,
-                        negation_monomial)
+from .operators import (DenseOp, FourierOp, MonomialOp, ProductOp, ScalarOp,
+                        WeilParams, first_difference as _first_difference,
+                        identity_op, negation_monomial)
 from .submodules import (NotInvariant, representative_indices, restrict,
                          restrict_quotient, spin, submodule_bases)
 from .symplectic import GenToken, SpMatrix, gen_images, sp_form
@@ -89,8 +94,9 @@ def _check_ops(report, cid, pstr, lhs, rhs):
         report.record(cid, pstr, True)
     else:
         i, j, a, b = diff
+        ser = lhs.ctx.serialize_elem
         report.record(cid, pstr, False,
-                      f"entry ({i},{j}): {a!r} != {b!r}")
+                      f"entry ({i},{j}): {json.dumps(ser(a))} != {json.dumps(ser(b))}")
 
 
 def _check_value(report, cid, pstr, got, want, what=""):
@@ -585,22 +591,68 @@ def check_sl23_presentation(params, gens=None):
 # closure counting
 
 
+def _monomial_form(g, params):
+    """The MonomialOp with g's entries when every column of g has one
+    nonzero entry, in distinct rows, and each entry is s * theta^e with s
+    the first column's entry; else None."""
+    ctx = params.ctx
+    zero = ctx.zero
+    perm, entries = [], []
+    for col in zip(*g.rows):
+        nonzero = [i for i, a in enumerate(col) if a != zero]
+        if len(nonzero) != 1:
+            return None
+        perm.append(nonzero[0])
+        entries.append(col[nonzero[0]])
+    s_inv = ctx.inv(entries[0])
+    expo = [ctx.dlog_theta(ctx.mul(a, s_inv)) for a in entries]
+    if len(set(perm)) != len(perm) or None in expo:
+        return None
+    return MonomialOp(params, perm, expo, entries[0])
+
+
+def structured_generator(g):
+    """g as the MonomialOp or FourierOp that materialises to exactly g, or g
+    itself.  Only an n x n matrix with n = r^l, r = ctx.r, is tried: as a
+    monomial (_monomial_form), else as scale * C_t for t = 1..l with scale
+    the (0, 0) entry.  A candidate counts only when its materialisation
+    equals g, so a wrong guess costs time, never a result."""
+    ctx = g.ctx
+    n = g.nrows
+    ell, size = 1, ctx.r
+    while size < n:
+        ell, size = ell + 1, size * ctx.r
+    if size != n:
+        return g
+    params = WeilParams(ctx.r, ell, ctx)
+    mono = _monomial_form(g, params)
+    candidates = ([mono] if mono else
+                  (FourierOp(params, t, g.rows[0][0]) for t in range(1, ell + 1)))
+    return next((op for op in candidates if op.materialize() == g), g)
+
+
 def closure_order(generators, cap):
     """Exact order of the matrix group generated by the given DenseMatrix
-    list, by breadth-first closure over canonical matrix keys.  Raises
-    CapExceeded when the closure passes cap."""
+    list, by breadth-first closure over row tuples.  Raises CapExceeded
+    when the closure passes cap.
+
+    Each generator is recognised once (structured_generator), and the search
+    multiplies on the left: g * M for every element M and generator g.  A
+    monomial generator permutes M's rows and multiplies each by a theta
+    power; a Fourier generator maps M's columns through fourier_apply; an
+    unrecognised one, such as a constituent's restricted generator, is a
+    dense product.  Left and right multiplication give the same group, so
+    the count and the cap behaviour do not depend on the route."""
     if not generators:
         return 1
-    ctx = generators[0].ctx
-    dot = ctx.dot
-    ident = DenseMatrix.identity(ctx, generators[0].nrows)
-    seen = {ident.rows}
-    queue = deque([ident.rows])
-    gen_cols = [tuple(zip(*g.rows)) for g in generators]
+    actions = [structured_generator(g).mul_rows for g in generators]
+    ident = DenseMatrix.identity(generators[0].ctx, generators[0].nrows).rows
+    seen = {ident}
+    queue = deque([ident])
     while queue:
         rows = queue.popleft()
-        for cols in gen_cols:
-            prod = tuple(tuple(dot(row, col) for col in cols) for row in rows)
+        for act in actions:
+            prod = act(rows)
             if prod not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded(f"closure exceeded cap {cap}")

@@ -359,3 +359,40 @@ def test_verify_rejects_nonpositive_cap(capsys, monkeypatch, cap):
                               "--cap", cap], capsys)
     assert code == 2
     assert out == "" and "--cap" in err
+
+
+@pytest.mark.parametrize("r,ell", [("99999999977", "1"), ("3", "1000000")])
+def test_oversized_dimension_exits_2_before_field_setup(capsys, monkeypatch, r, ell):
+    # r^l above cli.MAX_DIM is refused before the primality test, the
+    # auto-prime search or any r^l is formed
+    import spweil.cli
+
+    def poisoned(*args):
+        raise AssertionError("field set-up reached for an oversized dimension")
+
+    monkeypatch.setattr(spweil.cli, "is_prime", poisoned)
+    monkeypatch.setattr(spweil.cli, "make_field", poisoned)
+    for command in ("gens", "image", "verify"):
+        extra = ["--g", "1 0 0 1"] if command == "image" else []
+        code, out, err = run_cli([command, "--r", r, "--l", ell] + extra, capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+        assert f"exceeds the limit {spweil.cli.MAX_DIM}" in err
+
+
+@pytest.mark.parametrize("r,ell", [("99999999977", "1"), ("3", "1000000")])
+def test_oversized_dimension_exits_2_without_traceback(r, ell):
+    # a fresh interpreter, so an uncaught exception would show as a traceback
+    src = Path(spweil.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "spweil", "gens", "--r", r, "--l", ell],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stdout == ""
+
+
+def test_dimension_limit_admits_acceptance_sizes():
+    import spweil.cli
+
+    assert 5 ** 4 <= spweil.cli.MAX_DIM  # acceptance 8 runs at (r, l) = (5, 4)

@@ -260,3 +260,28 @@ def test_monomial_equality_up_to_theta_shift(spec, seed):
     swapped = list(x.perm)
     swapped[0], swapped[1] = swapped[1], swapped[0]
     assert x != MonomialOp(params, swapped, x.expo, c)
+
+
+@pytest.mark.parametrize("spec", FAST_PATH_CTXS, ids=str)
+@given(seed=st.integers(0, 2 ** 32))
+@settings(max_examples=5, deadline=None)
+def test_mul_rows_matches_dense_product(spec, seed):
+    # op.mul_rows(M.rows) is the rows of op * M, for a monomial (permuted and
+    # scaled rows), a Fourier kernel and a product (columns through apply)
+    ctx = make_field(spec)
+    params = WeilParams(ctx.r, 2, ctx)
+    rng = random.Random(seed)
+    m = DenseMatrix(ctx, [[_element(ctx, rng) if rng.random() < 0.7 else ctx.zero
+                           for _ in range(params.n)] for _ in range(params.n)])
+    scales = [ctx.one, ctx.neg(ctx.one), ctx.theta, _nonzero_element(ctx, rng)]
+    ops = [_random_monomial(params, rng, s) for s in scales]
+    ops += [FourierOp(params, t, s) for t in (1, 2) for s in scales[::3]]
+    ops.append(ProductOp(params, (ops[0], ops[-1])))
+    for op in ops:
+        dense = op.materialize()
+        want = (dense * m).rows
+        assert op.mul_rows(m.rows) == want
+        assert dense.mul_rows(m.rows) == want
+    # a row whose factor is 1 is passed through, not copied
+    unit = MonomialOp(params, range(params.n), [0] * params.n)
+    assert all(a is b for a, b in zip(unit.mul_rows(m.rows), m.rows))

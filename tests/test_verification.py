@@ -5,12 +5,15 @@ import pytest
 
 from spweil.fields import FieldSpec, make_field
 from spweil.generators import weil_generators
+from spweil.linalg import DenseMatrix
 from spweil.operators import FourierOp, MonomialOp, WeilParams
+from spweil.submodules import restrict, submodule_bases
 from spweil.symplectic import group_order
 from spweil.verification import (CapExceeded, VerificationReport,
                                  check_sl23_presentation, closure_order,
                                  corrupt_c_entry, mutate_lambda_sign,
-                                 mutate_u_to_e, run_relation_suite)
+                                 mutate_u_to_e, run_relation_suite,
+                                 structured_generator)
 
 SMALL_GRID = [
     ("cyclotomic", 3, 1), ("auto-prime", 3, 1), ("auto-char2", 3, 1),
@@ -182,3 +185,149 @@ def test_grid_script_jsonl_rows(monkeypatch, capsys):
         assert (row["r"], row["l"], row["failures"]) == (3, 1, [])
         assert row["checks"] > 0 and row["duration_s"] >= 0
     assert (rows[3]["closure"], rows[3]["group_order"]) == (24, 24)
+
+
+# ---------------------------------------------------------------------------
+# the structured closure: recognition, dense fallback, counts
+
+
+def _closure_mats(gens):
+    return [op.materialize() for _, _, _, op in gens.sp_generating_ops()]
+
+
+@pytest.mark.parametrize("kind", ["cyclotomic", "auto-prime", "auto-char2"])
+def test_structured_generator_recognises_weil_generators(kind):
+    ctx = make_field(FieldSpec(kind, 3))
+    params = WeilParams(3, 2, ctx)
+    gens = weil_generators(params)
+    for label, t, s, op in gens.sp_generating_ops():
+        mat = op.materialize()
+        found = structured_generator(mat)
+        if label == "C":
+            assert isinstance(found, FourierOp) and found.t == t
+            assert found.scale == gens.lam
+        else:
+            assert isinstance(found, MonomialOp) and found == op
+        assert found.materialize() == mat
+
+
+def test_structured_generator_keeps_a_non_unit_scale(gf11):
+    params = WeilParams(5, 1, gf11)
+    u = weil_generators(params).U[0]
+    for c in (2, 3):
+        found = structured_generator(u.materialize().scale(c))
+        assert isinstance(found, MonomialOp)
+        assert found.scale == c and found.expo == u.expo and found.perm == u.perm
+
+
+def test_structured_generator_falls_back_to_dense(gf7):
+    # the corrupted C_1 is neither monomial nor a scaled Fourier kernel
+    gens = corrupt_c_entry(weil_generators(WeilParams(3, 1, gf7)))
+    bad = gens.lamC[0].materialize()
+    assert structured_generator(bad) is bad
+    assert closure_order(_closure_mats(gens), 10 ** 5) == 21168
+
+
+def test_structured_generator_needs_distinct_rows(gf7):
+    # one nonzero theta power per column, but two in row 0: singular, and
+    # no permutation, so it stays dense
+    one, zero, theta = gf7.one, gf7.zero, gf7.theta
+    mat = DenseMatrix(gf7, [[one, theta, zero], [zero, zero, one], [zero, zero, zero]])
+    assert structured_generator(mat) is mat
+
+
+@pytest.mark.parametrize("r", [5, 7])
+def test_structured_generator_leaves_constituents_dense(r):
+    # (r^l +- 1)/2 is never a power of r, so restricted generators stay dense
+    params = WeilParams(r, 1, make_field(FieldSpec("auto-prime", r)))
+    gens = weil_generators(params)
+    for basis in submodule_bases(params):
+        for _, _, _, op in gens.sp_generating_ops():
+            mat = restrict(op, basis, params.ctx)
+            assert structured_generator(mat) is mat
+
+
+@pytest.mark.parametrize("kind", ["cyclotomic", "auto-char2"])
+def test_closure_order_sp25_other_families(kind):
+    ctx = make_field(FieldSpec(kind, 5))  # Q(theta_5), GF(16)
+    assert closure_order(_closure_mats(weil_generators(WeilParams(5, 1, ctx))),
+                         10 ** 6) == 120
+
+
+@pytest.mark.parametrize("r,orders", [(5, {"W+": 60, "W-": 120}),
+                                      (7, {"W+": 336, "W-": 168})])
+def test_closure_order_constituents(r, orders):
+    params = WeilParams(r, 1, make_field(FieldSpec("auto-prime", r)))  # GF(11), GF(29)
+    gens = weil_generators(params)
+    for basis in submodule_bases(params):
+        mats = [restrict(op, basis, params.ctx) for _, _, _, op in gens.sp_generating_ops()]
+        assert closure_order(mats, 10 ** 6) == orders[basis.label]
+        assert closure_order(mats[::-1], 10 ** 6) == orders[basis.label]
+
+
+@pytest.mark.parametrize("c,order", [(2, 1200), (3, 600)])
+def test_closure_order_scaled_monomial_generator(gf11, c, order):
+    # c * U_1 with c of multiplicative order 10 resp. 5 in GF(11): the group
+    # grows by the scalars, so a recognised monomial must keep its scale
+    gens = weil_generators(WeilParams(5, 1, gf11))
+    lam_c, u = gens.lamC[0].materialize(), gens.U[0].materialize()
+    assert closure_order([lam_c, u.scale(c)], 10 ** 6) == order
+    assert closure_order([u.scale(c), lam_c], 10 ** 6) == order
+
+
+@pytest.mark.parametrize("kind,r,order", [("cyclotomic", 7, 336), ("auto-char2", 5, 120),
+                                          ("auto-prime", 11, 1320),
+                                          ("cyclotomic", 3, 24)])
+def test_closure_order_reversed_and_shuffled(kind, r, order):
+    import random
+
+    mats = _closure_mats(weil_generators(WeilParams(r, 1, make_field(FieldSpec(kind, r)))))
+    assert closure_order(mats[::-1], 10 ** 6) == order
+    shuffled = mats + mats[:1]  # a repeated generator changes nothing
+    random.Random(r).shuffle(shuffled)
+    assert closure_order(shuffled, 10 ** 6) == order
+
+
+def test_closure_order_shuffled_sp43_cap(gf7):
+    import random
+
+    mats = _closure_mats(weil_generators(WeilParams(3, 2, gf7)))
+    random.Random(4).shuffle(mats)
+    with pytest.raises(CapExceeded):
+        closure_order(mats, 5000)
+
+
+def test_check_ops_witness_is_serialised(cyc3):
+    # entries are rendered through serialize_elem: "num/den" strings, not
+    # the internal (nums, den) tuples
+    params = WeilParams(3, 1, cyc3)
+    report = run_relation_suite(params, gens=corrupt_c_entry(weil_generators(params)))
+    witnesses = [f.witness for f in report.failures() if f.witness.startswith("entry (")]
+    assert witnesses
+    for witness in witnesses:
+        assert "/" in witness and "((" not in witness
+        left, right = witness.split(": ", 1)[1].split(" != ")
+        assert all(isinstance(json.loads(side), list) for side in (left, right))
+
+
+def test_grid_script_closure_rows_cover_every_family(monkeypatch, capsys):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "run_verification_grid.py"
+    spec = importlib.util.spec_from_file_location("run_verification_grid", path)
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    assert {(r, kind[0]) for r, _, *kind in grid.CLOSURE_SETS if kind} == {
+        (r, kind) for r in (3, 5, 7) for kind in ("cyclotomic", "auto-char2")}
+    monkeypatch.setattr(grid, "GRID", [])
+    monkeypatch.setattr(grid, "CHAR2", [])
+    monkeypatch.setattr(grid, "CLOSURE_SETS",
+                        [(3, 1), (5, 1, "cyclotomic"), (5, 1, "auto-char2")])
+    monkeypatch.setattr("sys.argv", ["run_verification_grid.py", "--jsonl", "--closure"])
+    assert grid.main() == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(row["field"], row["closure"], row["group_order"]) for row in rows] == [
+        ("GF(7)", 24, 24), ("Q(theta_5)", 120, 120), ("GF(2^4)", 120, 120)]
+    for row in rows:
+        assert set(row) == {"r", "l", "field", "closure", "group_order", "duration_s"}
