@@ -17,8 +17,9 @@ the owning FieldContext.  Contexts are immutable after construction.
 
 Two primitives serve the structured operators, whose entries are powers of
 theta times one scalar.  mul_theta_power(a, e) is a * theta^e: one modular
-multiply over GF(p), and a rotation of the coefficient vector over Q(theta),
-which keeps the denominator and needs no gcd.  fourier_apply(vec, stride,
+multiply over GF(p), a rotation of the coefficient vector over Q(theta),
+which keeps the denominator and needs no gcd, and a fixed GF(p)-linear map
+of the coefficients over GF(p^k).  fourier_apply(vec, stride,
 table, scale) applies scale times the Fourier kernel theta^(i*x) in one
 tensor slot; over Q(theta) it sums integer rotations over one common
 denominator and normalises each output once.
@@ -35,6 +36,20 @@ from fractions import Fraction
 
 class InvalidFieldSpec(ValueError):
     """The field specification violates a divisibility or irreducibility requirement."""
+
+
+# Largest field order q = p^k accepted.  Setting up a field factors q - 1
+# (or p - 1) by trial division and, for k > 1, searches for an irreducible
+# polynomial of degree k; up to 2^40 both take about a second at most.
+MAX_FIELD_ORDER = 2 ** 40
+
+
+def check_field_order(p, k):
+    """Refuse q = p^k above MAX_FIELD_ORDER, before any primality test or
+    polynomial search; p^k is not formed when k alone rules it out."""
+    if k > MAX_FIELD_ORDER.bit_length() or (k >= 1 and p ** k > MAX_FIELD_ORDER):
+        raise InvalidFieldSpec(f"field order {p}^{k} exceeds the limit "
+                               f"2^{MAX_FIELD_ORDER.bit_length() - 1}")
 
 
 @dataclass(frozen=True)
@@ -483,6 +498,7 @@ class PrimeFieldContext(FieldContext):
     def __init__(self, r, p):
         if not is_prime(r) or r == 2:
             raise InvalidFieldSpec(f"r = {r} must be an odd prime")
+        check_field_order(p, 1)
         if not is_prime(p):
             raise InvalidFieldSpec(f"p = {p} is not prime")
         if (p - 1) % r != 0:
@@ -552,12 +568,13 @@ class ExtensionFieldContext(FieldContext):
     def __init__(self, r, p, k, modulus=None):
         if not is_prime(r) or r == 2:
             raise InvalidFieldSpec(f"r = {r} must be an odd prime")
+        if k < 1:
+            raise InvalidFieldSpec(f"extension degree k = {k} must be >= 1")
+        check_field_order(p, k)
         if not is_prime(p):
             raise InvalidFieldSpec(f"p = {p} is not prime")
         if p == r:
             raise InvalidFieldSpec("characteristic p must differ from r")
-        if k < 1:
-            raise InvalidFieldSpec(f"extension degree k = {k} must be >= 1")
         q = p ** k
         if (q - 1) % r != 0:
             raise InvalidFieldSpec(f"r = {r} does not divide p^k - 1 = {q - 1}")
@@ -577,6 +594,16 @@ class ExtensionFieldContext(FieldContext):
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
         self.spec = FieldSpec("extension", r, p=p, k=k, modulus=modulus)
+        # _theta_maps[e]: the matrix over GF(p) of a -> a * theta^e; its
+        # column j is theta^e * x^j, and multiplying by x shifts and reduces
+        maps = []
+        for power in self.theta_pow:
+            cols = [power]
+            for _ in range(k - 1):
+                top, low = cols[-1][-1], (0,) + cols[-1][:-1]
+                cols.append(tuple((c - top * m) % p for c, m in zip(low, modulus)))
+            maps.append(tuple(zip(*cols)))
+        self._theta_maps = maps
 
     def add(self, a, b):
         p = self.p
@@ -605,6 +632,13 @@ class ExtensionFieldContext(FieldContext):
                     conv[m - k + i] -= c * mod[i]
             conv[m] = 0
         return tuple(x % p for x in conv[:k])
+
+    def mul_theta_power(self, a, e):
+        e %= self.r
+        if not e:
+            return a
+        p = self.p
+        return tuple(sum(map(operator.mul, row, a)) % p for row in self._theta_maps[e])
 
     def inv(self, a):
         if a == self.zero:
@@ -699,6 +733,7 @@ def parse_field_spec(text, r):
             k = int(exponent) if caret else None
         except ValueError:
             raise InvalidFieldSpec(f"unrecognised field spec {text!r}") from None
+        check_field_order(q, 1 if k is None else k)
         if k is not None:
             if k == 1:
                 return FieldSpec("prime", r, p=q)

@@ -19,14 +19,22 @@ Gerardin 1977, "Weil representations associated to finite fields"; the
 coefficient characteristic is never r).  So pi needs no matrix inverse: once
 x * n = n * g has a solution x for every generator g of R, ker n is an
 R-submodule, hence 0 or W, and a matrix without zero rows is invertible.
+
+Nor does pi need a field division.  If n normalises R*Z, each conjugate
+x_g = n g n^-1 of g = A_t, B_t is z * h with h in R and z a scalar.  Then
+x_g^r = n g^r n^-1 = 1, and h^r = 1 as r is odd, so z^r = 1 and z is a power
+of theta.  Every nonzero entry of x_g is therefore a power of theta, and a
+conjugate is the MonomialOp of its permutation and theta exponents.
+Recognition in R*Z reads those integers; no field value is compared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
-from .generators import op_A, op_B
-from .operators import MonomialOp, Operator, flat_index, index_vectors
+from .operators import MonomialOp, Operator
 from .symplectic import SpMatrix
 
 
@@ -68,10 +76,15 @@ class ExtraspecialElement:
 
 
 def realize(elem, params):
-    """The monomial operator of theta^c B^b A^a."""
-    a, b, c = elem.a, elem.b, elem.c
-    return MonomialOp.from_affine(
-        params, 1, b, lambda xi: c + sum(ai * x for ai, x in zip(a, xi)))
+    """The monomial operator of theta^c B^b A^a: column xi goes to row
+    xi + b with entry theta^(c + a.xi).  Both tables are built one slot at a
+    time, most significant slot first."""
+    r = params.r
+    perm, expo = [0], [elem.c % r]
+    for am, bm in zip(elem.a, elem.b):
+        perm = [p * r + (x + bm) % r for p in perm for x in range(r)]
+        expo = [(e + am * x) % r for e in expo for x in range(r)]
+    return MonomialOp(params, perm, expo)
 
 
 def comm_exponent(x, y, r):
@@ -87,10 +100,59 @@ def recognize(mat, params, mod_scalars=False):
     With mod_scalars=True the overall scalar need not be a theta power
     (recognition in R*Z modulo scalars; the returned c is 0).
     """
-    zero = params.ctx.zero
-    entries = ((i, j, v) for i, row in enumerate(_square_rows(mat, params))
-               for j, v in enumerate(row) if v != zero)
-    return _recognize_entries(entries, params, mod_scalars)
+    return _recognize_monomial(monomial_form(mat, params), params, mod_scalars)
+
+
+def monomial_form(mat, params):
+    """The MonomialOp with the entries of the n x n matrix mat: each column
+    has one nonzero entry, in distinct rows, and each entry is s * theta^e
+    with s the first column's entry.  Raises NotMonomial for another
+    support and NotCharacterDiagonal for an entry that is no theta multiple
+    of s.  The exponents are looked up among the r multiples s * theta^e, so
+    no field inverse or multiply is made."""
+    ctx = params.ctx
+    zero = ctx.zero
+    n = params.n
+    rows = _square_rows(mat, params)
+    perm, entries = [], []
+    for j, col in enumerate(zip(*rows)):
+        support = [i for i, a in enumerate(col) if a != zero]
+        if len(support) != 1:
+            raise NotMonomial(f"column {j} has {len(support)} nonzero entries")
+        perm.append(support[0])
+        entries.append(col[support[0]])
+    if len(set(perm)) != n:
+        raise NotMonomial("two columns share their nonzero row")
+    s = entries[0]
+    dlog = {ctx.mul_theta_power(s, e): e for e in range(params.r)}
+    expo = [dlog.get(a) for a in entries]
+    if None in expo:
+        raise NotCharacterDiagonal(
+            f"column {expo.index(None)} entry is not a theta power times column 0's")
+    return MonomialOp(params, perm, expo, s)
+
+
+def _recognize_monomial(mono, params, mod_scalars):
+    """The canonical form of a MonomialOp in R (in R*Z with mod_scalars),
+    read from its integer perm and exponents: b is where column 0 goes, a
+    the exponent steps along the unit vectors, and realize() of the result
+    must reproduce the perm and every exponent."""
+    r, ell = params.r, params.ell
+    units = [r ** (ell - 1 - m) for m in range(ell)]
+    perm, expo = mono.perm, mono.expo
+    b = tuple(perm[0] // u % r for u in units)
+    a = tuple((expo[u] - expo[0]) % r for u in units)
+    want = realize(ExtraspecialElement(expo[0], a, b), params)
+    if want.perm != perm:
+        raise NotMonomial("support pattern is not a coordinate translation")
+    if want.expo != expo:
+        raise NotCharacterDiagonal("theta exponents are not c + a.xi")
+    if mod_scalars:
+        return ExtraspecialElement(0, a, b)
+    c = params.ctx.dlog_theta(mono.scale)
+    if c is None:
+        raise NotThetaPower("overall scalar is not a power of theta")
+    return ExtraspecialElement((c + expo[0]) % r, a, b)
 
 
 def _square_rows(mat, params):
@@ -101,93 +163,75 @@ def _square_rows(mat, params):
     return rows
 
 
-def _recognize_entries(entries, params, mod_scalars):
-    """recognize() for the matrix whose nonzero entries are the (row, column,
-    value) triples of entries."""
-    r, ell, ctx = params.r, params.ell, params.ctx
-    n = params.n
-    support = [None] * n
-    values = [None] * n
-    for i, j, v in entries:
-        if support[j] is not None:
-            raise NotMonomial(f"column {j} has more than one nonzero entry")
-        support[j] = i
-        values[j] = v
-    if None in support:
-        raise NotMonomial("zero column")
-    vecs = index_vectors(r, ell)
-    b = vecs[support[0]]
-    for j, xi in enumerate(vecs):
-        if support[j] != flat_index(tuple((x + s) % r for x, s in zip(xi, b)), r):
-            raise NotMonomial("support pattern is not a coordinate translation")
-
-    s0 = values[0]
-    s0_inv = ctx.inv(s0)
-    a = []
-    for m in range(ell):
-        unit = r ** (ell - 1 - m)
-        e = ctx.dlog_theta(ctx.mul(values[unit], s0_inv))
-        if e is None:
-            raise NotCharacterDiagonal(
-                f"slot {m + 1} ratio is not a power of theta")
-        a.append(e)
-    for j, xi in enumerate(vecs):
-        expo = sum(am * x for am, x in zip(a, xi)) % r
-        if values[j] != ctx.mul(s0, ctx.theta_pow[expo]):
-            raise NotCharacterDiagonal(
-                f"column {j} scalar does not match theta^(a.xi)")
-
-    if mod_scalars:
-        c = 0
-    else:
-        c = ctx.dlog_theta(s0)
-        if c is None:
-            raise NotThetaPower("overall scalar is not a power of theta")
-    return ExtraspecialElement(c, tuple(a), tuple(b))
+def _theta_keyed(rows, g, params):
+    """For each row of the matrix rows * g (g a MonomialOp of scale 1):
+    (k, key) with key = theta^k times that row, the least of its r theta
+    multiples.  Two rows get the same key exactly when one is a theta power
+    times the other.  Row j of rows * g holds row[perm[j]] * theta^expo[j],
+    so each key entry is one mul_theta_power of an entry of rows."""
+    zero, mtp = params.ctx.zero, params.ctx.mul_theta_power
+    powers = range(params.r)
+    take, expo = itemgetter(*g.perm), g.expo
+    for row in rows:
+        moved = take(row)
+        j = next((j for j, a in enumerate(moved) if a != zero), None)
+        if j is None:
+            raise DoesNotNormalize("matrix has a zero row")
+        # the row's first nonzero entry is moved[j] * theta^expo[j]
+        multiples = list(map(mtp, repeat(moved[j]), powers))
+        k = multiples.index(min(multiples)) - expo[j]
+        yield k, tuple(a if a == zero else mtp(a, e + k) for a, e in zip(moved, expo))
 
 
 def _conjugates_of_basis(n, params):
-    """For g in (A_1, B_1, ..., A_l, B_l), the nonzero entries (row, column,
-    value) of the x_g with x_g * n = n * g, one list per g.
+    """For g in (A_1, B_1, ..., A_l, B_l), the conjugate x_g = n g n^-1 as a
+    MonomialOp of scale 1 (x_g is recognised modulo scalars).
 
-    n is materialised once.  Each n * g is a column permute-and-scale of n.
-    When row i of n * g is s times row c of n, row i of x_g is s times the
-    unit vector e_c; rows are matched on their quotient by their first
-    nonzero entry, so no inverse of n is formed.  This is enough: when
-    every match succeeds, x_g * n = n * g makes ker n invariant under R, and
-    as W is irreducible under R, ker n is 0 or W.  n has no zero row, so
-    ker n = 0 and x_g = n g n^-1; recognising every x_g in R*Z then shows
-    that n normalises R*Z.  A non-normalising n, a singular one included,
-    fails the match or the recognition, and pi_map raises DoesNotNormalize.
+    A MonomialOp n is conjugated by integer compose and inverse; its scale
+    is dropped, as a scalar commutes with g.  Any other n (a product,
+    Fourier or scalar operator, or a DenseMatrix) is materialised once, as
+    a whole, and x_g is read off x_g * n = n * g.  Each n * g is a column
+    permute-and-scale of n.  As the module docstring shows, a normaliser
+    gives conjugates whose entries are theta powers, so row i of n * g must
+    be theta^s times some row c of n, and then x_g has theta^s at (i, c).
+    Rows are matched on their least theta multiple (_theta_keyed): with
+    keys theta^k_i * (row i of n * g) = theta^k_c * (row c of n), the
+    entry is theta^(k_c - k_i).  No inverse of n and no field division
+    or multiply is made.
+
+    This is enough: when every match succeeds, x_g * n = n * g makes ker n
+    invariant under R, and as W is irreducible under R, ker n is 0 or W.
+    n has no zero row, so ker n = 0 and x_g = n g n^-1; recognising every
+    x_g in R*Z then shows that n normalises R*Z.  A non-normalising n, a
+    singular one or one with a non-theta row ratio included, fails the
+    match or the recognition, and pi_map raises DoesNotNormalize.
     """
-    ctx = params.ctx
-    zero, mul, inv, mtp = ctx.zero, ctx.mul, ctx.inv, ctx.mul_theta_power
+    r, ell, size = params.r, params.ell, params.n
+    units = [tuple(int(m == t) for m in range(ell)) for t in range(ell)]
+    zeros = (0,) * ell
+    basis = [realize(elem, params) for u in units
+             for elem in (ExtraspecialElement(0, u, zeros), ExtraspecialElement(0, zeros, u))]
+    if isinstance(n, MonomialOp):
+        unit = MonomialOp(params, n.perm, n.expo)
+        unit_inv = unit.inverse()
+        for g in basis:
+            yield unit.compose(g).compose(unit_inv)
+        return
     rows = _square_rows(n.materialize() if isinstance(n, Operator) else n, params)
-
-    def keyed(row):
-        # (first nonzero entry, its inverse, the row divided by it)
-        lead = next((a for a in row if a != zero), None)
-        if lead is None:
-            raise DoesNotNormalize("matrix has a zero row")
-        scale = inv(lead)
-        return lead, scale, tuple(a if a == zero else mul(scale, a) for a in row)
-
-    match = {}  # row quotient -> (row index, inverse of its first nonzero entry)
-    for c, row in enumerate(rows):
-        _, scale, key = keyed(row)
-        match[key] = (c, scale)
-    for t in range(1, params.ell + 1):
-        for g in (op_A(params, t), op_B(params, t)):
-            entries = []
-            for i, row in enumerate(rows):
-                moved = [mtp(a, e) if e and a != zero else a
-                         for a, e in zip((row[p] for p in g.perm), g.expo)]
-                lead, _, key = keyed(moved)
-                hit = match.get(key)
-                if hit is None:
-                    raise NotMonomial(f"row {i} of n*g is not a multiple of a row of n")
-                entries.append((i, hit[0], mul(lead, hit[1])))
-            yield entries
+    ident = MonomialOp(params, range(size), (0,) * size)
+    match = {key: (c, k) for c, (k, key) in enumerate(_theta_keyed(rows, ident, params))}
+    for g in basis:
+        perm, expo = [None] * size, [0] * size
+        for i, (k, key) in enumerate(_theta_keyed(rows, g, params)):
+            hit = match.get(key)
+            if hit is None:
+                raise NotMonomial(f"row {i} of n*g is not a theta multiple of a row of n")
+            c, k_c = hit
+            if perm[c] is not None:
+                raise NotMonomial(f"rows {perm[c]} and {i} of n*g match row {c} of n")
+            perm[c] = i
+            expo[c] = (k_c - k) % r
+        yield MonomialOp(params, perm, expo)
 
 
 def pi_map(n, params):
@@ -198,9 +242,8 @@ def pi_map(n, params):
     """
     cols = []
     try:
-        for entries in _conjugates_of_basis(n, params):
-            elem = _recognize_entries(entries, params, mod_scalars=True)
-            cols.append(elem.coset_vector())
+        for x in _conjugates_of_basis(n, params):
+            cols.append(_recognize_monomial(x, params, mod_scalars=True).coset_vector())
     except RecognitionError as exc:
         raise DoesNotNormalize(f"a conjugate left R*Z: {exc}") from None
     result = SpMatrix(params.r, tuple(zip(*cols)))

@@ -20,16 +20,15 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .fields import legendre
-from .generators import (WeilGeneratorSet, det_C, lam_C_squared, op_A, op_B,
-                         op_C, op_D, op_E, op_U, weil_generators)
-from .heisenberg import (DoesNotNormalize, ExtraspecialElement, comm_exponent,
-                         pi_map, realize)
+from .generators import det_C, lam_C_squared, op_C, weil_generators
+from .heisenberg import (DoesNotNormalize, ExtraspecialElement, RecognitionError,
+                         comm_exponent, monomial_form, pi_map, realize)
 from .linalg import DenseMatrix
 from .operators import (DenseOp, FourierOp, MonomialOp, ProductOp, ScalarOp,
                         WeilParams, first_difference as _first_difference,
                         identity_op, negation_monomial)
-from .submodules import (NotInvariant, representative_indices, restrict,
-                         restrict_quotient, spin, submodule_bases)
+from .submodules import (NotInvariant, restrict, restrict_quotient, spin,
+                         submodule_bases)
 from .symplectic import GenToken, SpMatrix, gen_images, sp_form
 
 
@@ -99,11 +98,25 @@ def _check_ops(report, cid, pstr, lhs, rhs):
                       f"entry ({i},{j}): {json.dumps(ser(a))} != {json.dumps(ser(b))}")
 
 
-def _check_value(report, cid, pstr, got, want, what=""):
+def _serialized(ctx, value):
+    """A field element through ctx.serialize_elem; a list (no element
+    encoding is one) and a DenseMatrix's rows entry by entry."""
+    if isinstance(value, DenseMatrix):
+        value = [list(row) for row in value.rows]
+    if isinstance(value, list):
+        return [_serialized(ctx, v) for v in value]
+    return ctx.serialize_elem(value)
+
+
+def _check_value(report, cid, pstr, got, want, what="", ctx=None):
+    """Record got == want.  With ctx, got and want are field elements,
+    DenseMatrix values or (nested) lists of them, and the witness shows
+    them serialised."""
     if got == want:
         report.record(cid, pstr, True)
     else:
-        report.record(cid, pstr, False, f"{what}: {got!r} != {want!r}")
+        show = repr if ctx is None else (lambda v: json.dumps(_serialized(ctx, v)))
+        report.record(cid, pstr, False, f"{what}: {show(got)} != {show(want)}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,34 +183,34 @@ def _generator_checks(report, params, gens):
     detc = _det_raw_C(gens)
     sign = _sign_exponent(ctx, (r - 1) // 2)
     _check_value(report, "detC-squared", pstr, ctx.mul(detc, detc),
-                 ctx.mul(sign, ctx.pow(r_elem, r)), "det(C)^2 vs (-1)^((r-1)/2) r^r")
+                 ctx.mul(sign, ctx.pow(r_elem, r)), "det(C)^2 vs (-1)^((r-1)/2) r^r", ctx)
 
     # lam^2 * r = (-1)^((r-1)/2)
     lam = gens.lam
     _check_value(report, "lam-squared", pstr,
                  ctx.mul(ctx.mul(lam, lam), r_elem), sign,
-                 "lam^2 * r vs (-1)^((r-1)/2)")
+                 "lam^2 * r vs (-1)^((r-1)/2)", ctx)
 
     # det(lam*C_t) = 1 via det(I (x) C (x) I) = det(C)^(r^(l-1))
     det_lamC = ctx.mul(ctx.pow(lam, params.n), ctx.pow(detc, r ** (ell - 1)))
-    _check_value(report, "det-lamC", pstr, det_lamC, one, "det(lam*C_t)")
+    _check_value(report, "det-lamC", pstr, det_lamC, one, "det(lam*C_t)", ctx)
 
     # det(U_t): 1 for r > 3, theta^(r^(l-1)) for r = 3; always an r-th root of 1
     det_u = gens.U[0].det() if isinstance(gens.U[0], MonomialOp) else \
         gens.U[0].materialize().det()
     want_u = one if r > 3 else ctx.theta_pow[r ** (ell - 1) % r]
-    _check_value(report, "det-U", pstr, det_u, want_u, "det(U_t)")
+    _check_value(report, "det-U", pstr, det_u, want_u, "det(U_t)", ctx)
 
     # det(D_st) = 1
     for (s, t), dop in sorted(gens.D.items()):
-        _check_value(report, f"det-D{s}{t}", pstr, dop.det(), one, f"det(D_{s}{t})")
+        _check_value(report, f"det-D{s}{t}", pstr, dop.det(), one, f"det(D_{s}{t})", ctx)
 
     # Lemma 3.2(iii) on the generators: det(g)^r = 1
     _check_value(report, "det-power-r", pstr,
-                 (ctx.pow(det_lamC, r), ctx.pow(det_u, r),
-                  tuple(ctx.pow(d.det(), r) for d in gens.D.values())),
-                 (one, one, (one,) * len(gens.D)),
-                 "r-th powers of generator determinants")
+                 [ctx.pow(det_lamC, r), ctx.pow(det_u, r),
+                  [ctx.pow(d.det(), r) for d in gens.D.values()]],
+                 [one, one, [one] * len(gens.D)],
+                 "r-th powers of generator determinants", ctx)
 
     # (lam C_t)^4 = 1 and (lam C_t U_t)^3 = 1
     for t in range(1, ell + 1):
@@ -216,7 +229,7 @@ def _generator_checks(report, params, gens):
     # Tr(U)^2 = (-1)^((r-1)/2) * r  (ell = 1 slice)
     tr_u = _trace_slice_U(gens)
     _check_value(report, "traceU-squared", pstr, ctx.mul(tr_u, tr_u),
-                 ctx.mul(sign, r_elem), "Tr(U)^2")
+                 ctx.mul(sign, r_elem), "Tr(U)^2", ctx)
 
     if ell == 1:
         # (C U)^3 = r * Tr(U) * I
@@ -236,10 +249,10 @@ def _generator_checks(report, params, gens):
     leg = one if legendre(2, r) == 1 else ctx.neg(one)
     _check_value(report, "detC-gauss-sum", pstr, detc,
                  ctx.mul(leg, ctx.mul(r_half, gauss)),
-                 "det(C) vs (2|r) r^((r-1)/2) sum theta^(i^2)")
+                 "det(C) vs (2|r) r^((r-1)/2) sum theta^(i^2)", ctx)
     _check_value(report, "detC-trace-sum", pstr, detc,
                  ctx.mul(r_half, trace_sum),
-                 "det(C) vs r^((r-1)/2) sum theta^(i(i+r)/2)")
+                 "det(C) vs r^((r-1)/2) sum theta^(i(i+r)/2)", ctx)
 
     if ell >= 2:
         for (s, t), dop in sorted(gens.D.items()):
@@ -505,15 +518,14 @@ def _submodule_checks(report, params, gens):
         eye_p = DenseMatrix.identity(ctx, w_plus.dim)
         eye_m = DenseMatrix.identity(ctx, w_minus.dim)
         _check_value(report, "sigma-eigenspaces", pstr,
-                     (sig_plus.rows, sig_minus.rows),
-                     (eye_p.rows, eye_m.scale(ctx.neg(ctx.one)).rows),
-                     "sigma is +1 on W+ and -1 on W-")
+                     [sig_plus, sig_minus], [eye_p, eye_m.scale(ctx.neg(ctx.one))],
+                     "sigma is +1 on W+ and -1 on W-", ctx)
     else:
         socle, heart = bases
         sig_b = restrict(gens.sigma, heart, ctx, r, ell)
-        _check_value(report, "sigma-eigenspaces", pstr, sig_b.rows,
-                     DenseMatrix.identity(ctx, heart.dim).rows,
-                     "sigma is trivial on B")
+        _check_value(report, "sigma-eigenspaces", pstr, sig_b,
+                     DenseMatrix.identity(ctx, heart.dim),
+                     "sigma is trivial on B", ctx)
         # B/A: trivial 1-dim action unless (r, l) = (3, 1)
         if (r, ell) != (3, 1):
             ok, witness = True, None
@@ -521,7 +533,8 @@ def _submodule_checks(report, params, gens):
                 name = f"{kind}{s}{t}" if kind == "D" else f"{kind}{t}"
                 mat = restricted[("B", name)]
                 if mat.rows[-1][-1] != ctx.one:
-                    ok, witness = False, f"{name} acts as {mat.rows[-1][-1]!r} on B/A"
+                    shown = json.dumps(ctx.serialize_elem(mat.rows[-1][-1]))
+                    ok, witness = False, f"{name} acts as {shown} on B/A"
                     break
             report.record("BA-action-trivial", pstr, ok, witness)
         # trace additivity across the three composition factors
@@ -591,30 +604,10 @@ def check_sl23_presentation(params, gens=None):
 # closure counting
 
 
-def _monomial_form(g, params):
-    """The MonomialOp with g's entries when every column of g has one
-    nonzero entry, in distinct rows, and each entry is s * theta^e with s
-    the first column's entry; else None."""
-    ctx = params.ctx
-    zero = ctx.zero
-    perm, entries = [], []
-    for col in zip(*g.rows):
-        nonzero = [i for i, a in enumerate(col) if a != zero]
-        if len(nonzero) != 1:
-            return None
-        perm.append(nonzero[0])
-        entries.append(col[nonzero[0]])
-    s_inv = ctx.inv(entries[0])
-    expo = [ctx.dlog_theta(ctx.mul(a, s_inv)) for a in entries]
-    if len(set(perm)) != len(perm) or None in expo:
-        return None
-    return MonomialOp(params, perm, expo, entries[0])
-
-
 def structured_generator(g):
     """g as the MonomialOp or FourierOp that materialises to exactly g, or g
     itself.  Only an n x n matrix with n = r^l, r = ctx.r, is tried: as a
-    monomial (_monomial_form), else as scale * C_t for t = 1..l with scale
+    monomial (heisenberg.monomial_form), else as scale * C_t for t = 1..l with scale
     the (0, 0) entry.  A candidate counts only when its materialisation
     equals g, so a wrong guess costs time, never a result."""
     ctx = g.ctx
@@ -625,9 +618,10 @@ def structured_generator(g):
     if size != n:
         return g
     params = WeilParams(ctx.r, ell, ctx)
-    mono = _monomial_form(g, params)
-    candidates = ([mono] if mono else
-                  (FourierOp(params, t, g.rows[0][0]) for t in range(1, ell + 1)))
+    try:
+        candidates = [monomial_form(g, params)]
+    except RecognitionError:
+        candidates = (FourierOp(params, t, g.rows[0][0]) for t in range(1, ell + 1))
     return next((op for op in candidates if op.materialize() == g), g)
 
 

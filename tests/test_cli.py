@@ -392,6 +392,21 @@ def test_oversized_dimension_exits_2_without_traceback(r, ell):
     assert proc.stderr.startswith("error: ") and proc.stdout == ""
 
 
+@pytest.mark.parametrize("r,field", [("3", "gf:2^80"), ("5", "gf:3^2000")])
+def test_oversized_field_exits_2_without_traceback(r, field):
+    # q = p^k above fields.MAX_FIELD_ORDER is refused before the irreducible
+    # polynomial search, in a fresh interpreter so a traceback would show
+    src = Path(spweil.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "spweil", "gens", "--r", r, "--l", "1",
+                           "--field", field],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and "exceeds the limit" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_dimension_limit_admits_acceptance_sizes():
     import spweil.cli
 

@@ -66,13 +66,16 @@ def test_dot_matches_add_mul_fold(spec, ints, pattern):
     assert ctx.dot([], []) == ctx.zero
 
 
-# Q(theta_3), Q(theta_5), GF(7), GF(11), GF(4)
+# Q(theta_3), Q(theta_5), GF(7), GF(11), GF(4), GF(16), GF(8), GF(25)
 FAST_PATH_CTXS = [
     FieldSpec("cyclotomic", 3),
     FieldSpec("cyclotomic", 5),
     FieldSpec("auto-prime", 3),
     FieldSpec("auto-prime", 5),
     FieldSpec("auto-char2", 3),
+    FieldSpec("auto-char2", 5),
+    FieldSpec("auto-char2", 7),
+    FieldSpec("extension", 3, p=5, k=2),
 ]
 
 
@@ -157,6 +160,37 @@ def test_extension_degree_below_one(k):
     # rejected before p ** k is formed, with the degree named in the message
     with pytest.raises(InvalidFieldSpec, match=rf"extension degree k = {k} must be >= 1"):
         ExtensionFieldContext(3, 7, k)
+
+
+@pytest.mark.parametrize("text,r", [("gf:2^80", 3), ("gf:3^2000", 5), ("gf:2^41", 3),
+                                    ("gf:1099511627791", 3), ("gf:2^100000000000", 3)])
+def test_field_order_limit_refuses_before_search(text, r, monkeypatch):
+    # q = p^k above MAX_FIELD_ORDER is refused before any primality test,
+    # factoring or polynomial search; p^k is not formed for a huge k
+    import spweil.fields as fields
+
+    def poisoned(*args):
+        raise AssertionError("field set-up reached for an oversized field")
+
+    for name in ("is_prime", "find_irreducible_polynomial", "prime_factors"):
+        monkeypatch.setattr(fields, name, poisoned)
+    with pytest.raises(InvalidFieldSpec, match="exceeds the limit 2\\^40"):
+        make_field(parse_field_spec(text, r))
+
+
+def test_field_order_limit_covers_auto_char2():
+    # 2 has order 58 mod 59, so gf2-auto at r = 59 would need GF(2^58)
+    with pytest.raises(InvalidFieldSpec, match="field order 2\\^58 exceeds"):
+        make_field(FieldSpec("auto-char2", 59))
+    with pytest.raises(InvalidFieldSpec, match="exceeds the limit"):
+        ExtensionFieldContext(3, 2, 42)
+
+
+def test_field_order_limit_admits_test_and_benchmark_fields():
+    from spweil.fields import MAX_FIELD_ORDER
+    assert 2 ** 12 <= MAX_FIELD_ORDER    # gf2-auto up to r = 13 (k = 12)
+    assert make_field(parse_field_spec("gf:2^4", 5)).q == 16
+    assert make_field(parse_field_spec("gf:5^2", 3)).q == 25
 
 
 def test_find_irreducible_polynomial():

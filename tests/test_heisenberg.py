@@ -2,14 +2,21 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spweil.fields import FieldSpec, make_field
 from spweil.generators import op_A, op_B, op_C, weil_generators
 from spweil.heisenberg import (DoesNotNormalize, ExtraspecialElement,
                                NotCharacterDiagonal, NotMonomial, NotThetaPower,
                                comm_exponent, pi_map, realize, recognize)
 from spweil.linalg import DenseMatrix
-from spweil.operators import ProductOp, ScalarOp, WeilParams
-from spweil.symplectic import GenToken, SpMatrix, gen_images, sp_form
+from spweil.operators import MonomialOp, ProductOp, ScalarOp, WeilParams
+from spweil.symplectic import GenToken, SpMatrix, gen_images, sp_form, weil_image
+
+# Q(theta_3), GF(7) and GF(4): the three field families at r = 3
+FAMILIES = {"cyc3": FieldSpec("cyclotomic", 3), "gf7": FieldSpec("auto-prime", 3),
+            "gf4": FieldSpec("auto-char2", 3)}
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +197,107 @@ def test_pi_structured_matches_materialized(field, request):
             want = want * images[GenToken(kind, t, s)]
         assert pi_map(op, params) == want
         assert pi_map(op.materialize(), params) == want
+
+
+def _monomial_pool(params):
+    """Normalising monomials of (r, l) = (3, 2) with their images under pi,
+    taken from the generator table (sigma is -1; R maps to the identity)."""
+    gens = weil_generators(params)
+    images = gen_images(2, 3)
+    ident = SpMatrix.identity(2, 3)
+    pool = [(gens.U[t - 1], images[GenToken("U", t)]) for t in (1, 2)]
+    pool += [(gens.D[(1, 2)], images[GenToken("D", 2, 1)]),
+             (gens.sigma, SpMatrix(3, [[2 if i == j else 0 for j in range(4)]
+                                       for i in range(4)])),
+             (gens.A[0], ident), (gens.B[1], ident)]
+    return pool
+
+
+@pytest.mark.parametrize("field", FAMILIES)
+@given(picks=st.lists(st.integers(0, 5), min_size=1, max_size=6),
+       elem=st.tuples(*[st.integers(0, 2)] * 5),
+       scale=st.integers(0, 2))
+@settings(max_examples=25, deadline=None)
+def test_pi_monomial_route_matches_dense_route(field, picks, elem, scale):
+    # a random normalising MonomialOp: a word in U_t, D_12, sigma, A_1, B_2,
+    # times a realised theta^c B^b A^a, with scale 1, theta or 1 + theta
+    # (a nonzero scale in each family).  The integer route for the operator
+    # and the row-matching route for its matrix agree with the table.
+    ctx = make_field(FAMILIES[field])
+    params = WeilParams(3, 2, ctx)
+    pool = _monomial_pool(params)
+    c, a1, a2, b1, b2 = elem
+    op = realize(ExtraspecialElement(c, (a1, a2), (b1, b2)), params)
+    want = SpMatrix.identity(2, 3)
+    for i in picks:
+        factor, image = pool[i]
+        op, want = op.compose(factor), want * image
+    s = (ctx.one, ctx.theta, ctx.add(ctx.one, ctx.theta))[scale]
+    op = MonomialOp(params, op.perm, op.expo, ctx.mul(op.scale, s))
+    assert pi_map(op, params) == want
+    assert pi_map(op.materialize(), params) == want
+
+
+@pytest.mark.parametrize("field", FAMILIES)
+def test_pi_ignores_non_theta_scalars(field):
+    # pi(lam * n) = pi(n) for every nonzero scalar lam; 2 and 1 + theta are
+    # not theta powers over Q(theta_3) and 1 + theta is not over GF(7) (in
+    # GF(4) every nonzero element is a theta power, and 2 = 0)
+    ctx = make_field(FAMILIES[field])
+    params = WeilParams(3, 2, ctx)
+    gens = weil_generators(params)
+    images = gen_images(2, 3)
+    g = images[GenToken("U", 1)] * images[GenToken("C", 2)] * images[GenToken("D", 2, 1)]
+    dense = weil_image(g, gens)
+    u1 = gens.U[0]
+    scalars = [lam for lam in (ctx.from_int(2), ctx.add(ctx.one, ctx.theta))
+               if lam != ctx.zero]
+    if field != "gf4":
+        assert any(ctx.dlog_theta(lam) is None for lam in scalars)
+    for lam in scalars:
+        scaled_u1 = MonomialOp(params, u1.perm, u1.expo, lam)
+        assert pi_map(scaled_u1, params) == images[GenToken("U", 1)]
+        assert pi_map(scaled_u1.materialize(), params) == images[GenToken("U", 1)]
+        assert pi_map(dense.scale(lam), params) == g == pi_map(dense, params)
+
+
+@pytest.mark.parametrize("field", FAMILIES)
+def test_pi_rejects_diag_2(field):
+    # diag(2, 1, ..., 1) at (3, 2): 2 is no theta power over Q(theta_3); over
+    # GF(7) 2 = theta, and theta^f(xi) normalises only for quadratic f; over
+    # GF(4) 2 = 0 and the matrix is singular.  The theta-exponent form
+    # diag(theta, 1, ..., 1) fails on the integer route too.
+    ctx = make_field(FAMILIES[field])
+    params = WeilParams(3, 2, ctx)
+    n = params.n
+    rows = [[ctx.zero] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = ctx.one
+    rows[0][0] = ctx.from_int(2)
+    with pytest.raises(DoesNotNormalize):
+        pi_map(DenseMatrix(ctx, rows), params)
+    with pytest.raises(DoesNotNormalize):
+        pi_map(MonomialOp(params, range(n), (1,) + (0,) * (n - 1)), params)
+
+
+@pytest.mark.parametrize("field", FAMILIES)
+def test_pi_makes_no_field_inverse_multiply_or_add(field, monkeypatch):
+    # rows are matched on theta multiples and conjugates are read as
+    # integers, so pi_map of a matrix or of a monomial calls no inv, mul or
+    # add of the field context (mul_theta_power is not one of them)
+    ctx = make_field(FAMILIES[field])
+    params = WeilParams(3, 2, ctx)
+    gens = weil_generators(params)
+    dense = weil_image(gen_images(2, 3)[GenToken("C", 1)], gens)
+    mono = gens.U[0].compose(gens.D[(1, 2)]).compose(gens.sigma)
+    mono = MonomialOp(params, mono.perm, mono.expo, ctx.add(ctx.one, ctx.theta))
+    calls = []
+    for name in ("inv", "mul", "add"):
+        method = getattr(type(ctx), name)
+        monkeypatch.setattr(type(ctx), name,
+                            lambda self, *args, _m=method, _n=name: calls.append(_n) or _m(self, *args))
+    assert ctx.mul(ctx.one, ctx.one) == ctx.one and calls == ["mul"]
+    calls.clear()
+    pi_map(dense, params)
+    pi_map(mono, params)
+    assert calls == []

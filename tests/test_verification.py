@@ -310,6 +310,21 @@ def test_check_ops_witness_is_serialised(cyc3):
         assert all(isinstance(json.loads(side), list) for side in (left, right))
 
 
+@pytest.mark.parametrize("ell", [1, 2])
+def test_check_value_witness_is_serialised(cyc3, ell):
+    # scalar checks render field elements, nested lists included, through
+    # serialize_elem as the operator checks do
+    params = WeilParams(3, ell, cyc3)
+    report = run_relation_suite(params, gens=mutate_lambda_sign(weil_generators(params)))
+    witnesses = {f.id: f.witness for f in report.failures()}
+    minus, one = json.dumps(["-1/1", "0/1"]), json.dumps(["1/1", "0/1"])
+    assert witnesses["det-lamC"] == f"det(lam*C_t): {minus} != {one}"
+    left, right = witnesses["det-power-r"].split(": ", 1)[1].split(" != ")
+    d_powers = [["1/1", "0/1"]] * (ell - 1)
+    assert json.loads(left) == [["-1/1", "0/1"], ["1/1", "0/1"], d_powers]
+    assert json.loads(right) == [["1/1", "0/1"], ["1/1", "0/1"], d_powers]
+
+
 def test_grid_script_closure_rows_cover_every_family(monkeypatch, capsys):
     import importlib.util
     from pathlib import Path
