@@ -20,12 +20,11 @@ from .generators import weil_generators
 from .heisenberg import DoesNotNormalize
 from .operators import WeilParams
 from .serialize import (build_document, dumps_document, emit_gap, emit_magma,
-                        generator_matrices, parse_matrix_text, serialize_word)
+                        generator_matrices, parse_matrix_text)
 from .submodules import WrongCharacteristic, weil_image_irreducible
 from .symplectic import (NotSymplectic, SpMatrix, decompose, group_order,
                          weil_image)
-from .verification import (CapExceeded, CheckResult, closure_order,
-                           run_relation_suite)
+from .verification import CapExceeded, closure_order, run_relation_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 2

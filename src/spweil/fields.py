@@ -18,11 +18,18 @@ the owning FieldContext.  Contexts are immutable after construction.
 Two primitives serve the structured operators, whose entries are powers of
 theta times one scalar.  mul_theta_power(a, e) is a * theta^e: one modular
 multiply over GF(p), a rotation of the coefficient vector over Q(theta),
-which keeps the denominator and needs no gcd, and a fixed GF(p)-linear map
-of the coefficients over GF(p^k).  fourier_apply(vec, stride,
+which keeps the denominator and needs no gcd, and a table lookup over
+GF(p^k) (a mul above the table bound).  fourier_apply(vec, stride,
 table, scale) applies scale times the Fourier kernel theta^(i*x) in one
 tensor slot; over Q(theta) it sums integer rotations over one common
-denominator and normalises each output once.
+denominator and normalises each output once.  Their whole-row forms
+mul_theta_power_row and fourier_rows serve closure counting; GF(p) computes
+both in C-level maps with one reduction per entry.
+
+GF(p^k) with q <= MAX_TABLE_ORDER = 2^16 multiplies, adds and inverts by
+Zech-log tables (Huber 1990; Lidl and Niederreiter, Finite Fields, ch. 10).
+At the bound they hold about 17 MB and take about 0.5 s to build (2 vCPUs,
+Python 3.11); at q = 2^12, 1 MB and 0.06 s.  Larger fields use convolution.
 """
 
 from __future__ import annotations
@@ -42,6 +49,9 @@ class InvalidFieldSpec(ValueError):
 # (or p - 1) by trial division and, for k > 1, searches for an irreducible
 # polynomial of degree k; up to 2^40 both take about a second at most.
 MAX_FIELD_ORDER = 2 ** 40
+
+# Largest q = p^k for which an extension field builds Zech-log tables.
+MAX_TABLE_ORDER = 2 ** 16
 
 
 def check_field_order(p, k):
@@ -252,6 +262,10 @@ class FieldContext:
         """a * theta^e for any integer e."""
         return self.mul(a, self.theta_pow[e % self.r])
 
+    def mul_theta_power_row(self, row, e):
+        """The tuple of row's entries, each times theta^e."""
+        return tuple(map(self.mul_theta_power, row, itertools.repeat(e)))
+
     def fourier_apply(self, vec, stride, table, scale):
         """scale * C applied to vec: on each fibre of r entries stride apart,
         out_i = scale * sum_x theta^(i*x) v_x.  table[i][x] is
@@ -270,6 +284,12 @@ class FieldContext:
                 for i, row in enumerate(table):
                     out[off + i * stride] = dot(row, vals)
         return out
+
+    def fourier_rows(self, rows, stride, table, scale):
+        """The rows of (scale * C) * M for M given as a tuple of row tuples:
+        each column of M goes through fourier_apply."""
+        cols = (self.fourier_apply(col, stride, table, scale) for col in zip(*rows))
+        return tuple(zip(*cols))
 
     def pow(self, a, e):
         if e < 0:
@@ -464,10 +484,6 @@ class CyclotomicContext(FieldContext):
     def from_int(self, n):
         return ((n,) + (0,) * (self._d - 1), 1)
 
-    def from_fraction(self, fr):
-        fr = Fraction(fr)
-        return self._norm([fr.numerator] + [0] * (self._d - 1), fr.denominator)
-
     def _compute_theta(self):
         return ((0, 1) + (0,) * (self._d - 2), 1) if self._d > 1 else ((-1,), 1)
 
@@ -534,6 +550,24 @@ class PrimeFieldContext(FieldContext):
     def mul_theta_power(self, a, e):
         return a * self._theta_table[e % self.r] % self.p
 
+    def mul_theta_power_row(self, row, e):
+        c = itertools.repeat(self._theta_table[e % self.r])
+        return tuple(map(operator.mod, map(operator.mul, row, c), itertools.repeat(self.p)))
+
+    def fourier_rows(self, rows, stride, table, scale):
+        # on each fibre of r rows, output row i holds sum(map(mul, table[i],
+        # col)) % p for each column col of the fibre, all in C-level maps
+        p, block = self.p, stride * self.r
+        mod, rep = operator.mod, itertools.repeat
+        out = [None] * len(rows)
+        for base in range(0, len(rows), block):
+            for off in range(base, base + stride):
+                cols = tuple(zip(*rows[off:off + block:stride]))
+                for i, krow in enumerate(table):
+                    sums = map(sum, map(map, rep(operator.mul), rep(krow), cols))
+                    out[off + i * stride] = tuple(map(mod, sums, rep(p)))
+        return tuple(out)
+
     def pow(self, a, e):
         if e < 0:
             return pow(self.inv(a), -e, self.p)
@@ -561,7 +595,11 @@ class PrimeFieldContext(FieldContext):
 
 class ExtensionFieldContext(FieldContext):
     """GF(p^k) defined by a monic irreducible modulus; elements are
-    coefficient tuples of length k, constant term first."""
+    coefficient tuples of length k, constant term first.  g, the first
+    primitive element in encoding order, gives theta = g^((q-1)/r).  With q
+    at most MAX_TABLE_ORDER, _exp[i] = g^i (listed twice, so two logs add
+    without reduction), _log is its inverse and _zech[i] = log(1 + g^i),
+    None where 1 + g^i = 0; above the bound _log is None."""
 
     kind = "extension"
 
@@ -594,20 +632,41 @@ class ExtensionFieldContext(FieldContext):
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
         self.spec = FieldSpec("extension", r, p=p, k=k, modulus=modulus)
-        # _theta_maps[e]: the matrix over GF(p) of a -> a * theta^e; its
-        # column j is theta^e * x^j, and multiplying by x shifts and reduces
-        maps = []
-        for power in self.theta_pow:
-            cols = [power]
-            for _ in range(k - 1):
-                top, low = cols[-1][-1], (0,) + cols[-1][:-1]
-                cols.append(tuple((c - top * m) % p for c, m in zip(low, modulus)))
-            maps.append(tuple(zip(*cols)))
-        self._theta_maps = maps
+        self._log = None
+        facs = prime_factors(q - 1)
+        self._generator = g = next(
+            g for g in map(self._encode, range(2, q))
+            if all(self.pow(g, (q - 1) // f) != self.one for f in facs))
+        if q > MAX_TABLE_ORDER:
+            return
+        # a * g is (low half of a) * g + (high half of a) * g, both looked up
+        h = k // 2
+        lows = {c: self.mul(c + (0,) * (k - h), g)
+                for c in itertools.product(range(p), repeat=h)}
+        highs = {c: self.mul((0,) * h + c, g)
+                 for c in itertools.product(range(p), repeat=k - h)}
+        exp = [self.one]
+        for _ in range(q - 2):
+            a = exp[-1]
+            exp.append(tuple((u + v) % p for u, v in zip(lows[a[:h]], highs[a[h:]])))
+        log = {a: i for i, a in enumerate(exp)}
+        self._zech = [log.get(((a[0] + 1) % p,) + a[1:]) for a in exp]
+        self._exp = exp + exp
+        self._theta_log = (q - 1) // r
+        self._log = log
 
     def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        log, zero = self._log, self.zero
+        if log is None:
+            p = self.p
+            return tuple((x + y) % p for x, y in zip(a, b))
+        if a == zero or b == zero:
+            return b if a == zero else a
+        # a + b = g^log(a) * (1 + g^(log(b) - log(a))); a negative index into
+        # the q - 1 entries of _zech is the residue mod q - 1
+        la = log[a]
+        z = self._zech[log[b] - la]
+        return zero if z is None else self._exp[la + z]
 
     def sub(self, a, b):
         p = self.p
@@ -618,6 +677,9 @@ class ExtensionFieldContext(FieldContext):
         return tuple(-x % p for x in a)
 
     def mul(self, a, b):
+        log, zero = self._log, self.zero
+        if log is not None:
+            return zero if a == zero or b == zero else self._exp[log[a] + log[b]]
         p, k = self.p, self.k
         conv = [0] * (2 * k - 1)
         for i, ai in enumerate(a):
@@ -634,16 +696,22 @@ class ExtensionFieldContext(FieldContext):
         return tuple(x % p for x in conv[:k])
 
     def mul_theta_power(self, a, e):
+        if self._log is None:
+            return super().mul_theta_power(a, e)
         e %= self.r
-        if not e:
+        if not e or a == self.zero:
             return a
-        p = self.p
-        return tuple(sum(map(operator.mul, row, a)) % p for row in self._theta_maps[e])
+        return self._exp[self._log[a] + e * self._theta_log]
 
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of zero")
         return self.pow(a, self.q - 2)
+
+    def pow(self, a, e):
+        if self._log is None or a == self.zero:
+            return super().pow(a, e)
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def from_int(self, n):
         return (n % self.p,) + (0,) * (self.k - 1)
@@ -656,12 +724,7 @@ class ExtensionFieldContext(FieldContext):
         return tuple(digits)
 
     def _compute_theta(self):
-        facs = prime_factors(self.q - 1)
-        for n in range(2, self.q):
-            g = self._encode(n)
-            if all(self.pow(g, (self.q - 1) // f) != self.one for f in facs):
-                return self.pow(g, (self.q - 1) // self.r)
-        raise AssertionError("no generator found")
+        return self.pow(self._generator, (self.q - 1) // self.r)
 
     def serialize_elem(self, a):
         return [str(c) for c in a]

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import DenseMatrix
-from .operators import (FourierOp, MonomialOp, Operator, ProductOp, ScalarOp,
-                        WeilParams, identity_op, negation_monomial)
+from .operators import FourierOp, MonomialOp, Operator, WeilParams, negation_monomial
 
 
 def op_A(params, t):

@@ -20,8 +20,9 @@ Operator variants:
 apply() costs O(n) for monomial/scalar operators and O(n*r) for a Fourier
 factor; only apply(), mul_rows() and materialize() make field values.
 materialize() returns the DenseMatrix whose column xi is apply(e_xi), and
-mul_rows(rows) the rows of op * M: a monomial permutes and scales M's rows,
-any other operator applies itself to M's columns.
+mul_rows(rows) the rows of op * M: a monomial permutes M's rows and scales
+them by ctx.mul_theta_power_row, a Fourier kernel maps them by
+ctx.fourier_rows, and any other operator applies itself to M's columns.
 """
 
 from __future__ import annotations
@@ -194,9 +195,9 @@ class MonomialOp(Operator):
         ctx = self.ctx
         out = [None] * self.n
         if self.scale == ctx.one:
-            mtp = ctx.mul_theta_power
+            mtp_row = ctx.mul_theta_power_row
             for p, e, row in zip(self.perm, self.expo, rows):
-                out[p] = tuple(map(mtp, row, itertools.repeat(e))) if e else row
+                out[p] = mtp_row(row, e) if e else row
         else:
             mul = ctx.mul
             table = [ctx.mul_theta_power(self.scale, e) for e in range(self.params.r)]
@@ -287,7 +288,7 @@ class MonomialOp(Operator):
 class FourierOp(Operator):
     """scale * C_t, where C_t v_xi = sum_i theta^(i*xi_t) v_(xi with slot t = i)."""
 
-    __slots__ = ("t", "scale", "_table")
+    __slots__ = ("t", "scale", "_table", "_stride")
 
     def __init__(self, params, t, scale=None):
         super().__init__(params)
@@ -300,10 +301,14 @@ class FourierOp(Operator):
         r = params.r
         # row i of the scaled kernel: scale * theta^(i*x) for x in [0, r)
         self._table = [[mtp(self.scale, i * x) for x in range(r)] for i in range(r)]
+        self._stride = r ** (params.ell - t)
 
     def apply(self, vec):
-        stride = self.params.r ** (self.params.ell - self.t)
-        return self.ctx.fourier_apply(vec, stride, self._table, self.scale)
+        return self.ctx.fourier_apply(vec, self._stride, self._table, self.scale)
+
+    def mul_rows(self, rows):
+        """The rows of self * M, by ctx.fourier_rows on fibres of r rows."""
+        return self.ctx.fourier_rows(rows, self._stride, self._table, self.scale)
 
     def inverse(self):
         # C_t^2 = r * N_t with N_t negating slot t, so C_t^-1 = r^-1 * N_t * C_t

@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import DenseMatrix
-from .operators import Operator, flat_index, index_vectors
-from .symplectic import NotSymplectic
+from .operators import flat_index, index_vectors
 
 
 class NotInvariant(ValueError):

@@ -19,10 +19,11 @@ evaluate_word(decompose(g)) == g, not by the internal route.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
-from .generators import lam_C_squared, op_D, op_U
+from .generators import lam_C_squared, op_U
 from .operators import identity_op
 
 
@@ -174,15 +175,21 @@ def evaluate_word(word, assign, identity):
     return out
 
 
+@functools.lru_cache(maxsize=32)
 def sp_assignment(ell, r):
-    """Assignment mapping tokens to their SpMatrix images (with exponent)."""
+    """Assignment mapping tokens to their SpMatrix images (with exponent),
+    each power computed once per (kind, t, s, exp) and kept per (ell, r)."""
     images = gen_images(ell, r)
 
-    def assign(tok):
-        base = images.get(GenToken(tok.kind, tok.t, tok.s))
+    @functools.lru_cache(maxsize=None)
+    def power(kind, t, s, e):
+        base = images.get(GenToken(kind, t, s))
         if base is None:
-            raise UndefinedToken(f"no image for {tok}")
-        return base ** (tok.exp % tok.order(r))
+            raise UndefinedToken(f"no image for {GenToken(kind, t, s, e)}")
+        return base ** e
+
+    def assign(tok):
+        return power(tok.kind, tok.t, tok.s, tok.exp % tok.order(r))
 
     return assign
 

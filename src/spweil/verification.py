@@ -8,8 +8,9 @@ as negative controls: a suite that cannot detect them would be vacuous.
 
 closure_order counts a matrix group by breadth-first search, multiplying on
 the left by each generator's structure: a generator recognised as monomial
-permutes and scales rows, a Fourier kernel maps columns through
-fourier_apply, and any other matrix stays a dense product.
+permutes rows and scales them by theta powers, a Fourier kernel maps fibres
+of r rows through ctx.fourier_rows, and any other matrix stays a dense
+product.
 """
 
 from __future__ import annotations
@@ -631,11 +632,13 @@ def closure_order(generators, cap):
     when the closure passes cap.
 
     Each generator is recognised once (structured_generator), and the search
-    multiplies on the left: g * M for every element M and generator g.  A
-    monomial generator permutes M's rows and multiplies each by a theta
-    power; a Fourier generator maps M's columns through fourier_apply; an
-    unrecognised one, such as a constituent's restricted generator, is a
-    dense product.  Left and right multiplication give the same group, so
+    multiplies on the left: g * M for every element M and generator g, by
+    field kernels on whole rows.  A monomial generator permutes M's rows and
+    scales them by ctx.mul_theta_power_row; a Fourier generator maps each
+    fibre of r rows by ctx.fourier_rows (over GF(p) integer sums with one
+    reduction per entry, elsewhere fourier_apply on M's columns).  An
+    unrecognised generator, such as a constituent's restricted generator, is
+    a dense product.  Left and right multiplication give the same group, so
     the count and the cap behaviour do not depend on the route."""
     if not generators:
         return 1

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spweil.fields import (CyclotomicContext, ExtensionFieldContext, FieldSpec,
+from spweil import fields
+from spweil.fields import (CyclotomicContext, ExtensionFieldContext, FieldContext, FieldSpec,
                            InvalidFieldSpec, PrimeFieldContext,
                            find_irreducible_polynomial, is_irreducible, legendre,
                            make_field, parse_field_spec)
@@ -88,6 +89,78 @@ def test_mul_theta_power_matches_mul(spec, ints, e):
     ctx = make_field(spec)
     a = _elements(ctx, ints)
     assert ctx.mul_theta_power(a, e) == ctx.mul(a, ctx.theta_pow[e % ctx.r])
+
+
+@pytest.mark.parametrize("spec", FAST_PATH_CTXS, ids=str)
+@given(ints=st.lists(st.integers(-50, 50), min_size=15, max_size=15),
+       e=st.integers(-40, 40))
+@settings(max_examples=30, deadline=None)
+def test_mul_theta_power_row_matches_per_entry(spec, ints, e):
+    ctx = make_field(spec)
+    row = (ctx.zero,) + tuple(_elements(ctx, ints[i:i + 5]) for i in range(0, 15, 5))
+    want = tuple(ctx.mul_theta_power(a, e) for a in row)
+    assert ctx.mul_theta_power_row(row, e) == want
+    assert FieldContext.mul_theta_power_row(ctx, row, e) == want
+
+
+# (r, p, k) for GF(4), GF(8), GF(16), GF(7^2), GF(3^4), with the theta that
+# the search over encoding order gave before the fields had tables
+TABLED_FIELDS = {
+    (3, 2, 2): (0, 1),
+    (7, 2, 3): (0, 1, 0),
+    (5, 2, 4): (0, 0, 0, 1),
+    (3, 7, 2): (4, 0),
+    (5, 3, 4): (2, 1, 0, 2),
+}
+
+
+def _table_and_convolution(r, p, k):
+    """The same field twice: with Zech-log tables, and built with the table
+    bound at 0, so that it multiplies by convolution."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "MAX_TABLE_ORDER", 0)
+        conv = ExtensionFieldContext(r, p, k)
+    return ExtensionFieldContext(r, p, k), conv
+
+
+@pytest.mark.parametrize("rpk", TABLED_FIELDS, ids=str)
+@given(ints=st.lists(st.integers(-50, 50), min_size=10, max_size=10),
+       zeros=st.sets(st.sampled_from("ab")), e=st.integers(-40, 40))
+@settings(max_examples=60, deadline=None)
+def test_tables_match_convolution_route(rpk, ints, zeros, e):
+    tab, conv = _table_and_convolution(*rpk)
+    assert tab._log is not None and conv._log is None
+    a = tab.zero if "a" in zeros else _elements(tab, ints[:5])
+    b = tab.zero if "b" in zeros else _elements(tab, ints[5:])
+    assert tab.mul(a, b) == conv.mul(a, b)
+    assert tab.add(a, b) == conv.add(a, b)
+    assert tab.add(a, tab.neg(a)) == tab.zero
+    assert tab.add(b, tab.neg(b)) == tab.zero
+    assert tab.mul_theta_power(a, e) == conv.mul_theta_power(a, e)
+    assert tab.pow(a, abs(e)) == conv.pow(a, abs(e))
+    if a != tab.zero:
+        assert tab.inv(a) == conv.inv(a)
+        assert tab.pow(a, e) == conv.pow(a, e)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            tab.inv(a)
+
+
+@pytest.mark.parametrize("rpk,theta", TABLED_FIELDS.items(), ids=str)
+def test_tables_keep_theta(rpk, theta):
+    tab, conv = _table_and_convolution(*rpk)
+    assert tab.theta == conv.theta == theta
+    assert tab.theta_pow == conv.theta_pow
+
+
+def test_field_above_table_bound_multiplies_by_convolution():
+    ctx = ExtensionFieldContext(3, 2, 18)   # q = 2^18 > MAX_TABLE_ORDER
+    assert ctx.q > fields.MAX_TABLE_ORDER and ctx._log is None
+    x = ctx.theta
+    assert ctx.pow(x, 3) == ctx.one and x != ctx.one
+    y = ctx.add(x, ctx.from_int(1))
+    assert ctx.mul(y, ctx.inv(y)) == ctx.one
+    assert ctx.mul_theta_power(y, 2) == ctx.mul(y, ctx.theta_pow[2])
 
 
 @pytest.mark.parametrize("spec", ALL_CTXS, ids=str)

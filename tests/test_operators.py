@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from spweil.fields import FieldSpec, make_field
 from spweil.linalg import DenseMatrix
-from spweil.operators import (DenseOp, FourierOp, MonomialOp, ProductOp,
+from spweil.operators import (DenseOp, FourierOp, MonomialOp, Operator, ProductOp,
                               ScalarOp, WeilParams, flat_index, identity_op,
                               index_vectors, negation_monomial, operators_equal)
 from spweil.generators import op_A, op_B, op_C, op_D, op_E, op_U, sigma_involution
@@ -285,3 +285,28 @@ def test_mul_rows_matches_dense_product(spec, seed):
     # a row whose factor is 1 is passed through, not copied
     unit = MonomialOp(params, range(params.n), [0] * params.n)
     assert all(a is b for a, b in zip(unit.mul_rows(m.rows), m.rows))
+
+
+# Q(theta_3), GF(7) and GF(4) at l = 1..3 (n up to 27), and GF(11) at l = 1, 2
+ROW_KERNEL_CASES = [(FieldSpec(kind, 3), ell) for kind in ("cyclotomic", "auto-prime", "auto-char2")
+                    for ell in (1, 2, 3)] + [(FieldSpec("auto-prime", 5), ell) for ell in (1, 2)]
+
+
+@pytest.mark.parametrize("spec,ell", ROW_KERNEL_CASES, ids=str)
+@given(seed=st.integers(0, 2 ** 32))
+@settings(max_examples=3, deadline=None)
+def test_row_kernels_match_column_route(spec, ell, seed):
+    # FourierOp.mul_rows (ctx.fourier_rows) and MonomialOp.mul_rows
+    # (ctx.mul_theta_power_row) against Operator.mul_rows, which sends each
+    # column through apply; M has zero entries and whole zero rows
+    ctx = make_field(spec)
+    params = WeilParams(ctx.r, ell, ctx)
+    rng = random.Random(seed)
+    rows = tuple(tuple(_element(ctx, rng) if rng.random() < 0.7 else ctx.zero
+                       for _ in range(params.n)) if rng.random() < 0.8
+                 else (ctx.zero,) * params.n for _ in range(params.n))
+    scales = [ctx.one, ctx.inv(ctx.from_int(ctx.r)), _nonzero_element(ctx, rng)]
+    ops = [FourierOp(params, t, s) for t in range(1, ell + 1) for s in scales]
+    ops.append(_random_monomial(params, rng, ctx.one))
+    for op in ops:
+        assert op.mul_rows(rows) == Operator.mul_rows(op, rows)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from spweil.generators import weil_generators
 from spweil.heisenberg import pi_map
 from spweil.operators import WeilParams, identity_op
-from spweil.symplectic import (GenToken, NotSymplectic, SpMatrix, decompose,
-                               evaluate_word, gen_images, group_order,
+from spweil.symplectic import (GenToken, NotSymplectic, SpMatrix, UndefinedToken,
+                               decompose, evaluate_word, gen_images, group_order,
                                random_element, sp_assignment, sp_form,
                                symplectic_pairing, weil_assignment, weil_image)
 
@@ -241,3 +241,22 @@ def test_pi_weil_image_roundtrip(gf7):
     for seed in range(25):
         g = random_element(2, 3, seed)
         assert pi_map(weil_image(g, gens), params) == g
+
+
+@pytest.mark.parametrize("ell,r", [(1, 3), (2, 5), (3, 3)])
+def test_sp_assignment_powers_match_repeated_products(ell, r):
+    # each cached power against a product of the exponent-1 image, for
+    # exponents below zero and past the order
+    assign = sp_assignment(ell, r)
+    for base_tok, base in gen_images(ell, r).items():
+        order = base_tok.order(r)
+        for exp in range(-order - 1, 2 * order + 1):
+            want = SpMatrix.identity(ell, r)
+            for _ in range(exp % order):
+                want = want * base
+            tok = GenToken(base_tok.kind, base_tok.t, base_tok.s, exp)
+            assert assign(tok) == want
+            assert assign(tok) is assign(tok)
+    assert sp_assignment(ell, r) is assign
+    with pytest.raises(UndefinedToken):
+        assign(GenToken("D", 1, 1))
