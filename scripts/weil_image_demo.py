@@ -5,14 +5,18 @@ roundtrip check.
 
 Usage: python3 scripts/weil_image_demo.py [--r 5] [--l 2] [--seed 7]
        [--field auto-prime]
+
+The parameters are checked as `spweil` checks them: an invalid r, l or
+field, or r^l above cli.MAX_DIM, prints an `error:` line and exits 2.
 """
 
 import argparse
+import sys
 
-from spweil.fields import FieldSpec, make_field, parse_field_spec
+from spweil.cli import EXIT_USAGE, validated_setup
+from spweil.fields import InvalidFieldSpec
 from spweil.generators import weil_generators
 from spweil.heisenberg import pi_map
-from spweil.operators import WeilParams
 from spweil.symplectic import decompose, random_element, weil_image
 
 
@@ -24,8 +28,12 @@ def main():
     parser.add_argument("--field", default="auto-prime")
     args = parser.parse_args()
 
-    ctx = make_field(parse_field_spec(args.field, args.r))
-    params = WeilParams(args.r, args.l, ctx)
+    try:
+        params = validated_setup(args)
+    except InvalidFieldSpec as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    ctx = params.ctx
     gens = weil_generators(params)
 
     g = random_element(args.l, args.r, args.seed)
@@ -47,7 +55,8 @@ def main():
 
     back = pi_map(mat, params)
     print("\nprojection roundtrip:", "ok" if back == g else "MISMATCH")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

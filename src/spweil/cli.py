@@ -75,7 +75,9 @@ def build_parser():
     return parser
 
 
-def _validated_setup(args):
+def validated_setup(args):
+    """WeilParams from args.r, args.l and args.field, or InvalidFieldSpec
+    before any field or matrix is built."""
     if args.r < 3:
         raise InvalidFieldSpec("r must be an odd prime")
     if args.l < 1:
@@ -98,7 +100,7 @@ def _open_out(args):
 
 
 def cmd_gens(args):
-    params = _validated_setup(args)
+    params = validated_setup(args)
     gens = weil_generators(params)
     matrices = generator_matrices(gens, full=args.full)
     out = _open_out(args)
@@ -125,7 +127,7 @@ def _read_matrix(args, params):
 
 
 def cmd_image(args):
-    params = _validated_setup(args)
+    params = validated_setup(args)
     try:
         g = _read_matrix(args, params)
     except ValueError as exc:
@@ -166,7 +168,7 @@ def cmd_verify(args):
     if args.cap < 1:
         print("error: --cap must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    params = _validated_setup(args)
+    params = validated_setup(args)
     gens = weil_generators(params)
     report = run_relation_suite(params, seed=args.seed, gens=gens)
     pstr = f"r={args.r}, l={args.l}, {params.ctx.describe()}"

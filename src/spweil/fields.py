@@ -24,7 +24,24 @@ table, scale) applies scale times the Fourier kernel theta^(i*x) in one
 tensor slot; over Q(theta) it sums integer rotations over one common
 denominator and normalises each output once.  Their whole-row forms
 mul_theta_power_row and fourier_rows serve closure counting; GF(p) computes
-both in C-level maps with one reduction per entry.
+both in C-level maps with one reduction per entry.  pi_map keys rows by
+theta_row_scaler(expo), row[j] * theta^(expo[j] + k) for one k per row; GF(p)
+multiplies by one of r precomputed coefficient tuples.
+
+A product of operators is materialised by FieldContext.product_rows.  The
+base class sends the columns of the last factor's matrix through every other
+factor's apply.  GF(p) with r * p^2 < 2^64 instead packs each row of the
+identity into one Python int of n 64-bit lanes (PackedRows), left-multiplies
+the rows by the factors with whole-integer arithmetic, and reduces mod p
+lane by lane only when a lane could reach 2^64, and once at the end.  Lane
+values are non-negative, so adding rows and multiplying them by small
+integers never carries from one lane into the next while every lane stays
+below 2^64.  After a reduction every lane is below p, and no factor grows a
+lane by more than a Fourier row sum, at most r * (p - 1), so r * p^2 < 2^64
+is the whole condition; larger p take the column route.  Lane order is the
+host's byte order (lane j is entry j on a little-endian host); packing and
+unpacking share it.  Delayed reduction over word-size primes follows Dumas,
+Giorgi and Pernet 2008 (FFLAS-FFPACK), the packing Kronecker substitution.
 
 GF(p^k) with q <= MAX_TABLE_ORDER = 2^16 multiplies, adds and inverts by
 Zech-log tables (Huber 1990; Lidl and Niederreiter, Finite Fields, ch. 10).
@@ -37,6 +54,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,6 +71,10 @@ MAX_FIELD_ORDER = 2 ** 40
 
 # Largest q = p^k for which an extension field builds Zech-log tables.
 MAX_TABLE_ORDER = 2 ** 16
+
+# A packed GF(p) row holds each entry in one unsigned 64-bit lane, so every
+# lane must stay below LANE_LIMIT.
+LANE_LIMIT = 2 ** 64
 
 
 def check_field_order(p, k):
@@ -291,6 +314,23 @@ class FieldContext:
         cols = (self.fourier_apply(col, stride, table, scale) for col in zip(*rows))
         return tuple(zip(*cols))
 
+    def theta_row_scaler(self, expo):
+        """The function (row, k) -> the tuple of row[j] * theta^(expo[j] + k)."""
+        zero, mtp = self.zero, self.mul_theta_power
+
+        def scale(row, k):
+            return tuple(a if a == zero else mtp(a, e + k) for a, e in zip(row, expo))
+        return scale
+
+    def product_rows(self, factors):
+        """The rows of the product of the operators factors (applied right
+        to left, at least one): the columns of the last factor's matrix go
+        through each other factor's apply."""
+        cols = factors[-1].materialize().columns()
+        for f in factors[-2::-1]:
+            cols = [f.apply(col) for col in cols]
+        return tuple(zip(*cols))
+
     def pow(self, a, e):
         if e < 0:
             return self.pow(self.inv(a), -e)
@@ -526,6 +566,7 @@ class PrimeFieldContext(FieldContext):
         self.one = 1
         self.spec = FieldSpec("prime", r, p=p)
         self._theta_table = self.theta_pow
+        self._packs = r * p * p < LANE_LIMIT
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -568,6 +609,24 @@ class PrimeFieldContext(FieldContext):
                     out[off + i * stride] = tuple(map(mod, sums, rep(p)))
         return tuple(out)
 
+    def theta_row_scaler(self, expo):
+        # coefs[k][j] = theta^(expo[j] + k), one tuple per k in [0, r)
+        theta, r, p = self._theta_table, self.r, self.p
+        coefs = [tuple(theta[(e + k) % r] for e in expo) for k in range(r)]
+        mod, mul, rep = operator.mod, operator.mul, itertools.repeat
+
+        def scale(row, k):
+            return tuple(map(mod, map(mul, row, coefs[k % r]), rep(p)))
+        return scale
+
+    def product_rows(self, factors):
+        if not self._packs:
+            return super().product_rows(factors)
+        packed = PackedRows(self, factors[0].n)
+        for f in reversed(factors):
+            f.mul_packed(packed)
+        return packed.unpacked()
+
     def pow(self, a, e):
         if e < 0:
             return pow(self.inv(a), -e, self.p)
@@ -591,6 +650,74 @@ class PrimeFieldContext(FieldContext):
 
     def describe(self):
         return f"GF({self.p})"
+
+
+class PackedRows:
+    """The rows of an n x n matrix over GF(p), each one int of n 64-bit lanes
+    holding the entries as integers congruent to them mod p, every lane at
+    most bound.  monomial, fourier, scale and mul_rows replace the rows by
+    op * rows for one operator; each first reduces the lanes mod p if the
+    operator could carry a lane to LANE_LIMIT.  Starts as the identity."""
+
+    __slots__ = ("p", "width", "rows", "bound")
+
+    def __init__(self, ctx, n):
+        self.p = ctx.p
+        self.width = 8 * n   # bytes per row
+        self.rows = [self._pack([0] * j + [1] + [0] * (n - 1 - j)) for j in range(n)]
+        self.bound = 1
+
+    @staticmethod
+    def _pack(row):
+        return int.from_bytes(array("Q", row).tobytes(), sys.byteorder)
+
+    def _lanes(self, row):
+        """row's lanes reduced mod p, as an iterator of ints."""
+        lanes = array("Q", row.to_bytes(self.width, sys.byteorder))
+        return map(operator.mod, lanes, itertools.repeat(self.p))
+
+    def _grow(self, growth):
+        """Make room for lanes multiplied by at most growth."""
+        if self.bound * growth >= LANE_LIMIT:
+            pack, lanes = self._pack, self._lanes
+            self.rows = [pack(lanes(row)) for row in self.rows]
+            self.bound = self.p - 1
+        self.bound *= growth
+
+    def monomial(self, perm, diag):
+        """Row j, times diag[j], becomes row perm[j]."""
+        self._grow(max(diag))
+        out = [None] * len(perm)
+        for p, d, row in zip(perm, diag, self.rows):
+            out[p] = row * d
+        self.rows = out
+
+    def fourier(self, stride, table):
+        """On each fibre of r rows stride apart, output row i is
+        sum_x table[i][x] * row x."""
+        self._grow(max(map(sum, table)))
+        rows, block, mul = self.rows, stride * len(table), operator.mul
+        out = [None] * len(rows)
+        for base in range(0, len(rows), block):
+            for off in range(base, base + stride):
+                fibre = rows[off:off + block:stride]
+                for i, krow in enumerate(table):
+                    out[off + i * stride] = sum(map(mul, krow, fibre))
+        self.rows = out
+
+    def scale(self, c):
+        if c != 1:
+            self._grow(c)
+            self.rows = [row * c for row in self.rows]
+
+    def mul_rows(self, mul_rows):
+        """Any other operator: its mul_rows on the reduced, unpacked rows."""
+        self.rows = [self._pack(row) for row in mul_rows(self.unpacked())]
+        self.bound = self.p - 1
+
+    def unpacked(self):
+        """The rows as tuples of residues in [0, p)."""
+        return tuple(tuple(self._lanes(row)) for row in self.rows)
 
 
 class ExtensionFieldContext(FieldContext):

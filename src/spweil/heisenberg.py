@@ -168,10 +168,11 @@ def _theta_keyed(rows, g, params):
     (k, key) with key = theta^k times that row, the least of its r theta
     multiples.  Two rows get the same key exactly when one is a theta power
     times the other.  Row j of rows * g holds row[perm[j]] * theta^expo[j],
-    so each key entry is one mul_theta_power of an entry of rows."""
+    so the key is ctx.theta_row_scaler(expo) of the moved row and k."""
     zero, mtp = params.ctx.zero, params.ctx.mul_theta_power
     powers = range(params.r)
     take, expo = itemgetter(*g.perm), g.expo
+    scale = params.ctx.theta_row_scaler(expo)
     for row in rows:
         moved = take(row)
         j = next((j for j, a in enumerate(moved) if a != zero), None)
@@ -180,7 +181,7 @@ def _theta_keyed(rows, g, params):
         # the row's first nonzero entry is moved[j] * theta^expo[j]
         multiples = list(map(mtp, repeat(moved[j]), powers))
         k = multiples.index(min(multiples)) - expo[j]
-        yield k, tuple(a if a == zero else mtp(a, e + k) for a, e in zip(moved, expo))
+        yield k, scale(moved, k)
 
 
 def _conjugates_of_basis(n, params):

@@ -15,14 +15,21 @@ Operator variants:
                   slot, times a scalar; apply is ctx.fourier_apply;
 * ScalarOp     -- c * I;
 * DenseOp      -- arbitrary invertible DenseMatrix;
-* ProductOp    -- composition, factors applied right to left.
+* ProductOp    -- composition, factors applied right to left; nested
+                  products are flattened, so no factor is a ProductOp.
 
 apply() costs O(n) for monomial/scalar operators and O(n*r) for a Fourier
-factor; only apply(), mul_rows() and materialize() make field values.
-materialize() returns the DenseMatrix whose column xi is apply(e_xi), and
-mul_rows(rows) the rows of op * M: a monomial permutes M's rows and scales
-them by ctx.mul_theta_power_row, a Fourier kernel maps them by
-ctx.fourier_rows, and any other operator applies itself to M's columns.
+factor; only apply(), mul_rows(), mul_packed() and materialize() make field
+values.  materialize() returns the DenseMatrix whose column xi is apply(e_xi).
+A product's is ctx.product_rows(factors): each column of the last factor's
+matrix goes through every other factor's apply, except over GF(p) with
+r * p^2 < 2^64, where each factor's mul_packed left-multiplies the
+identity's rows, packed into 64-bit lanes (fields.PackedRows), handing over
+perm and diag (monomial), stride and table (Fourier), c (scalar) or its
+mul_rows (anything else).  mul_rows(rows) gives the rows of op * M: a
+monomial permutes M's rows and scales them by ctx.mul_theta_power_row, a
+Fourier kernel maps them by ctx.fourier_rows, and any other operator applies
+itself to M's columns.
 """
 
 from __future__ import annotations
@@ -87,15 +94,17 @@ class Operator:
         column of M goes through apply."""
         return tuple(zip(*map(self.apply, zip(*rows))))
 
+    def mul_packed(self, packed):
+        """Left-multiply the packed GF(p) rows (fields.PackedRows) by self."""
+        packed.mul_rows(self.mul_rows)
+
     def inverse(self):
         raise NotImplementedError
 
     def __mul__(self, other):
         if not isinstance(other, Operator):
             return NotImplemented
-        left = self.factors if isinstance(self, ProductOp) else (self,)
-        right = other.factors if isinstance(other, ProductOp) else (other,)
-        return ProductOp(self.params, left + right)
+        return ProductOp(self.params, (self, other))
 
     def __pow__(self, e):
         if e < 0:
@@ -135,6 +144,9 @@ class ScalarOp(Operator):
         mul = ctx.mul
         return [mul(c, v) for v in vec]
 
+    def mul_packed(self, packed):
+        packed.scale(self.c)
+
     def inverse(self):
         return ScalarOp(self.params, self.ctx.inv(self.c))
 
@@ -173,7 +185,8 @@ class MonomialOp(Operator):
     def diag(self):
         """The diagonal entries scale * theta^expo[j] as field elements."""
         mtp, scale = self.ctx.mul_theta_power, self.scale
-        return tuple(mtp(scale, e) for e in self.expo)
+        table = [mtp(scale, e) for e in range(self.params.r)]
+        return tuple(map(table.__getitem__, self.expo))
 
     def apply(self, vec):
         ctx = self.ctx
@@ -204,6 +217,9 @@ class MonomialOp(Operator):
             for p, e, row in zip(self.perm, self.expo, rows):
                 out[p] = tuple(map(mul, itertools.repeat(table[e]), row))
         return tuple(out)
+
+    def mul_packed(self, packed):
+        packed.monomial(self.perm, self.diag)
 
     def compose(self, other):
         """self after other (= self * other as matrices), staying monomial."""
@@ -310,6 +326,9 @@ class FourierOp(Operator):
         """The rows of self * M, by ctx.fourier_rows on fibres of r rows."""
         return self.ctx.fourier_rows(rows, self._stride, self._table, self.scale)
 
+    def mul_packed(self, packed):
+        packed.fourier(self._stride, self._table)
+
     def inverse(self):
         # C_t^2 = r * N_t with N_t negating slot t, so C_t^-1 = r^-1 * N_t * C_t
         params = self.params
@@ -352,7 +371,8 @@ class ProductOp(Operator):
 
     def __init__(self, params, factors):
         super().__init__(params)
-        self.factors = tuple(factors)
+        self.factors = tuple(itertools.chain.from_iterable(
+            f.factors if isinstance(f, ProductOp) else (f,) for f in factors))
 
     def apply(self, vec):
         for f in reversed(self.factors):
@@ -365,10 +385,7 @@ class ProductOp(Operator):
     def materialize(self):
         if not self.factors:
             return DenseMatrix.identity(self.ctx, self.n)
-        cols = self.factors[-1].materialize().columns()
-        for f in self.factors[-2::-1]:
-            cols = [f.apply(col) for col in cols]
-        return DenseMatrix.from_columns(self.ctx, cols)
+        return DenseMatrix(self.ctx, self.ctx.product_rows(self.factors))
 
 
 def first_difference(op1, op2):

@@ -4,7 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spweil
 from spweil.cli import main
@@ -411,3 +416,86 @@ def test_dimension_limit_admits_acceptance_sizes():
     import spweil.cli
 
     assert 5 ** 4 <= spweil.cli.MAX_DIM  # acceptance 8 runs at (r, l) = (5, 4)
+
+
+# Arguments that fail fast, or that are valid and small, for argv fuzzing:
+# the one run that gets past every check works at n = 3 or 5.
+BAD_R = ["-5", "0", "1", "2", "4", "9", "x", "3.5", "", "2003", "99999999977"]
+BAD_L = ["-1", "0", "8", "1000000", "10" * 12, "a", ""]
+BAD_FIELD = ["", "gf:", "gf:4", "gf:7^0", "gf:7^-2", "gf:2^80", "gf:-3", "gf:1", "gf:x",
+             "gf:7^", "gf:^2", "gf:1099511627791", "gf:3^2000", "gf:49^2", "cyclo", "gf2"]
+BAD_G = ["", "1 2", "1 0 0", "a b c d", "1 1 1 1", "0 0 0 0", "1 0 0 1 0", ".", "-x"]
+BAD_CAP = ["0", "-3", "x", "1"]
+
+
+def _argv_strategy():
+    def pick(bad, good):
+        return st.one_of(st.sampled_from(bad), st.sampled_from(good))
+
+    flags = st.fixed_dictionaries({
+        "--r": pick(BAD_R, ["3", "5"]),
+        "--l": pick(BAD_L, ["1"]),
+        "--field": pick(BAD_FIELD, ["auto-prime", "cyclotomic", "gf2-auto", "gf:7"]),
+    })
+    extra = {"gens": st.just([]),
+             "image": st.lists(st.sampled_from(
+                 [["--g", g] for g in BAD_G] + [["--g", "1 1 0 1"], ["--irreducible", "socle"]]),
+                 max_size=2),
+             "verify": st.lists(st.sampled_from(
+                 [["--cap", c] for c in BAD_CAP] + [["--closure"], ["--json"]]), max_size=2)}
+    command = st.sampled_from(sorted(extra))
+    drop = st.one_of(st.just(set()), st.sets(st.sampled_from(["--r", "--l", "--field"]),
+                                             min_size=1, max_size=1))
+
+    @st.composite
+    def argv(draw):
+        cmd = draw(command)
+        chosen = draw(flags)
+        out = [cmd]
+        for name in sorted(set(chosen) - draw(drop)):
+            out += [name, chosen[name]]
+        for part in draw(extra[cmd]):
+            out += part
+        return out
+    return argv()
+
+
+@given(argv=_argv_strategy())
+@settings(max_examples=150, deadline=None)
+def test_argv_fuzz_exits_with_documented_codes(argv):
+    # every argv ends in exit 0, 2, 3 or 4 with no traceback: an exception
+    # escaping main fails this test, as it would print one from the CLI
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error:" in err.getvalue()
+
+
+@pytest.mark.parametrize("args", [["--r", "4"], ["--r", "2"], ["--l", "0"],
+                                  ["--r", "3", "--l", "9"], ["--field", "gf:4"]])
+def test_demo_script_rejects_bad_parameters(args):
+    # the demo checks its parameters as the CLI does; r^l = 3^9 is refused
+    # before any work, in a fresh interpreter so a traceback would show
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(Path(spweil.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "weil_image_demo.py"), *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stdout == ""
+
+
+def test_demo_script_roundtrip():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(Path(spweil.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "weil_image_demo.py"),
+                           "--r", "3", "--l", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.rstrip().endswith("projection roundtrip: ok")

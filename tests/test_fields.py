@@ -103,6 +103,22 @@ def test_mul_theta_power_row_matches_per_entry(spec, ints, e):
     assert FieldContext.mul_theta_power_row(ctx, row, e) == want
 
 
+@pytest.mark.parametrize("spec", FAST_PATH_CTXS, ids=str)
+@given(ints=st.lists(st.integers(-50, 50), min_size=15, max_size=15),
+       expo=st.lists(st.integers(0, 6), min_size=4, max_size=4),
+       k=st.integers(-40, 40))
+@settings(max_examples=30, deadline=None)
+def test_theta_row_scaler_matches_per_entry(spec, ints, expo, k):
+    # row[j] * theta^(expo[j] + k), zero entries included, against
+    # mul_theta_power and against the base class's kernel
+    ctx = make_field(spec)
+    expo = [e % ctx.r for e in expo]
+    row = (ctx.zero,) + tuple(_elements(ctx, ints[i:i + 5]) for i in range(0, 15, 5))
+    want = tuple(ctx.mul_theta_power(a, e + k) for a, e in zip(row, expo))
+    assert ctx.theta_row_scaler(expo)(row, k) == want
+    assert FieldContext.theta_row_scaler(ctx, expo)(row, k) == want
+
+
 # (r, p, k) for GF(4), GF(8), GF(16), GF(7^2), GF(3^4), with the theta that
 # the search over encoding order gave before the fields had tables
 TABLED_FIELDS = {

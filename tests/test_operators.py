@@ -4,12 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spweil.fields import FieldSpec, make_field
+from spweil.fields import (LANE_LIMIT, FieldContext, FieldSpec, PackedRows,
+                           PrimeFieldContext, make_field)
 from spweil.linalg import DenseMatrix
 from spweil.operators import (DenseOp, FourierOp, MonomialOp, Operator, ProductOp,
                               ScalarOp, WeilParams, flat_index, identity_op,
                               index_vectors, negation_monomial, operators_equal)
-from spweil.generators import op_A, op_B, op_C, op_D, op_E, op_U, sigma_involution
+from spweil.generators import (op_A, op_B, op_C, op_D, op_E, op_U, sigma_involution,
+                               weil_generators)
+from spweil.symplectic import random_element, weil_image_op
 
 
 def _random_vec(ctx, n, rng):
@@ -310,3 +313,117 @@ def test_row_kernels_match_column_route(spec, ell, seed):
     ops.append(_random_monomial(params, rng, ctx.one))
     for op in ops:
         assert op.mul_rows(rows) == Operator.mul_rows(op, rows)
+
+
+# GF(7), GF(11), GF(29) and GF(31), each with a prime r dividing p - 1
+PACKED_CTXS = [(3, 7), (5, 11), (7, 29), (3, 31), (5, 31)]
+
+
+def _random_factor(params, rng):
+    """A monomial (scale 1 or random), a scaled Fourier factor in a random
+    slot, a scalar c != 1, a dense operator or an inverted product."""
+    ctx = params.ctx
+    kind = rng.randrange(6)
+    if kind == 0:
+        return _random_monomial(params, rng, ctx.one)
+    if kind == 1:
+        return _random_monomial(params, rng, rng.randrange(1, ctx.p))
+    if kind == 2:
+        return FourierOp(params, rng.randrange(1, params.ell + 1), rng.randrange(1, ctx.p))
+    if kind == 3:
+        return ScalarOp(params, rng.randrange(2, ctx.p))
+    if kind == 4:
+        mixed = ProductOp(params, (FourierOp(params, 1), _random_monomial(params, rng, 2)))
+        return DenseOp(params, mixed.materialize())
+    return ProductOp(params, (FourierOp(params, params.ell, 3),
+                              _random_monomial(params, rng, ctx.one))).inverse()
+
+
+def _column_route(op):
+    return FieldContext.product_rows(op.ctx, op.factors)
+
+
+@pytest.mark.parametrize("r,p", PACKED_CTXS, ids=str)
+@given(seed=st.integers(0, 2 ** 32), length=st.integers(1, 40))
+@settings(max_examples=8, deadline=None)
+def test_packed_product_matches_column_route(r, p, seed, length):
+    # GF(p) materialises a product on packed rows; the base class's column
+    # route is the reference
+    ctx = PrimeFieldContext(r, p)
+    rng = random.Random(seed)
+    params = WeilParams(r, rng.choice((1, 2)), ctx)
+    op = ProductOp(params, [_random_factor(params, rng) for _ in range(length)])
+    rows = op.materialize().rows
+    assert rows == _column_route(op)
+    assert all(0 <= a < p for row in rows for a in row)
+
+
+@pytest.mark.parametrize("r,p", PACKED_CTXS, ids=str)
+def test_packed_long_product_reduces_mid_product(r, p, monkeypatch):
+    # 48 factors grow a lane far past 2^64 unreduced, so the lanes must be
+    # reduced before the end: _lanes runs for more than the n final rows
+    ctx = PrimeFieldContext(r, p)
+    rng = random.Random(r * p)
+    params = WeilParams(r, 2, ctx)
+    factors = [f for _ in range(12) for f in (
+        FourierOp(params, 1, rng.randrange(1, p)), FourierOp(params, 2),
+        _random_monomial(params, rng, rng.randrange(1, p)), ScalarOp(params, p - 1))]
+    op = ProductOp(params, factors)
+    calls = []
+    lanes = PackedRows._lanes
+    monkeypatch.setattr(PackedRows, "_lanes", lambda self, row: calls.append(1) or lanes(self, row))
+    rows = op.materialize().rows
+    assert len(calls) > params.n
+    monkeypatch.undo()
+    assert rows == _column_route(op)
+
+
+def test_packed_product_reduces_at_exactly_two_to_the_64():
+    # 16 * 16^15 lanes of 16^16 = 2^64 would carry into the next lane, so the
+    # sixteenth factor of 16 must reduce first; likewise for monomials
+    ctx = PrimeFieldContext(5, 31)
+    params = WeilParams(5, 1, ctx)
+    want = DenseMatrix.identity(ctx, 5).scale(pow(16, 16, 31)).rows
+    assert ProductOp(params, [ScalarOp(params, 16)] * 16).materialize().rows == want
+    sixteen = MonomialOp(params, range(5), (0,) * 5, 16)
+    assert ProductOp(params, [sixteen] * 16).materialize().rows == want
+    assert ProductOp(params, [sixteen] * 17).materialize().rows == \
+        DenseMatrix.identity(ctx, 5).scale(pow(16, 17, 31)).rows
+
+
+def test_packed_route_at_the_lane_limit(monkeypatch):
+    # r * p^2 < 2^64 packs, with every lane near its bound; the next prime
+    # p = 1 (mod 3) above 2^32 keeps the column route
+    below, above = 2479700473, 4294967311
+    assert 3 * below ** 2 < LANE_LIMIT <= 3 * above ** 2
+    for p in (below, above):
+        ctx = PrimeFieldContext(3, p)
+        params = WeilParams(3, 2, ctx)
+        rng = random.Random(p)
+        op = ProductOp(params, [_random_factor(params, rng) for _ in range(30)]
+                       + [ScalarOp(params, p - 1), FourierOp(params, 2, p - 1)] * 3)
+        want = _column_route(op)
+        if p == above:
+            monkeypatch.setattr(PackedRows, "__init__", None)
+        assert op.materialize().rows == want
+
+
+def test_products_flatten_and_inverse_is_unchanged(gf11):
+    # FourierOp.inverse is a product, so an inverted Weil image nested
+    # products before ProductOp flattened its factors
+    params = WeilParams(5, 2, gf11)
+    gens = weil_generators(params)
+    g = random_element(2, 5, 11)
+    op = weil_image_op(g, gens)
+    inv = op.inverse()
+    assert not any(isinstance(f, ProductOp) for f in inv.factors)
+    rng = random.Random(5)
+    vec = [rng.randrange(11) for _ in range(params.n)]
+    nested = vec
+    for f in op.factors:
+        nested = f.inverse().apply(nested)
+    assert inv.apply(vec) == nested
+    assert inv.materialize() == op.materialize().inverse()
+    assert inv.materialize().rows == _column_route(inv)
+    a, b, c = gens.lamC[0], gens.U[1], gens.D[(1, 2)]
+    assert ((a * b) * (c * a)).factors == (a, b, c, a)
