@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 invalid arguments, 3 invalid mathematical input,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -93,27 +94,27 @@ def validated_setup(args):
     return WeilParams(args.r, args.l, ctx)
 
 
-def _open_out(args):
-    if args.out:
-        return open(args.out, "w")
-    return sys.stdout
+@contextlib.contextmanager
+def _output(args):
+    """The file named by --out, closed afterwards, or stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    with open(args.out, "w") as out:
+        yield out
 
 
 def cmd_gens(args):
     params = validated_setup(args)
     gens = weil_generators(params)
     matrices = generator_matrices(gens, full=args.full)
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         if args.format == "json":
             out.write(dumps_document(build_document(gens, matrices)))
         elif args.format == "magma":
             emit_magma(gens, matrices, out)
         else:
             emit_gap(gens, matrices, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -134,22 +135,14 @@ def cmd_image(args):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     gens = weil_generators(params)
-    try:
-        word = decompose(g)
-        if args.irreducible:
-            mat = weil_image_irreducible(g, gens, args.irreducible)
-            name = f"g_weil_{args.irreducible}"
-        else:
-            mat = weil_image(g, gens)
-            name = "g_weil"
-    except NotSymplectic as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except WrongCharacteristic as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    out = _open_out(args)
-    try:
+    word = decompose(g)
+    if args.irreducible:
+        mat = weil_image_irreducible(g, gens, args.irreducible)
+        name = f"g_weil_{args.irreducible}"
+    else:
+        mat = weil_image(g, gens)
+        name = "g_weil"
+    with _output(args) as out:
         if args.format == "json":
             doc = build_document(gens, {name: mat}, word=word)
             doc["input"] = g.serialize()
@@ -158,9 +151,6 @@ def cmd_image(args):
             emit_magma(gens, {name: mat}, out)
         else:
             emit_gap(gens, {name: mat}, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK
 
 
@@ -185,15 +175,11 @@ def cmd_verify(args):
                               f"closure gave {count}, expected {expected}")
             except CapExceeded as exc:
                 report.skip("closure-order", pstr, str(exc))
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         if args.as_json:
             out.write(json.dumps(report.to_json(), indent=2) + "\n")
         else:
             out.write(report.summary() + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
@@ -212,7 +198,7 @@ def main(argv=None):
     except OSError as exc:  # a path named on the command line cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NotSymplectic, DoesNotNormalize) as exc:
+    except (NotSymplectic, DoesNotNormalize, WrongCharacteristic) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
 

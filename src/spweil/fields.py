@@ -23,10 +23,11 @@ GF(p^k) (a mul above the table bound).  fourier_apply(vec, stride,
 table, scale) applies scale times the Fourier kernel theta^(i*x) in one
 tensor slot; over Q(theta) it sums integer rotations over one common
 denominator and normalises each output once.  Their whole-row forms
-mul_theta_power_row and fourier_rows serve closure counting; GF(p) computes
-both in C-level maps with one reduction per entry.  pi_map keys rows by
-theta_row_scaler(expo), row[j] * theta^(expo[j] + k) for one k per row; GF(p)
-multiplies by one of r precomputed coefficient tuples.
+mul_theta_power_row and fourier_rows serve closure counting; GF(p) scales
+rows in C-level maps with one reduction per entry and, for r * p^2 < 2^64,
+maps fibres on PackedRows (below), the products' kernel.  pi_map keys rows
+by theta_row_scaler(expo), row[j] * theta^(expo[j] + k) for one k per row;
+GF(p) multiplies by one of r precomputed coefficient tuples.
 
 A product of operators is materialised by FieldContext.product_rows.  The
 base class sends the columns of the last factor's matrix through every other
@@ -596,18 +597,11 @@ class PrimeFieldContext(FieldContext):
         return tuple(map(operator.mod, map(operator.mul, row, c), itertools.repeat(self.p)))
 
     def fourier_rows(self, rows, stride, table, scale):
-        # on each fibre of r rows, output row i holds sum(map(mul, table[i],
-        # col)) % p for each column col of the fibre, all in C-level maps
-        p, block = self.p, stride * self.r
-        mod, rep = operator.mod, itertools.repeat
-        out = [None] * len(rows)
-        for base in range(0, len(rows), block):
-            for off in range(base, base + stride):
-                cols = tuple(zip(*rows[off:off + block:stride]))
-                for i, krow in enumerate(table):
-                    sums = map(sum, map(map, rep(operator.mul), rep(krow), cols))
-                    out[off + i * stride] = tuple(map(mod, sums, rep(p)))
-        return tuple(out)
+        if not self._packs:
+            return super().fourier_rows(rows, stride, table, scale)
+        packed = PackedRows(self, rows)
+        packed.fourier(stride, table)
+        return packed.unpacked()
 
     def theta_row_scaler(self, expo):
         # coefs[k][j] = theta^(expo[j] + k), one tuple per k in [0, r)
@@ -622,7 +616,8 @@ class PrimeFieldContext(FieldContext):
     def product_rows(self, factors):
         if not self._packs:
             return super().product_rows(factors)
-        packed = PackedRows(self, factors[0].n)
+        n = factors[0].n
+        packed = PackedRows(self, [[0] * j + [1] + [0] * (n - 1 - j) for j in range(n)])
         for f in reversed(factors):
             f.mul_packed(packed)
         return packed.unpacked()
@@ -653,19 +648,20 @@ class PrimeFieldContext(FieldContext):
 
 
 class PackedRows:
-    """The rows of an n x n matrix over GF(p), each one int of n 64-bit lanes
-    holding the entries as integers congruent to them mod p, every lane at
-    most bound.  monomial, fourier, scale and mul_rows replace the rows by
-    op * rows for one operator; each first reduces the lanes mod p if the
-    operator could carry a lane to LANE_LIMIT.  Starts as the identity."""
+    """The rows of a matrix over GF(p), each one int of 64-bit lanes holding
+    the entries as integers congruent to them mod p, every lane at most
+    bound.  monomial, fourier and mul_rows replace the rows by op * rows for
+    one operator; each first reduces the lanes mod p if the operator could
+    carry a lane to LANE_LIMIT.  Starts from the given rows of residues in
+    [0, p), bounded by their largest entry."""
 
     __slots__ = ("p", "width", "rows", "bound")
 
-    def __init__(self, ctx, n):
+    def __init__(self, ctx, rows):
         self.p = ctx.p
-        self.width = 8 * n   # bytes per row
-        self.rows = [self._pack([0] * j + [1] + [0] * (n - 1 - j)) for j in range(n)]
-        self.bound = 1
+        self.width = 8 * len(rows[0])   # bytes per row
+        self.rows = list(map(self._pack, rows))
+        self.bound = max(map(max, rows))
 
     @staticmethod
     def _pack(row):
@@ -704,11 +700,6 @@ class PackedRows:
                 for i, krow in enumerate(table):
                     out[off + i * stride] = sum(map(mul, krow, fibre))
         self.rows = out
-
-    def scale(self, c):
-        if c != 1:
-            self._grow(c)
-            self.rows = [row * c for row in self.rows]
 
     def mul_rows(self, mul_rows):
         """Any other operator: its mul_rows on the reduced, unpacked rows."""

@@ -19,16 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fields import legendre
 from .operators import FourierOp, MonomialOp, Operator, WeilParams, negation_monomial
 
 
 def op_A(params, t):
-    return MonomialOp.from_affine(params, 1, None, lambda xi: xi[t - 1])
+    return MonomialOp.from_affine(params, None, lambda xi: xi[t - 1])
 
 
 def op_B(params, t):
     shift = tuple(1 if i == t - 1 else 0 for i in range(params.ell))
-    return MonomialOp.from_affine(params, 1, shift)
+    return MonomialOp.from_affine(params, shift)
 
 
 def op_C(params, t, scale=None):
@@ -38,12 +39,12 @@ def op_C(params, t, scale=None):
 def op_D(params, s, t):
     if not 1 <= s < t <= params.ell:
         raise ValueError("need 1 <= s < t <= ell")
-    return MonomialOp.from_affine(params, 1, None, lambda xi: xi[s - 1] * xi[t - 1])
+    return MonomialOp.from_affine(params, None, lambda xi: xi[s - 1] * xi[t - 1])
 
 
 def op_E(params, t):
     return MonomialOp.from_affine(
-        params, 1, None, lambda xi: xi[t - 1] * (xi[t - 1] - 1) // 2)
+        params, None, lambda xi: xi[t - 1] * (xi[t - 1] - 1) // 2)
 
 
 def op_U(params, t, exponent=1):
@@ -52,7 +53,7 @@ def op_U(params, t, exponent=1):
     r = params.r
     e = exponent % r
     return MonomialOp.from_affine(
-        params, 1, None, lambda xi: e * (xi[t - 1] * (xi[t - 1] + r) // 2))
+        params, None, lambda xi: e * (xi[t - 1] * (xi[t - 1] + r) // 2))
 
 
 def base_generators(ctx):
@@ -84,27 +85,29 @@ def lambda_scalar(r, ctx):
     return ctx.mul(ctx.pow(minus_r, (r - 1) // 2), ctx.inv(det_C(r, ctx)))
 
 
+def gauss_forms(r, ctx):
+    """The two closed forms of det(C): (2|r) * r^((r-1)/2) * sum_i theta^(i^2)
+    and r^((r-1)/2) * sum_i theta^(i(i+r)/2)."""
+    powers = ctx.theta_pow
+    r_pow = ctx.pow(ctx.from_int(r), (r - 1) // 2)
+    gauss = trace_sum = ctx.zero
+    for i in range(r):
+        gauss = ctx.add(gauss, powers[(i * i) % r])
+        trace_sum = ctx.add(trace_sum, powers[(i * (i + r) // 2) % r])
+    sign = ctx.one if legendre(2, r) == 1 else ctx.neg(ctx.one)
+    return ctx.mul(sign, ctx.mul(r_pow, gauss)), ctx.mul(r_pow, trace_sum)
+
+
 def gauss_sum_identity(r, ctx):
     """Returns (det(C) by elimination, (2|r) * r^((r-1)/2) * sum_i theta^(i^2)).
 
     Also checks the intermediate form det(C) = r^((r-1)/2) * sum theta^(i(i+r)/2)
     against the elimination value, raising on mismatch.
     """
-    from .fields import legendre
-
     d = det_C(r, ctx)
-    powers = ctx.theta_pow
-    r_pow = ctx.pow(ctx.from_int(r), (r - 1) // 2)
-    gauss = ctx.zero
-    trace_sum = ctx.zero
-    for i in range(r):
-        gauss = ctx.add(gauss, powers[(i * i) % r])
-        trace_sum = ctx.add(trace_sum, powers[(i * (i + r) // 2) % r])
-    via_trace = ctx.mul(r_pow, trace_sum)
+    via_gauss, via_trace = gauss_forms(r, ctx)
     if via_trace != d:
         raise ArithmeticError("det(C) does not match r^((r-1)/2) * sum theta^(i(i+r)/2)")
-    sign = ctx.one if legendre(2, r) == 1 else ctx.neg(ctx.one)
-    via_gauss = ctx.mul(sign, ctx.mul(r_pow, gauss))
     return d, via_gauss
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
 
-from .operators import MonomialOp, Operator
+from .operators import MonomialOp, Operator, identity_op
 from .symplectic import SpMatrix
 
 
@@ -189,8 +189,8 @@ def _conjugates_of_basis(n, params):
     MonomialOp of scale 1 (x_g is recognised modulo scalars).
 
     A MonomialOp n is conjugated by integer compose and inverse; its scale
-    is dropped, as a scalar commutes with g.  Any other n (a product,
-    Fourier or scalar operator, or a DenseMatrix) is materialised once, as
+    is dropped, as a scalar commutes with g.  Any other n (a product or
+    Fourier operator, or a DenseMatrix) is materialised once, as
     a whole, and x_g is read off x_g * n = n * g.  Each n * g is a column
     permute-and-scale of n.  As the module docstring shows, a normaliser
     gives conjugates whose entries are theta powers, so row i of n * g must
@@ -219,7 +219,7 @@ def _conjugates_of_basis(n, params):
             yield unit.compose(g).compose(unit_inv)
         return
     rows = _square_rows(n.materialize() if isinstance(n, Operator) else n, params)
-    ident = MonomialOp(params, range(size), (0,) * size)
+    ident = identity_op(params)
     match = {key: (c, k) for c, (k, key) in enumerate(_theta_keyed(rows, ident, params))}
     for g in basis:
         perm, expo = [None] * size, [0] * size

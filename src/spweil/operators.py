@@ -9,27 +9,33 @@ Operator variants:
 
 * MonomialOp   -- permutation times diagonal; the diagonal is stored as
                   integer theta exponents in [0, r) and one scalar, so
-                  compose, inverse, powers, equality and det are integer
-                  work plus at most one field operation on the scalar;
+                  compose, inverse, powers, equality, det and trace are
+                  integer work plus at most one field operation per entry;
+* ScalarOp     -- c * I, the MonomialOp with the identity permutation,
+                  zero exponents and scale c;
 * FourierOp    -- the discrete Fourier kernel theta^(i*xi) in one tensor
                   slot, times a scalar; apply is ctx.fourier_apply;
-* ScalarOp     -- c * I;
 * DenseOp      -- arbitrary invertible DenseMatrix;
 * ProductOp    -- composition, factors applied right to left; nested
                   products are flattened, so no factor is a ProductOp.
 
-apply() costs O(n) for monomial/scalar operators and O(n*r) for a Fourier
-factor; only apply(), mul_rows(), mul_packed() and materialize() make field
-values.  materialize() returns the DenseMatrix whose column xi is apply(e_xi).
-A product's is ctx.product_rows(factors): each column of the last factor's
-matrix goes through every other factor's apply, except over GF(p) with
-r * p^2 < 2^64, where each factor's mul_packed left-multiplies the
+apply() costs O(n) for a monomial and O(n*r) for a Fourier factor; only
+apply(), mul_rows(), mul_packed() and materialize() make field values.
+materialize() returns the DenseMatrix whose column xi is apply(e_xi), and
+det() and trace() are those of materialize() unless the operator's
+structure gives them directly (a monomial's do).  A product's
+materialize() is ctx.product_rows(factors): each column of the last
+factor's matrix goes through every other factor's apply, except over GF(p)
+with r * p^2 < 2^64, where each factor's mul_packed left-multiplies the
 identity's rows, packed into 64-bit lanes (fields.PackedRows), handing over
-perm and diag (monomial), stride and table (Fourier), c (scalar) or its
-mul_rows (anything else).  mul_rows(rows) gives the rows of op * M: a
-monomial permutes M's rows and scales them by ctx.mul_theta_power_row, a
-Fourier kernel maps them by ctx.fourier_rows, and any other operator applies
-itself to M's columns.
+perm and diag (monomial), stride and table (Fourier) or its mul_rows
+(anything else).  mul_rows(rows) gives the rows of op * M: a monomial
+permutes M's rows and scales them by ctx.mul_theta_power_row, a Fourier
+kernel maps them by ctx.fourier_rows, and any other operator applies itself
+to M's columns.
+
+first_difference compares two operators on their materialised matrices,
+so a product is compared through ctx.product_rows.
 """
 
 from __future__ import annotations
@@ -128,31 +134,11 @@ class Operator:
             basis[j] = zero
         return DenseMatrix.from_columns(self.ctx, cols)
 
+    def det(self):
+        return self.materialize().det()
 
-class ScalarOp(Operator):
-    __slots__ = ("c",)
-
-    def __init__(self, params, c):
-        super().__init__(params)
-        self.c = c
-
-    def apply(self, vec):
-        c = self.c
-        ctx = self.ctx
-        if c == ctx.one:
-            return list(vec)
-        mul = ctx.mul
-        return [mul(c, v) for v in vec]
-
-    def mul_packed(self, packed):
-        packed.scale(self.c)
-
-    def inverse(self):
-        return ScalarOp(self.params, self.ctx.inv(self.c))
-
-
-def identity_op(params):
-    return ScalarOp(params, params.ctx.one)
+    def trace(self):
+        return self.materialize().trace()
 
 
 class MonomialOp(Operator):
@@ -168,13 +154,13 @@ class MonomialOp(Operator):
         self.scale = params.ctx.one if scale is None else scale
 
     @classmethod
-    def from_affine(cls, params, eps, shift, expo_fn=None):
-        """Permutation xi -> eps*xi + shift (coordinatewise mod r) with
-        diagonal entry theta^expo_fn(xi); eps is +1 or -1."""
+    def from_affine(cls, params, shift, expo_fn=None):
+        """Permutation xi -> xi + shift (coordinatewise mod r) with diagonal
+        entry theta^expo_fn(xi)."""
         r, ell = params.r, params.ell
         shift = tuple(shift) if shift is not None else (0,) * ell
-        # slot m sends x to eps*x + shift_m, worth r^(ell-1-m) in the flat index
-        moves = [[(eps * x + s) % r * r ** (ell - 1 - m) for x in range(r)]
+        # slot m sends x to x + shift_m, worth r^(ell-1-m) in the flat index
+        moves = [[(x + s) % r * r ** (ell - 1 - m) for x in range(r)]
                  for m, s in enumerate(shift)]
         perm = [sum(parts) for parts in itertools.product(*moves)]
         if expo_fn is None:
@@ -255,7 +241,7 @@ class MonomialOp(Operator):
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        out = MonomialOp(self.params, range(self.n), (0,) * self.n)
+        out = identity_op(self.params)
         for _ in range(e):
             out = out.compose(self)
         return out
@@ -299,6 +285,28 @@ class MonomialOp(Operator):
                     length += 1
                 transpositions += length - 1
         return ctx.neg(acc) if transpositions % 2 else acc
+
+    def trace(self):
+        """Sum of scale * theta^expo[j] over the fixed points j of perm."""
+        ctx = self.ctx
+        acc = ctx.zero
+        for j, (p, e) in enumerate(zip(self.perm, self.expo)):
+            if p == j:
+                acc = ctx.add(acc, ctx.mul_theta_power(self.scale, e))
+        return acc
+
+
+class ScalarOp(MonomialOp):
+    """c * I: the identity permutation, zero exponents and scale c."""
+
+    __slots__ = ()
+
+    def __init__(self, params, c):
+        super().__init__(params, range(params.n), (0,) * params.n, c)
+
+
+def identity_op(params):
+    return ScalarOp(params, params.ctx.one)
 
 
 class FourierOp(Operator):
@@ -389,22 +397,19 @@ class ProductOp(Operator):
 
 
 def first_difference(op1, op2):
-    """(row, column, value1, value2) of the first disagreement on the basis
-    vectors, or None when the operators are equal."""
-    n = op1.n
-    zero, one = op1.ctx.zero, op1.ctx.one
-    basis = [zero] * n
-    for j in range(n):
-        basis[j] = one
-        a = op1.apply(basis)
-        b = op2.apply(basis)
-        basis[j] = zero
+    """(row, column, value1, value2) of the first disagreement, or None when
+    the operators are equal: the first differing column of the materialised
+    matrices, then its first differing row, where a walk over the basis
+    vectors e_0, e_1, ... would stop."""
+    rows1, rows2 = op1.materialize().rows, op2.materialize().rows
+    if rows1 == rows2:
+        return None
+    for j, (a, b) in enumerate(zip(zip(*rows1), zip(*rows2))):
         if a != b:
-            i = next(i for i in range(n) if a[i] != b[i])
+            i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
             return (i, j, a[i], b[i])
-    return None
 
 
 def operators_equal(op1, op2):
-    """Exact equality, decided on basis vectors."""
+    """Exact equality of the materialised matrices."""
     return op1.n == op2.n and first_difference(op1, op2) is None

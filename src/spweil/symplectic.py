@@ -228,7 +228,7 @@ def weil_assignment(gens):
 
 def op_D_power(params, s, t, e):
     from .operators import MonomialOp
-    return MonomialOp.from_affine(params, 1, None, lambda xi: e * xi[s - 1] * xi[t - 1])
+    return MonomialOp.from_affine(params, None, lambda xi: e * xi[s - 1] * xi[t - 1])
 
 
 def group_order(ell, r):

@@ -9,19 +9,19 @@ as negative controls: a suite that cannot detect them would be vacuous.
 closure_order counts a matrix group by breadth-first search, multiplying on
 the left by each generator's structure: a generator recognised as monomial
 permutes rows and scales them by theta powers, a Fourier kernel maps fibres
-of r rows through ctx.fourier_rows, and any other matrix stays a dense
-product.
+of r rows through ctx.fourier_rows (over GF(p), on packed rows as a product
+is materialised), and any other matrix stays a dense product.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
 
-from .fields import legendre
-from .generators import det_C, lam_C_squared, op_C, weil_generators
+from .generators import gauss_forms, lam_C_squared, op_C, weil_generators
 from .heisenberg import (DoesNotNormalize, ExtraspecialElement, RecognitionError,
                          comm_exponent, monomial_form, pi_map, realize)
 from .linalg import DenseMatrix
@@ -146,26 +146,24 @@ def _generator_checks(report, params, gens):
     pstr = f"r={r}, l={ell}, {ctx.describe()}"
     ident = identity_op(params)
     one = ctx.one
-    n = params.n
-    ident_m = MonomialOp(params, range(n), (0,) * n)
 
     # extraspecial relations of the A_t, B_t
     ok, witness = True, None
     for s in range(1, ell + 1):
         As, Bs = gens.A[s - 1], gens.B[s - 1]
-        if As ** r != ident_m or Bs ** r != ident_m:
+        if As ** r != ident or Bs ** r != ident:
             ok, witness = False, f"A_{s}^r or B_{s}^r != 1"
             break
         for t in range(1, ell + 1):
             At, Bt = gens.A[t - 1], gens.B[t - 1]
-            if As.commutator(At) != ident_m:
+            if As.commutator(At) != ident:
                 ok, witness = False, f"[A_{s}, A_{t}] != 1"
                 break
-            if Bs.commutator(Bt) != ident_m:
+            if Bs.commutator(Bt) != ident:
                 ok, witness = False, f"[B_{s}, B_{t}] != 1"
                 break
             want = ctx.theta if s == t else one
-            if As.commutator(Bt) != MonomialOp(params, range(n), (0,) * n, want):
+            if As.commutator(Bt) != ScalarOp(params, want):
                 ok, witness = False, f"[A_{s}, B_{t}] != theta^delta"
                 break
         if not ok:
@@ -181,7 +179,7 @@ def _generator_checks(report, params, gens):
                    gens.rawC[t - 1] * gens.rawC[t - 1], scaled)
 
     # determinant identities on the ell = 1 slice
-    detc = _det_raw_C(gens)
+    detc = _slot1_slice(gens.rawC[0], params).det()
     sign = _sign_exponent(ctx, (r - 1) // 2)
     _check_value(report, "detC-squared", pstr, ctx.mul(detc, detc),
                  ctx.mul(sign, ctx.pow(r_elem, r)), "det(C)^2 vs (-1)^((r-1)/2) r^r", ctx)
@@ -197,8 +195,7 @@ def _generator_checks(report, params, gens):
     _check_value(report, "det-lamC", pstr, det_lamC, one, "det(lam*C_t)", ctx)
 
     # det(U_t): 1 for r > 3, theta^(r^(l-1)) for r = 3; always an r-th root of 1
-    det_u = gens.U[0].det() if isinstance(gens.U[0], MonomialOp) else \
-        gens.U[0].materialize().det()
+    det_u = gens.U[0].det()
     want_u = one if r > 3 else ctx.theta_pow[r ** (ell - 1) % r]
     _check_value(report, "det-U", pstr, det_u, want_u, "det(U_t)", ctx)
 
@@ -228,7 +225,7 @@ def _generator_checks(report, params, gens):
                    gens.lamC[t - 1] * gens.lamC[t - 1], lam_C_squared(params, t))
 
     # Tr(U)^2 = (-1)^((r-1)/2) * r  (ell = 1 slice)
-    tr_u = _trace_slice_U(gens)
+    tr_u = _slot1_slice(gens.U[0], params).trace()
     _check_value(report, "traceU-squared", pstr, ctx.mul(tr_u, tr_u),
                  ctx.mul(sign, r_elem), "Tr(U)^2", ctx)
 
@@ -240,19 +237,10 @@ def _generator_checks(report, params, gens):
                    ScalarOp(params, ctx.mul(r_elem, tr_u)))
 
     # Gauss sum forms of det(C)
-    powers = ctx.theta_pow
-    gauss = ctx.zero
-    trace_sum = ctx.zero
-    for i in range(r):
-        gauss = ctx.add(gauss, powers[(i * i) % r])
-        trace_sum = ctx.add(trace_sum, powers[(i * (i + r) // 2) % r])
-    r_half = ctx.pow(r_elem, (r - 1) // 2)
-    leg = one if legendre(2, r) == 1 else ctx.neg(one)
-    _check_value(report, "detC-gauss-sum", pstr, detc,
-                 ctx.mul(leg, ctx.mul(r_half, gauss)),
+    via_gauss, via_trace = gauss_forms(r, ctx)
+    _check_value(report, "detC-gauss-sum", pstr, detc, via_gauss,
                  "det(C) vs (2|r) r^((r-1)/2) sum theta^(i^2)", ctx)
-    _check_value(report, "detC-trace-sum", pstr, detc,
-                 ctx.mul(r_half, trace_sum),
+    _check_value(report, "detC-trace-sum", pstr, detc, via_trace,
                  "det(C) vs r^((r-1)/2) sum theta^(i(i+r)/2)", ctx)
 
     if ell >= 2:
@@ -296,46 +284,21 @@ def _generator_checks(report, params, gens):
         report.extend(check_sl23_presentation(params, gens))
 
 
-def _det_raw_C(gens):
-    """det of the ell = 1 slice of C_1, honouring a corrupted C."""
-    params = gens.params
-    if params.ell == 1:
-        return gens.rawC[0].materialize().det()
-    if isinstance(gens.rawC[0], DenseOp):
-        return _slice_det(gens.rawC[0], params)
-    return det_C(params.r, params.ctx)
-
-
-def _slice_det(op, params):
-    # slot-1 slice of a corrupted tensor factor: apply to the first r basis vectors
+def _slot1_slice(op, params):
+    """The r x r block of op at rows and columns i * r^(ell-1), i in [0, r):
+    M when op = M (x) I acts on slot 1 alone.  Built from op applied to r
+    basis vectors, so a corrupted operator shows its own slice."""
     ctx = params.ctx
     r = params.r
     stride = r ** (params.ell - 1)
-    n = params.n
-    rows = []
-    basis = [ctx.zero] * n
+    basis = [ctx.zero] * params.n
     cols = []
     for j in range(r):
         basis[j * stride] = ctx.one
         img = op.apply(basis)
         basis[j * stride] = ctx.zero
         cols.append([img[i * stride] for i in range(r)])
-    return DenseMatrix.from_columns(ctx, cols).det()
-
-
-def _trace_slice_U(gens):
-    """Tr of the ell = 1 slice of U_1 (exponents depend only on slot 1)."""
-    params = gens.params
-    ctx = params.ctx
-    u = gens.U[0]
-    if isinstance(u, MonomialOp):
-        r = params.r
-        stride = r ** (params.ell - 1)
-        acc = ctx.zero
-        for i in range(r):
-            acc = ctx.add(acc, ctx.mul_theta_power(u.scale, u.expo[i * stride]))
-        return acc
-    return u.materialize().trace()
+    return DenseMatrix.from_columns(ctx, cols)
 
 
 def _centralizer_check(report, params, gens, pstr, sample=200, seed=1):
@@ -351,7 +314,6 @@ def _centralizer_check(report, params, gens, pstr, sample=200, seed=1):
         x = realize(elem, params)
         return sigma.compose(x).compose(sigma_inv) == x
 
-    import itertools
     ok, witness = True, None
     if size <= 243:
         space = itertools.product(range(r), *([range(r)] * ell), *([range(r)] * ell))
@@ -463,7 +425,7 @@ def _projection_checks(report, params, gens, seed):
             # matrix commutator realisation
             commutator = realize(x, params).commutator(realize(y, params))
             expo = comm_exponent(x, y, params.r)
-            if commutator != MonomialOp(params, range(params.n), (expo,) * params.n):
+            if commutator != ScalarOp(params, ctx.theta_pow[expo]):
                 ok, witness = False, "matrix commutator disagrees with comm_exponent"
                 break
     report.record("commutator-form", pstr, ok, witness)
@@ -542,7 +504,7 @@ def _submodule_checks(report, params, gens):
         ok, witness = True, None
         for kind, t, s, op in gen_ops:
             name = f"{kind}{s}{t}" if kind == "D" else f"{kind}{t}"
-            full = _operator_trace(op, params)
+            full = op.trace()
             t_a = restricted[("A", name)].trace()
             t_ba = restricted[("B", name)].rows[-1][-1]
             t_q = restrict_quotient(op, params).trace()
@@ -562,17 +524,6 @@ def _submodule_checks(report, params, gens):
                 ok, witness = False, f"spin gave {d}, expected {target.dim}"
                 break
         report.record("spin-irreducibility", pstr, ok, witness)
-
-
-def _operator_trace(op, params):
-    if isinstance(op, MonomialOp):
-        ctx = params.ctx
-        acc = ctx.zero
-        for j, (p, e) in enumerate(zip(op.perm, op.expo)):
-            if p == j:
-                acc = ctx.add(acc, ctx.mul_theta_power(op.scale, e))
-        return acc
-    return op.materialize().trace()
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +586,8 @@ def closure_order(generators, cap):
     multiplies on the left: g * M for every element M and generator g, by
     field kernels on whole rows.  A monomial generator permutes M's rows and
     scales them by ctx.mul_theta_power_row; a Fourier generator maps each
-    fibre of r rows by ctx.fourier_rows (over GF(p) integer sums with one
-    reduction per entry, elsewhere fourier_apply on M's columns).  An
+    fibre of r rows by ctx.fourier_rows (over GF(p) with r * p^2 < 2^64 on
+    packed rows, elsewhere fourier_apply on M's columns).  An
     unrecognised generator, such as a constituent's restricted generator, is
     a dense product.  Left and right multiplication give the same group, so
     the count and the cap behaviour do not depend on the route."""

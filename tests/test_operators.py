@@ -8,11 +8,13 @@ from spweil.fields import (LANE_LIMIT, FieldContext, FieldSpec, PackedRows,
                            PrimeFieldContext, make_field)
 from spweil.linalg import DenseMatrix
 from spweil.operators import (DenseOp, FourierOp, MonomialOp, Operator, ProductOp,
-                              ScalarOp, WeilParams, flat_index, identity_op,
-                              index_vectors, negation_monomial, operators_equal)
+                              ScalarOp, WeilParams, first_difference, flat_index,
+                              identity_op, index_vectors, negation_monomial,
+                              operators_equal)
 from spweil.generators import (op_A, op_B, op_C, op_D, op_E, op_U, sigma_involution,
                                weil_generators)
-from spweil.symplectic import random_element, weil_image_op
+from spweil.heisenberg import pi_map
+from spweil.symplectic import SpMatrix, random_element, weil_image_op
 
 
 def _random_vec(ctx, n, rng):
@@ -427,3 +429,132 @@ def test_products_flatten_and_inverse_is_unchanged(gf11):
     assert inv.materialize().rows == _column_route(inv)
     a, b, c = gens.lamC[0], gens.U[1], gens.D[(1, 2)]
     assert ((a * b) * (c * a)).factors == (a, b, c, a)
+
+
+def _basis_walk_difference(op1, op2):
+    """The first disagreement of op1 and op2 on the basis vectors e_0, e_1,
+    ...: (row, column, value1, value2), or None.  The reference for
+    first_difference, which compares materialised matrices instead."""
+    n = op1.n
+    zero, one = op1.ctx.zero, op1.ctx.one
+    basis = [zero] * n
+    for j in range(n):
+        basis[j] = one
+        a, b = op1.apply(basis), op2.apply(basis)
+        basis[j] = zero
+        if a != b:
+            i = next(i for i in range(n) if a[i] != b[i])
+            return (i, j, a[i], b[i])
+    return None
+
+
+def _any_factor(params, rng):
+    """A monomial, a Fourier factor in a random slot, a scalar (each with a
+    random scale), a dense operator with zero entries or an inverted
+    product, over any field."""
+    ctx = params.ctx
+    kind = rng.randrange(5)
+    scale = rng.choice((ctx.one, _nonzero_element(ctx, rng)))
+    if kind == 0:
+        return _random_monomial(params, rng, scale)
+    if kind == 1:
+        return FourierOp(params, rng.randrange(1, params.ell + 1), scale)
+    if kind == 2:
+        return ScalarOp(params, _nonzero_element(ctx, rng))
+    if kind == 3:
+        return DenseOp(params, DenseMatrix(ctx, [
+            [_element(ctx, rng) if rng.random() < 0.6 else ctx.zero for _ in range(params.n)]
+            for _ in range(params.n)]))
+    return ProductOp(params, (FourierOp(params, params.ell),
+                              _random_monomial(params, rng, ctx.one))).inverse()
+
+
+def _bumped(op, entries, rng):
+    """DenseOp of op's matrix with each (row, column) of entries changed."""
+    ctx = op.ctx
+    rows = [list(row) for row in op.materialize().rows]
+    for i, j in entries:
+        rows[i][j] = ctx.add(rows[i][j], _nonzero_element(ctx, rng))
+    return DenseOp(op.params, DenseMatrix(ctx, rows))
+
+
+# Q(theta_3), GF(7) and GF(4)
+FIRST_DIFFERENCE_CTXS = [FieldSpec(kind, 3) for kind in ("cyclotomic", "auto-prime", "auto-char2")]
+
+
+@pytest.mark.parametrize("spec", FIRST_DIFFERENCE_CTXS, ids=str)
+@given(seed=st.integers(0, 2 ** 32), length=st.integers(1, 6), ell=st.integers(1, 2))
+@settings(max_examples=15, deadline=None)
+def test_first_difference_matches_basis_walk(spec, seed, length, ell):
+    # equal operators built differently, single-entry mutations, two
+    # mutations ordered column first, and unrelated products
+    ctx = make_field(spec)
+    params = WeilParams(ctx.r, ell, ctx)
+    rng = random.Random(seed)
+    n = params.n
+    x = ProductOp(params, [_any_factor(params, rng) for _ in range(length)])
+    y = ProductOp(params, [_any_factor(params, rng) for _ in range(length)])
+    i, j = rng.randrange(n), rng.randrange(n)
+    single = _bumped(x, [(i, j)], rng)
+    crossed = _bumped(x, [(0, n - 1), (n - 1, 0)], rng)
+    pairs = [(x, DenseOp(params, x.materialize())), (x, single), (single, x),
+             (x, crossed), (x, y), (y, x.factors[0]), (x.factors[-1], x.factors[-1])]
+    for a, b in pairs:
+        assert first_difference(a, b) == _basis_walk_difference(a, b)
+    assert first_difference(x, DenseOp(params, x.materialize())) is None
+    assert first_difference(x, single)[:2] == (i, j)
+    assert first_difference(x, crossed)[:2] == (n - 1, 0)
+
+
+@pytest.mark.parametrize("spec", FAST_PATH_CTXS, ids=str)
+@given(seed=st.integers(0, 2 ** 32))
+@settings(max_examples=4, deadline=None)
+def test_det_and_trace_match_materialize(spec, seed):
+    # the monomial det and trace (sign and fixed points) and the default
+    # route through materialize agree, for every operator kind
+    ctx = make_field(spec)
+    params = WeilParams(ctx.r, 2 if ctx.r == 3 else 1, ctx)
+    rng = random.Random(seed)
+    c = _nonzero_element(ctx, rng)
+    ops = [_random_monomial(params, rng, c), _random_monomial(params, rng, ctx.one),
+           op_U(params, 1), negation_monomial(params, 1), ScalarOp(params, c),
+           FourierOp(params, params.ell, c), DenseOp(params, op_C(params, 1).materialize()),
+           ProductOp(params, (op_C(params, 1), _random_monomial(params, rng, c)))]
+    for op in ops:
+        mat = op.materialize()
+        assert op.det() == mat.det()
+        assert op.trace() == mat.trace()
+
+
+@pytest.mark.parametrize("spec", FAST_PATH_CTXS, ids=str)
+def test_scalar_is_the_monomial_with_identity_perm(spec):
+    ctx = make_field(spec)
+    r = ctx.r
+    params = WeilParams(r, 2, ctx)
+    n = params.n
+    c = _nonzero_element(ctx, random.Random(r))
+    scalar = ScalarOp(params, c)
+    for k in range(r):
+        assert scalar == MonomialOp(params, range(n), (k,) * n, ctx.mul_theta_power(c, -k))
+    assert scalar != MonomialOp(params, range(n), (1,) + (0,) * (n - 1), c)
+    assert identity_op(params) == MonomialOp(params, range(n), (0,) * n)
+    assert scalar.inverse().compose(scalar) == identity_op(params)
+    assert pi_map(ScalarOp(params, ctx.theta), params) == SpMatrix.identity(2, r)
+
+
+def test_packed_fourier_rows_match_column_route(monkeypatch):
+    # r * p^2 < 2^64 maps fibres on PackedRows, with rows of entries up to
+    # p - 1; the next prime p = 1 (mod 3) above 2^32 keeps the column route
+    below, above = 2479700473, 4294967311
+    for p in (below, above):
+        ctx = PrimeFieldContext(3, p)
+        rng = random.Random(p)
+        rows = tuple(tuple(rng.choice((0, p - 1, rng.randrange(p))) for _ in range(9))
+                     for _ in range(8)) + ((p - 1,) * 9,)
+        if p == above:
+            monkeypatch.setattr(PackedRows, "__init__", None)
+        for stride in (1, 3):
+            for scale in (1, p - 1, rng.randrange(2, p)):
+                table = [[ctx.mul_theta_power(scale, i * x) for x in range(3)] for i in range(3)]
+                got = ctx.fourier_rows(rows, stride, table, scale)
+                assert got == FieldContext.fourier_rows(ctx, rows, stride, table, scale)
