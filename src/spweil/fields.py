@@ -22,17 +22,20 @@ which keeps the denominator and needs no gcd, and a table lookup over
 GF(p^k) (a mul above the table bound).  fourier_apply(vec, stride,
 table, scale) applies scale times the Fourier kernel theta^(i*x) in one
 tensor slot; over Q(theta) it sums integer rotations over one common
-denominator and normalises each output once.  Their whole-row forms
-mul_theta_power_row and fourier_rows serve closure counting; GF(p) scales
-rows in C-level maps with one reduction per entry and, for r * p^2 < 2^64,
-maps fibres on PackedRows (below), the products' kernel.  pi_map keys rows
-by theta_row_scaler(expo), row[j] * theta^(expo[j] + k) for one k per row;
-GF(p) multiplies by one of r precomputed coefficient tuples.
+denominator and normalises each output once.  The whole-row form
+mul_theta_power_row serves a monomial's single-step mul_rows in closure
+counting; GF(p) scales rows in C-level maps with one reduction per entry.
+pi_map keys rows by theta_row_scaler(expo), row[j] * theta^(expo[j] + k)
+for one k per row; GF(p) multiplies by one of r precomputed coefficient
+tuples.
 
-A product of operators is materialised by FieldContext.product_rows.  The
-base class sends the columns of the last factor's matrix through every other
-factor's apply.  GF(p) with r * p^2 < 2^64 instead packs each row of the
-identity into one Python int of n 64-bit lanes (PackedRows), left-multiplies
+FieldContext.product_rows(factors, rows) is the bulk route for
+left-multiplying rows by operators: the rows of the product of the factors
+times M, with M the identity when rows is left out.  It materialises a
+product, and it is every operator's mul_rows but a monomial's.  The base
+class sends the columns of M, or of the last factor's matrix, through every
+other factor's apply.  GF(p) with r * p^2 < 2^64 instead packs each row of
+M into one Python int of n 64-bit lanes (PackedRows), left-multiplies
 the rows by the factors with whole-integer arithmetic, and reduces mod p
 lane by lane only when a lane could reach 2^64, and once at the end.  Lane
 values are non-negative, so adding rows and multiplying them by small
@@ -158,20 +161,21 @@ def _poly_trim(a):
 
 
 def _poly_mulmod(a, b, mod, p):
-    # mod is monic of degree k; result has degree < k
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    """a * b modulo the monic mod of degree k over GF(p), as a tuple of k
+    residues.  The convolution and the reduction run on plain integers;
+    only each cancelled leading coefficient and the k results take % p."""
+    k = len(mod) - 1
+    conv = [0] * max(len(a) + len(b) - 1, k)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    k = len(mod) - 1
-    for m in range(len(out) - 1, k - 1, -1):
-        c = out[m]
+                conv[i + j] += ai * bj
+    for m in range(len(conv) - 1, k - 1, -1):
+        c = conv[m] % p
         if c:
-            out[m] = 0
             for i in range(k):
-                out[m - k + i] = (out[m - k + i] - c * mod[i]) % p
-    return _poly_trim(out)
+                conv[m - k + i] -= c * mod[i]
+    return tuple(x % p for x in conv[:k])
 
 
 def _poly_powmod(a, e, mod, p):
@@ -309,12 +313,6 @@ class FieldContext:
                     out[off + i * stride] = dot(row, vals)
         return out
 
-    def fourier_rows(self, rows, stride, table, scale):
-        """The rows of (scale * C) * M for M given as a tuple of row tuples:
-        each column of M goes through fourier_apply."""
-        cols = (self.fourier_apply(col, stride, table, scale) for col in zip(*rows))
-        return tuple(zip(*cols))
-
     def theta_row_scaler(self, expo):
         """The function (row, k) -> the tuple of row[j] * theta^(expo[j] + k)."""
         zero, mtp = self.zero, self.mul_theta_power
@@ -323,12 +321,17 @@ class FieldContext:
             return tuple(a if a == zero else mtp(a, e + k) for a, e in zip(row, expo))
         return scale
 
-    def product_rows(self, factors):
+    def product_rows(self, factors, rows=None):
         """The rows of the product of the operators factors (applied right
-        to left, at least one): the columns of the last factor's matrix go
-        through each other factor's apply."""
-        cols = factors[-1].materialize().columns()
-        for f in factors[-2::-1]:
+        to left, at least one) times M, for M given as a tuple of row tuples
+        or the identity when rows is None: the columns of M, or of the last
+        factor's matrix, go through each other factor's apply."""
+        if rows is None:
+            cols = factors[-1].materialize().columns()
+            factors = factors[:-1]
+        else:
+            cols = zip(*rows)
+        for f in reversed(factors):
             cols = [f.apply(col) for col in cols]
         return tuple(zip(*cols))
 
@@ -596,13 +599,6 @@ class PrimeFieldContext(FieldContext):
         c = itertools.repeat(self._theta_table[e % self.r])
         return tuple(map(operator.mod, map(operator.mul, row, c), itertools.repeat(self.p)))
 
-    def fourier_rows(self, rows, stride, table, scale):
-        if not self._packs:
-            return super().fourier_rows(rows, stride, table, scale)
-        packed = PackedRows(self, rows)
-        packed.fourier(stride, table)
-        return packed.unpacked()
-
     def theta_row_scaler(self, expo):
         # coefs[k][j] = theta^(expo[j] + k), one tuple per k in [0, r)
         theta, r, p = self._theta_table, self.r, self.p
@@ -613,11 +609,13 @@ class PrimeFieldContext(FieldContext):
             return tuple(map(mod, map(mul, row, coefs[k % r]), rep(p)))
         return scale
 
-    def product_rows(self, factors):
+    def product_rows(self, factors, rows=None):
         if not self._packs:
-            return super().product_rows(factors)
-        n = factors[0].n
-        packed = PackedRows(self, [[0] * j + [1] + [0] * (n - 1 - j) for j in range(n)])
+            return super().product_rows(factors, rows)
+        if rows is None:
+            n = factors[0].n
+            rows = [[0] * j + [1] + [0] * (n - 1 - j) for j in range(n)]
+        packed = PackedRows(self, rows)
         for f in reversed(factors):
             f.mul_packed(packed)
         return packed.unpacked()
@@ -798,20 +796,7 @@ class ExtensionFieldContext(FieldContext):
         log, zero = self._log, self.zero
         if log is not None:
             return zero if a == zero or b == zero else self._exp[log[a] + log[b]]
-        p, k = self.p, self.k
-        conv = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        mod = self.modulus
-        for m in range(2 * k - 2, k - 1, -1):
-            c = conv[m] % p
-            if c:
-                for i in range(k):
-                    conv[m - k + i] -= c * mod[i]
-            conv[m] = 0
-        return tuple(x % p for x in conv[:k])
+        return _poly_mulmod(a, b, self.modulus, self.p)
 
     def mul_theta_power(self, a, e):
         if self._log is None:
@@ -915,22 +900,14 @@ def parse_field_spec(text, r):
         except ValueError:
             raise InvalidFieldSpec(f"unrecognised field spec {text!r}") from None
         check_field_order(q, 1 if k is None else k)
-        if k is not None:
-            if k == 1:
-                return FieldSpec("prime", r, p=q)
-            return FieldSpec("extension", r, p=q, k=k)
-        if is_prime(q):
-            return FieldSpec("prime", r, p=q)
-        # prime power: factor q = p^k
-        for p in range(2, q):
-            if q % p == 0:
-                k = 0
-                m = q
-                while m % p == 0:
-                    m //= p
-                    k += 1
-                if m != 1:
-                    raise InvalidFieldSpec(f"{q} is not a prime power")
-                return FieldSpec("extension", r, p=p, k=k)
-        raise InvalidFieldSpec(f"{q} is not a prime power")
+        p = q
+        if k is None:
+            factors = prime_factors(q)
+            if len(factors) != 1:
+                raise InvalidFieldSpec(f"{q} is not a prime power")
+            p = factors[0]
+            k = next(k for k in itertools.count(1) if p ** k == q)
+        if k == 1:
+            return FieldSpec("prime", r, p=p)
+        return FieldSpec("extension", r, p=p, k=k)
     raise InvalidFieldSpec(f"unrecognised field spec {text!r}")

@@ -47,13 +47,11 @@ def op_E(params, t):
         params, None, lambda xi: xi[t - 1] * (xi[t - 1] - 1) // 2)
 
 
-def op_U(params, t, exponent=1):
-    """U_t^exponent; the diagonal exponents xi_t(xi_t+r)/2 are exact integers
+def op_U(params, t):
+    """U_t; the diagonal exponents xi_t(xi_t+r)/2 are exact integers
     reduced mod r."""
     r = params.r
-    e = exponent % r
-    return MonomialOp.from_affine(
-        params, None, lambda xi: e * (xi[t - 1] * (xi[t - 1] + r) // 2))
+    return MonomialOp.from_affine(params, None, lambda xi: xi[t - 1] * (xi[t - 1] + r) // 2)
 
 
 def base_generators(ctx):

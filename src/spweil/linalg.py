@@ -9,8 +9,45 @@ dimensions this package works with, exactness beats asymptotics.
 from __future__ import annotations
 
 
-class SingularMatrix(ArithmeticError):
-    pass
+class SingularMatrix(ArithmeticError, ValueError):
+    """The columns to eliminate on are linearly dependent."""
+
+
+class NotInvariant(ValueError):
+    """A vector leaves the span it should lie in."""
+
+
+def solve_in_span(ctx, basis_vectors, images):
+    """Coordinates of each image in the span of the basis vectors.
+
+    Returns a list of coordinate columns.  Exact Gauss-Jordan elimination of
+    [A | B], A with the m basis vectors and B with the images as columns:
+    the first m reduced rows are [I_m | X], and an image leaves the span
+    (NotInvariant) when the rest of its column is not zero.  Raises
+    SingularMatrix when the basis vectors are linearly dependent.
+    """
+    m = len(basis_vectors)
+    zero = ctx.zero
+    sub, mul, inv = ctx.sub, ctx.mul, ctx.inv
+    rows = [list(row) for row in zip(*basis_vectors, *images)]
+    n = len(rows)
+    for j in range(m):
+        pivot = next((i for i in range(j, n) if rows[i][j] != zero), None)
+        if pivot is None:
+            raise SingularMatrix("basis vectors are linearly dependent (a singular matrix)")
+        if pivot != j:
+            rows[j], rows[pivot] = rows[pivot], rows[j]
+        pv_inv = inv(rows[j][j])
+        rows[j] = [mul(pv_inv, a) for a in rows[j]]
+        for i in range(n):
+            if i != j and rows[i][j] != zero:
+                f = rows[i][j]
+                rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], rows[j])]
+    for i in range(m, n):
+        for j, x in enumerate(rows[i][m:]):
+            if x != zero:
+                raise NotInvariant(f"image {j} leaves the span (residual in row {i})")
+    return [[row[m + j] for row in rows[:m]] for j in range(len(images))]
 
 
 class DenseMatrix:
@@ -117,27 +154,13 @@ class DenseMatrix:
         return ctx.neg(det) if sign else det
 
     def inverse(self):
-        ctx = self.ctx
-        n = self.nrows
-        if n != self.ncols:
+        """The solution X of self * X = I: solve_in_span on self's columns
+        against the identity's."""
+        if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        zero, one = ctx.zero, ctx.one
-        sub, mul, inv = ctx.sub, ctx.mul, ctx.inv
-        rows = [list(row) + [one if i == j else zero for j in range(n)]
-                for i, row in enumerate(self.rows)]
-        for j in range(n):
-            pivot = next((i for i in range(j, n) if rows[i][j] != zero), None)
-            if pivot is None:
-                raise SingularMatrix("matrix is singular")
-            if pivot != j:
-                rows[j], rows[pivot] = rows[pivot], rows[j]
-            pv_inv = inv(rows[j][j])
-            rows[j] = [mul(pv_inv, a) for a in rows[j]]
-            for i in range(n):
-                if i != j and rows[i][j] != zero:
-                    f = rows[i][j]
-                    rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], rows[j])]
-        return DenseMatrix(ctx, [row[n:] for row in rows])
+        ident = DenseMatrix.identity(self.ctx, self.nrows)
+        return DenseMatrix.from_columns(
+            self.ctx, solve_in_span(self.ctx, self.columns(), ident.columns()))
 
     def kron(self, other):
         """Kronecker product; the left factor carries the more significant index."""

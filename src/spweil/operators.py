@@ -23,16 +23,18 @@ apply() costs O(n) for a monomial and O(n*r) for a Fourier factor; only
 apply(), mul_rows(), mul_packed() and materialize() make field values.
 materialize() returns the DenseMatrix whose column xi is apply(e_xi), and
 det() and trace() are those of materialize() unless the operator's
-structure gives them directly (a monomial's do).  A product's
-materialize() is ctx.product_rows(factors): each column of the last
-factor's matrix goes through every other factor's apply, except over GF(p)
-with r * p^2 < 2^64, where each factor's mul_packed left-multiplies the
-identity's rows, packed into 64-bit lanes (fields.PackedRows), handing over
-perm and diag (monomial), stride and table (Fourier) or its mul_rows
-(anything else).  mul_rows(rows) gives the rows of op * M: a monomial
-permutes M's rows and scales them by ctx.mul_theta_power_row, a Fourier
-kernel maps them by ctx.fourier_rows, and any other operator applies itself
-to M's columns.
+structure gives them directly (a monomial's do).
+
+ctx.product_rows(factors, rows) is the bulk route: the rows of the product
+times M (the identity when rows is left out).  A product's materialize() is
+ctx.product_rows(factors) and op.mul_rows(rows) is
+ctx.product_rows((op,), rows).  Each column of M goes through every
+factor's apply, except over GF(p) with r * p^2 < 2^64, where each factor's
+mul_packed left-multiplies M's rows, packed into 64-bit lanes
+(fields.PackedRows), handing over perm and diag (monomial), stride and
+table (Fourier) or its materialised matrix's mul_rows (anything else).
+MonomialOp.mul_rows is the one single-step shortcut: it permutes M's rows
+and scales them by ctx.mul_theta_power_row, with no packing.
 
 first_difference compares two operators on their materialised matrices,
 so a product is compared through ctx.product_rows.
@@ -96,13 +98,14 @@ class Operator:
         raise NotImplementedError
 
     def mul_rows(self, rows):
-        """The rows of self * M, for M given as a tuple of row tuples: each
-        column of M goes through apply."""
-        return tuple(zip(*map(self.apply, zip(*rows))))
+        """The rows of self * M, for M given as a tuple of row tuples."""
+        return self.ctx.product_rows((self,), rows)
 
     def mul_packed(self, packed):
-        """Left-multiply the packed GF(p) rows (fields.PackedRows) by self."""
-        packed.mul_rows(self.mul_rows)
+        """Left-multiply the packed GF(p) rows (fields.PackedRows) by self's
+        materialised matrix; self.mul_rows would come back here through
+        ctx.product_rows."""
+        packed.mul_rows(self.materialize().mul_rows)
 
     def inverse(self):
         raise NotImplementedError
@@ -190,7 +193,13 @@ class MonomialOp(Operator):
 
     def mul_rows(self, rows):
         """The rows of self * M: row j of M, times scale * theta^expo[j],
-        becomes row perm[j].  A row whose factor is 1 is reused as is."""
+        becomes row perm[j].  A row whose factor is 1 is reused as is.
+
+        The one single-step shortcut past ctx.product_rows: a closure step
+        permutes rows it keeps reduced, and packing and unpacking them costs
+        more than the step.  The Sp(4,3) closure over GF(7), capped at 12,000
+        elements, took 0.59 s this way and 1.10 s with its monomial steps on
+        packed rows (best of 9, 2 vCPUs, Python 3.11)."""
         ctx = self.ctx
         out = [None] * self.n
         if self.scale == ctx.one:
@@ -329,10 +338,6 @@ class FourierOp(Operator):
 
     def apply(self, vec):
         return self.ctx.fourier_apply(vec, self._stride, self._table, self.scale)
-
-    def mul_rows(self, rows):
-        """The rows of self * M, by ctx.fourier_rows on fibres of r rows."""
-        return self.ctx.fourier_rows(rows, self._stride, self._table, self.scale)
 
     def mul_packed(self, packed):
         packed.fourier(self._stride, self._table)

@@ -15,14 +15,11 @@ set) and last for B (so the B/A coordinate is the final one).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .linalg import DenseMatrix
+from .linalg import DenseMatrix, NotInvariant, solve_in_span
 from .operators import flat_index, index_vectors
-
-
-class NotInvariant(ValueError):
-    pass
 
 
 class WrongCharacteristic(ValueError):
@@ -31,12 +28,11 @@ class WrongCharacteristic(ValueError):
 
 @dataclass(frozen=True)
 class SubmoduleBasis:
-    """label is one of "W+", "W-", "A", "B"; vectors[i] is the coordinate
-    vector belonging to reps[i] (the zero index vector stands for v_0)."""
+    """label is one of "W+", "W-", "A", "B" (or "W/B" for the quotient's
+    representatives); vectors are the basis's coordinate vectors in W."""
 
     label: str
     vectors: tuple
-    reps: tuple
 
     @property
     def dim(self):
@@ -53,93 +49,40 @@ def representative_indices(r, ell):
     return out
 
 
-def _unit_vector(ctx, n, j):
-    v = [ctx.zero] * n
-    v[j] = ctx.one
-    return v
+@functools.lru_cache(maxsize=32)
+def _flat_pairs(r, ell):
+    """The flat positions (xi, -xi) of each representative index xi."""
+    return tuple((flat_index(xi, r), flat_index(tuple(-x % r for x in xi), r))
+                 for xi in representative_indices(r, ell))
 
 
-def _pair_vector(ctx, r, ell, xi, sign):
-    n = r ** ell
+def _vector(ctx, n, entries):
+    """The coordinate vector with value c at position j for each (j, c)."""
     v = [ctx.zero] * n
-    neg = tuple(-x % r for x in xi)
-    v[flat_index(xi, r)] = ctx.one
-    v[flat_index(neg, r)] = ctx.one if sign > 0 else ctx.neg(ctx.one)
-    return v
+    for j, c in entries:
+        v[j] = c
+    return tuple(v)
 
 
 def submodule_bases(params):
     """The invariant submodule bases for the parameters' characteristic."""
     ctx = params.ctx
-    r, ell = params.r, params.ell
-    n = params.n
-    zero_idx = (0,) * ell
-    reps = representative_indices(r, ell)
-    plus_part = [tuple(_pair_vector(ctx, r, ell, xi, +1)) for xi in reps]
+    n, one = params.n, ctx.one
+    pairs = _flat_pairs(params.r, params.ell)
+    v_0 = _vector(ctx, n, [(0, one)])
+    plus_part = tuple(_vector(ctx, n, [(a, one), (b, one)]) for a, b in pairs)
     if ctx.char != 2:
-        w_plus = SubmoduleBasis(
-            "W+",
-            (tuple(_unit_vector(ctx, n, 0)),) + tuple(plus_part),
-            (zero_idx,) + tuple(reps))
-        w_minus = SubmoduleBasis(
-            "W-",
-            tuple(tuple(_pair_vector(ctx, r, ell, xi, -1)) for xi in reps),
-            tuple(reps))
-        return [w_plus, w_minus]
-    socle = SubmoduleBasis("A", tuple(plus_part), tuple(reps))
-    heart = SubmoduleBasis(
-        "B",
-        tuple(plus_part) + (tuple(_unit_vector(ctx, n, 0)),),
-        tuple(reps) + (zero_idx,))
-    return [socle, heart]
+        minus_one = ctx.neg(one)
+        minus_part = tuple(_vector(ctx, n, [(a, one), (b, minus_one)]) for a, b in pairs)
+        return [SubmoduleBasis("W+", (v_0,) + plus_part), SubmoduleBasis("W-", minus_part)]
+    return [SubmoduleBasis("A", plus_part), SubmoduleBasis("B", plus_part + (v_0,))]
 
 
 def quotient_representatives(params):
     """Representative vectors v_xi spanning W/B in char 2."""
     ctx = params.ctx
-    r, ell = params.r, params.ell
-    reps = representative_indices(r, ell)
-    return SubmoduleBasis(
-        "W/B",
-        tuple(tuple(_unit_vector(ctx, params.n, flat_index(xi, r))) for xi in reps),
-        tuple(reps))
-
-
-def solve_in_span(ctx, basis_vectors, images):
-    """Coordinates of each image in the span of the basis vectors.
-
-    Returns a list of coordinate columns; raises NotInvariant when an image
-    leaves the span.  Exact RREF over the field.
-    """
-    m = len(basis_vectors)
-    k = len(images)
-    n = len(basis_vectors[0])
-    zero = ctx.zero
-    sub, mul, inv = ctx.sub, ctx.mul, ctx.inv
-    rows = [[basis_vectors[j][i] for j in range(m)] + [img[i] for img in images]
-            for i in range(n)]
-    pivots = []
-    row_i = 0
-    for col in range(m):
-        pivot = next((i for i in range(row_i, n) if rows[i][col] != zero), None)
-        if pivot is None:
-            raise ValueError("basis vectors are linearly dependent")
-        if pivot != row_i:
-            rows[row_i], rows[pivot] = rows[pivot], rows[row_i]
-        pv_inv = inv(rows[row_i][col])
-        rows[row_i] = [mul(pv_inv, x) for x in rows[row_i]]
-        for i in range(n):
-            if i != row_i and rows[i][col] != zero:
-                f = rows[i][col]
-                rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], rows[row_i])]
-        pivots.append(row_i)
-        row_i += 1
-    for i in range(m, n):
-        for j, img in enumerate(images):
-            if rows[i][m + j] != zero:
-                raise NotInvariant(
-                    f"image {j} leaves the span (residual in row {i})")
-    return [[rows[i][m + j] for i in range(m)] for j in range(k)]
+    pairs = _flat_pairs(params.r, params.ell)
+    return SubmoduleBasis("W/B", tuple(_vector(ctx, params.n, [(a, ctx.one)]) for a, _ in pairs))
 
 
 def restrict(op, basis, ctx, r=None, ell=None):
@@ -158,9 +101,7 @@ def restrict(op, basis, ctx, r=None, ell=None):
 
 
 def _restrict_paired(op, basis, ctx, r, ell):
-    reps = representative_indices(r, ell)
-    flat_pairs = [(flat_index(xi, r), flat_index(tuple(-x % r for x in xi), r))
-                  for xi in reps]
+    flat_pairs = _flat_pairs(r, ell)
     label = basis.label
     minus = label == "W-"
     cols = []
@@ -194,14 +135,10 @@ def restrict_quotient(op, params):
     ctx = params.ctx
     if ctx.char != 2:
         raise WrongCharacteristic("quotient restriction needs characteristic 2")
-    r, ell = params.r, params.ell
-    reps = representative_indices(r, ell)
-    flat_pairs = [(flat_index(xi, r), flat_index(tuple(-x % r for x in xi), r))
-                  for xi in reps]
+    flat_pairs = _flat_pairs(params.r, params.ell)
     cols = []
-    for fl, _ in flat_pairs:
-        v = _unit_vector(ctx, params.n, fl)
-        img = op.apply(v)
+    for v in quotient_representatives(params).vectors:
+        img = op.apply(list(v))
         cols.append([ctx.add(img[a], img[b]) for a, b in flat_pairs])
     return DenseMatrix.from_columns(ctx, cols)
 

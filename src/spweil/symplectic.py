@@ -23,7 +23,7 @@ import functools
 import random
 from dataclasses import dataclass
 
-from .generators import lam_C_squared, op_U
+from .generators import lam_C_squared
 from .operators import identity_op
 
 
@@ -175,60 +175,53 @@ def evaluate_word(word, assign, identity):
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def sp_assignment(ell, r):
-    """Assignment mapping tokens to their SpMatrix images (with exponent),
-    each power computed once per (kind, t, s, exp) and kept per (ell, r)."""
-    images = gen_images(ell, r)
+def _assignment(images, r, power):
+    """The assignment tok -> power(image of tok's base token, kind, t, e),
+    e the exponent reduced mod the token's order, each computed once; a
+    token with no base image raises UndefinedToken."""
 
     @functools.lru_cache(maxsize=None)
-    def power(kind, t, s, e):
+    def cached(kind, t, s, e):
         base = images.get(GenToken(kind, t, s))
         if base is None:
             raise UndefinedToken(f"no image for {GenToken(kind, t, s, e)}")
-        return base ** e
+        return power(base, kind, t, e)
 
     def assign(tok):
-        return power(tok.kind, tok.t, tok.s, tok.exp % tok.order(r))
+        return cached(tok.kind, tok.t, tok.s, tok.exp % tok.order(r))
 
     return assign
+
+
+@functools.lru_cache(maxsize=32)
+def sp_assignment(ell, r):
+    """Assignment mapping tokens to their SpMatrix images (with exponent),
+    kept per (ell, r)."""
+    return _assignment(gen_images(ell, r), r, lambda base, kind, t, e: base ** e)
 
 
 def weil_assignment(gens):
     """Assignment mapping tokens to Weil operators: C -> lam*C_t, D -> D_st,
-    U -> U_t, with powers built directly (a C-token square is the monomial
-    (-1)^((r-1)/2) * slot negation)."""
+    U -> U_t, raised to the token's exponent (a C-token square is the
+    monomial (-1)^((r-1)/2) * slot negation).  It rejects the tokens
+    sp_assignment rejects."""
     params = gens.params
-    r = params.r
+    ell = params.ell
+    images = {GenToken("C", t): gens.lamC[t - 1] for t in range(1, ell + 1)}
+    images.update((GenToken("U", t), gens.U[t - 1]) for t in range(1, ell + 1))
+    images.update((GenToken("D", t, s), op) for (s, t), op in gens.D.items())
 
-    def assign(tok):
-        if tok.kind == "U":
-            return op_U(params, tok.t, tok.exp % r)
-        if tok.kind == "D":
-            e = tok.exp % r
-            if e == 0:
-                return identity_op(params)
-            if e == 1:
-                return gens.D[(tok.s, tok.t)]
-            return op_D_power(params, tok.s, tok.t, e)
-        if tok.kind == "C":
-            e = tok.exp % 4
-            if e == 0:
-                return identity_op(params)
-            if e == 1:
-                return gens.lamC[tok.t - 1]
-            sq = lam_C_squared(params, tok.t)
-            if e == 2:
-                return sq
-            return sq * gens.lamC[tok.t - 1]
-        raise UndefinedToken(f"unknown token kind {tok.kind!r}")
+    def power(base, kind, t, e):
+        if kind != "C":
+            return base ** e
+        if e == 0:
+            return identity_op(params)
+        if e == 1:
+            return base
+        sq = lam_C_squared(params, t)
+        return sq if e == 2 else sq * base
 
-    return assign
-
-
-def op_D_power(params, s, t, e):
-    from .operators import MonomialOp
-    return MonomialOp.from_affine(params, None, lambda xi: e * xi[s - 1] * xi[t - 1])
+    return _assignment(images, params.r, power)
 
 
 def group_order(ell, r):

@@ -1,6 +1,8 @@
-"""Source hygiene: every name a module of src/spweil imports is used there.
+"""Source hygiene for the modules of src/spweil.
 
-__init__.py is left out: its imports are the package's public names."""
+Every name a module imports is used there; __init__.py is left out, as its
+imports are the package's public names.  Only fields.py and serialize.py,
+which define and spell the field encodings, branch on the field family."""
 
 import ast
 from pathlib import Path
@@ -35,3 +37,46 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# the field families' kind names and their context classes
+FIELD_KINDS = {"cyclotomic", "prime", "extension", "auto-prime", "auto-char2"}
+CONTEXT_CLASSES = {"CyclotomicContext", "PrimeFieldContext", "ExtensionFieldContext"}
+FAMILY_BLIND = sorted(p for p in SRC.glob("*.py") if p.name not in ("fields.py", "serialize.py"))
+
+
+def field_family_branches(source):
+    """The lines that compare an attribute named kind with a field family's
+    name (== or in), or call isinstance against a field context class."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            names = {c.value for o in operands for c in ast.walk(o) if isinstance(c, ast.Constant)}
+            if names & FIELD_KINDS and any(
+                    isinstance(o, ast.Attribute) and o.attr == "kind" for o in operands):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            classes = {getattr(c, "id", None) or getattr(c, "attr", None)
+                       for c in ast.walk(node.args[1])}
+            if classes & CONTEXT_CLASSES:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_scan_finds_a_field_family_branch():
+    source = (
+        "if ctx.kind == 'prime':\n"
+        "    pass\n"
+        "fast = self.params.ctx.kind in ('cyclotomic', 'extension')\n"
+        "if isinstance(ctx, PrimeFieldContext):\n"
+        "    pass\n"
+        "ok = isinstance(c, (int, fields.ExtensionFieldContext))\n"
+        "if tok.kind == 'C' or ctx.char == 2 or isinstance(op, MonomialOp):\n"
+        "    pass\n")
+    assert field_family_branches(source) == [1, 3, 4, 6]
+
+
+@pytest.mark.parametrize("path", FAMILY_BLIND, ids=lambda p: p.name)
+def test_no_field_family_branches(path):
+    assert field_family_branches(path.read_text()) == []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from spweil.fields import (LANE_LIMIT, FieldContext, FieldSpec, PackedRows,
                            PrimeFieldContext, make_field)
 from spweil.linalg import DenseMatrix
-from spweil.operators import (DenseOp, FourierOp, MonomialOp, Operator, ProductOp,
+from spweil.operators import (DenseOp, FourierOp, MonomialOp, ProductOp,
                               ScalarOp, WeilParams, first_difference, flat_index,
                               identity_op, index_vectors, negation_monomial,
                               operators_equal)
@@ -301,9 +301,10 @@ ROW_KERNEL_CASES = [(FieldSpec(kind, 3), ell) for kind in ("cyclotomic", "auto-p
 @given(seed=st.integers(0, 2 ** 32))
 @settings(max_examples=3, deadline=None)
 def test_row_kernels_match_column_route(spec, ell, seed):
-    # FourierOp.mul_rows (ctx.fourier_rows) and MonomialOp.mul_rows
-    # (ctx.mul_theta_power_row) against Operator.mul_rows, which sends each
-    # column through apply; M has zero entries and whole zero rows
+    # ctx.product_rows((op,), rows) (packed rows over GF(p)), op.mul_rows
+    # (for a monomial ctx.mul_theta_power_row) and the dense product against
+    # the base class's column route, which sends each column through apply;
+    # M has zero entries and whole zero rows
     ctx = make_field(spec)
     params = WeilParams(ctx.r, ell, ctx)
     rng = random.Random(seed)
@@ -314,7 +315,10 @@ def test_row_kernels_match_column_route(spec, ell, seed):
     ops = [FourierOp(params, t, s) for t in range(1, ell + 1) for s in scales]
     ops.append(_random_monomial(params, rng, ctx.one))
     for op in ops:
-        assert op.mul_rows(rows) == Operator.mul_rows(op, rows)
+        want = FieldContext.product_rows(ctx, (op,), rows)
+        assert ctx.product_rows((op,), rows) == want
+        assert op.mul_rows(rows) == want
+        assert op.materialize().mul_rows(rows) == want
 
 
 # GF(7), GF(11), GF(29) and GF(31), each with a prime r dividing p - 1
@@ -548,13 +552,14 @@ def test_packed_fourier_rows_match_column_route(monkeypatch):
     below, above = 2479700473, 4294967311
     for p in (below, above):
         ctx = PrimeFieldContext(3, p)
+        params = WeilParams(3, 2, ctx)
         rng = random.Random(p)
         rows = tuple(tuple(rng.choice((0, p - 1, rng.randrange(p))) for _ in range(9))
                      for _ in range(8)) + ((p - 1,) * 9,)
         if p == above:
             monkeypatch.setattr(PackedRows, "__init__", None)
-        for stride in (1, 3):
+        for t in (2, 1):   # fibre strides 1 and 3
             for scale in (1, p - 1, rng.randrange(2, p)):
-                table = [[ctx.mul_theta_power(scale, i * x) for x in range(3)] for i in range(3)]
-                got = ctx.fourier_rows(rows, stride, table, scale)
-                assert got == FieldContext.fourier_rows(ctx, rows, stride, table, scale)
+                op = FourierOp(params, t, scale)
+                got = ctx.product_rows((op,), rows)
+                assert got == FieldContext.product_rows(ctx, (op,), rows)

@@ -1,7 +1,7 @@
 import pytest
 
 from spweil.generators import weil_generators
-from spweil.linalg import DenseMatrix
+from spweil.linalg import DenseMatrix, SingularMatrix
 from spweil.operators import WeilParams, flat_index
 from spweil.submodules import (NotInvariant, SubmoduleBasis, WrongCharacteristic,
                                quotient_representatives, representative_indices,
@@ -96,6 +96,16 @@ def test_generic_solve_on_adhoc_basis(gf7):
     assert coords == [[2, 3]]
     with pytest.raises(NotInvariant):
         solve_in_span(gf7, basis, [(0, 0, 1)])
+
+
+def test_dependent_basis_is_rejected(gf7):
+    # the elimination solve_in_span and DenseMatrix.inverse share finds no
+    # pivot in the third column, (1, 0, 1) + 2 * (0, 1, 0)
+    basis = [(1, 0, 1), (0, 1, 0), (1, 2, 1)]
+    with pytest.raises(ValueError):
+        solve_in_span(gf7, basis, [(2, 3, 2)])
+    with pytest.raises(SingularMatrix):
+        DenseMatrix.from_columns(gf7, basis).inverse()
 
 
 def test_direct_sum_char0(cyc3):

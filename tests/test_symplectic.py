@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spweil.fields import FieldSpec, make_field
 from spweil.generators import weil_generators
 from spweil.heisenberg import pi_map
 from spweil.operators import WeilParams, identity_op
@@ -260,3 +261,34 @@ def test_sp_assignment_powers_match_repeated_products(ell, r):
     assert sp_assignment(ell, r) is assign
     with pytest.raises(UndefinedToken):
         assign(GenToken("D", 1, 1))
+
+
+# tokens with no base image at l = 2: slots out of range (t = 0 would wrap
+# around to U_2 as a tuple index), s and t swapped or equal, an s on C or U,
+# a D without s, an unknown kind; each at exponents 0, 1 and 2
+MALFORMED_TOKENS = [GenToken(kind, t, s, e) for kind, t, s in [
+    ("U", 0, None), ("U", 3, None), ("U", 1, 2), ("C", 0, None), ("C", 3, None),
+    ("C", 2, 1), ("D", 1, 2), ("D", 2, 2), ("D", 2, None), ("D", 3, 1), ("X", 1, None)]
+    for e in (0, 1, 2)]
+
+
+def test_weil_assignment_rejects_what_sp_assignment_rejects(gf7):
+    params = WeilParams(3, 2, gf7)
+    weil, sp = weil_assignment(weil_generators(params)), sp_assignment(2, 3)
+    for tok in MALFORMED_TOKENS:
+        with pytest.raises(UndefinedToken):
+            sp(tok)
+        with pytest.raises(UndefinedToken):
+            weil(tok)
+
+
+@pytest.mark.parametrize("r,p", [(3, 7), (5, 11)])
+def test_weil_token_powers_project_to_sp_powers(r, p):
+    # every valid (kind, t, s, exp) at l = 2: the Weil operator projects to
+    # the symplectic power, so the power is built for every exponent
+    params = WeilParams(r, 2, make_field(FieldSpec("prime", r, p=p)))
+    weil, sp = weil_assignment(weil_generators(params)), sp_assignment(2, r)
+    for base_tok in gen_images(2, r):
+        for e in range(base_tok.order(r)):
+            tok = GenToken(base_tok.kind, base_tok.t, base_tok.s, e)
+            assert pi_map(weil(tok), params) == sp(tok)
