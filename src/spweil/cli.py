@@ -104,18 +104,23 @@ def _output(args):
         yield out
 
 
-def cmd_gens(args):
-    params = validated_setup(args)
-    gens = weil_generators(params)
-    matrices = generator_matrices(gens, full=args.full)
+def _write_matrices(args, gens, matrices, word=None, **extra):
+    """Write the matrices in args.format to --out or stdout; a JSON document
+    also carries the word and then the extra keys."""
     with _output(args) as out:
         if args.format == "json":
-            out.write(dumps_document(build_document(gens, matrices)))
+            doc = build_document(gens, matrices, word=word)
+            out.write(dumps_document({**doc, **extra}))
         elif args.format == "magma":
             emit_magma(gens, matrices, out)
         else:
             emit_gap(gens, matrices, out)
     return EXIT_OK
+
+
+def cmd_gens(args):
+    gens = weil_generators(validated_setup(args))
+    return _write_matrices(args, gens, generator_matrices(gens, full=args.full))
 
 
 def _read_matrix(args, params):
@@ -142,16 +147,7 @@ def cmd_image(args):
     else:
         mat = weil_image(g, gens)
         name = "g_weil"
-    with _output(args) as out:
-        if args.format == "json":
-            doc = build_document(gens, {name: mat}, word=word)
-            doc["input"] = g.serialize()
-            out.write(dumps_document(doc))
-        elif args.format == "magma":
-            emit_magma(gens, {name: mat}, out)
-        else:
-            emit_gap(gens, {name: mat}, out)
-    return EXIT_OK
+    return _write_matrices(args, gens, {name: mat}, word=word, input=g.serialize())
 
 
 def cmd_verify(args):
@@ -171,8 +167,8 @@ def cmd_verify(args):
             mats = [op.materialize() for _, _, _, op in gens.sp_generating_ops()]
             try:
                 count = closure_order(mats, args.cap)
-                report.record("closure-order", pstr, count == expected,
-                              f"closure gave {count}, expected {expected}")
+                report.record("closure-order", pstr, () if count == expected else
+                              [f"closure gave {count}, expected {expected}"])
             except CapExceeded as exc:
                 report.skip("closure-order", pstr, str(exc))
     with _output(args) as out:

@@ -410,7 +410,6 @@ class CyclotomicContext(FieldContext):
         self._d = r - 1
         self.zero = ((0,) * self._d, 1)
         self.one = ((1,) + (0,) * (self._d - 1), 1)
-        self.spec = FieldSpec("cyclotomic", r)
 
     def _norm(self, nums, den):
         if den < 0:
@@ -568,7 +567,6 @@ class PrimeFieldContext(FieldContext):
         self.char = p
         self.zero = 0
         self.one = 1
-        self.spec = FieldSpec("prime", r, p=p)
         self._theta_table = self.theta_pow
         self._packs = r * p * p < LANE_LIMIT
 
@@ -747,7 +745,6 @@ class ExtensionFieldContext(FieldContext):
         self.modulus = modulus
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
-        self.spec = FieldSpec("extension", r, p=p, k=k, modulus=modulus)
         self._log = None
         facs = prime_factors(q - 1)
         self._generator = g = next(
@@ -850,17 +847,6 @@ class ExtensionFieldContext(FieldContext):
 # construction
 
 
-def multiplicative_order(a, n):
-    order = 1
-    t = a % n
-    while t != 1:
-        t = t * a % n
-        order += 1
-        if order > n:
-            raise ValueError("element is not a unit")
-    return order
-
-
 def make_field(spec):
     """Build a FieldContext from a FieldSpec, resolving auto variants
     deterministically (smallest valid p, respectively k = ord_2(r))."""
@@ -879,7 +865,7 @@ def make_field(spec):
             p += r
         return PrimeFieldContext(r, p)
     if spec.kind == "auto-char2":
-        k = multiplicative_order(2, r)
+        k = next(k for k in itertools.count(1) if pow(2, k, r) == 1)
         return ExtensionFieldContext(r, 2, k)
     raise InvalidFieldSpec(f"unknown field kind {spec.kind!r}")
 

@@ -17,37 +17,61 @@ class NotInvariant(ValueError):
     """A vector leaves the span it should lie in."""
 
 
-def solve_in_span(ctx, basis_vectors, images):
-    """Coordinates of each image in the span of the basis vectors.
-
-    Returns a list of coordinate columns.  Exact Gauss-Jordan elimination of
-    [A | B], A with the m basis vectors and B with the images as columns:
-    the first m reduced rows are [I_m | X], and an image leaves the span
-    (NotInvariant) when the rest of its column is not zero.  Raises
-    SingularMatrix when the basis vectors are linearly dependent.
-    """
-    m = len(basis_vectors)
-    zero = ctx.zero
-    sub, mul, inv = ctx.sub, ctx.mul, ctx.inv
-    rows = [list(row) for row in zip(*basis_vectors, *images)]
+def _eliminate(ctx, rows, m):
+    """Forward elimination on the first m columns of rows (lists, changed in
+    place): below each pivot, row -= (entry * pivot^-1) * pivot row, with
+    pivot rows left unscaled.  Returns zero when those columns are linearly
+    dependent, else the product of the pivots signed by the row swaps: the
+    determinant when rows is m x m."""
+    zero, sub, mul, inv = ctx.zero, ctx.sub, ctx.mul, ctx.inv
     n = len(rows)
+    det = ctx.one
+    sign = False
     for j in range(m):
         pivot = next((i for i in range(j, n) if rows[i][j] != zero), None)
         if pivot is None:
-            raise SingularMatrix("basis vectors are linearly dependent (a singular matrix)")
+            return zero
         if pivot != j:
             rows[j], rows[pivot] = rows[pivot], rows[j]
-        pv_inv = inv(rows[j][j])
-        rows[j] = [mul(pv_inv, a) for a in rows[j]]
-        for i in range(n):
-            if i != j and rows[i][j] != zero:
-                f = rows[i][j]
+            sign = not sign
+        pv = rows[j][j]
+        det = mul(det, pv)
+        pv_inv = inv(pv)
+        for i in range(j + 1, n):
+            f = rows[i][j]
+            if f != zero:
+                f = mul(f, pv_inv)
                 rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], rows[j])]
-    for i in range(m, n):
+    return ctx.neg(det) if sign else det
+
+
+def solve_in_span(ctx, basis_vectors, images):
+    """Coordinates of each image in the span of the basis vectors.
+
+    Returns a list of coordinate columns.  [A | B], A with the m basis
+    vectors and B with the images as columns, is brought to row echelon
+    form by _eliminate; an image leaves the span (NotInvariant) when its
+    column is not zero below row m, and back substitution in the first m
+    rows gives its coordinates.  Raises SingularMatrix when the basis
+    vectors are linearly dependent.
+    """
+    m = len(basis_vectors)
+    zero, sub, mul, inv, dot = ctx.zero, ctx.sub, ctx.mul, ctx.inv, ctx.dot
+    rows = [list(row) for row in zip(*basis_vectors, *images)]
+    if _eliminate(ctx, rows, m) == zero:
+        raise SingularMatrix("basis vectors are linearly dependent (a singular matrix)")
+    for i in range(m, len(rows)):
         for j, x in enumerate(rows[i][m:]):
             if x != zero:
                 raise NotInvariant(f"image {j} leaves the span (residual in row {i})")
-    return [[row[m + j] for row in rows[:m]] for j in range(len(images))]
+    pivot_invs = [inv(rows[j][j]) for j in range(m)]
+    coords = []
+    for c in range(m, m + len(images)):
+        x = [zero] * m
+        for j in reversed(range(m)):
+            x[j] = mul(pivot_invs[j], sub(rows[j][c], dot(rows[j][j + 1:m], x[j + 1:])))
+        coords.append(x)
+    return coords
 
 
 class DenseMatrix:
@@ -73,9 +97,6 @@ class DenseMatrix:
     @property
     def ncols(self):
         return len(self.rows[0]) if self.rows else 0
-
-    def column(self, j):
-        return [row[j] for row in self.rows]
 
     def columns(self):
         return [list(col) for col in zip(*self.rows)]
@@ -127,31 +148,10 @@ class DenseMatrix:
         return DenseMatrix(self.ctx, zip(*self.rows))
 
     def det(self):
-        """Exact determinant by Gaussian elimination with row swaps."""
-        ctx = self.ctx
-        n = self.nrows
-        if n != self.ncols:
+        """Exact determinant by forward elimination with row swaps."""
+        if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        rows = [list(row) for row in self.rows]
-        zero, sub, mul, inv = ctx.zero, ctx.sub, ctx.mul, ctx.inv
-        det = ctx.one
-        sign = False
-        for j in range(n):
-            pivot = next((i for i in range(j, n) if rows[i][j] != zero), None)
-            if pivot is None:
-                return zero
-            if pivot != j:
-                rows[j], rows[pivot] = rows[pivot], rows[j]
-                sign = not sign
-            pv = rows[j][j]
-            det = mul(det, pv)
-            pv_inv = inv(pv)
-            for i in range(j + 1, n):
-                f = rows[i][j]
-                if f != zero:
-                    f = mul(f, pv_inv)
-                    rows[i] = [sub(a, mul(f, b)) for a, b in zip(rows[i], rows[j])]
-        return ctx.neg(det) if sign else det
+        return _eliminate(self.ctx, [list(row) for row in self.rows], self.nrows)
 
     def inverse(self):
         """The solution X of self * X = I: solve_in_span on self's columns

@@ -26,18 +26,12 @@ from .symplectic import GenToken
 
 def generator_matrices(gens, full=False):
     """Named, materialised generator matrices in emission order."""
-    ell = gens.ell
-    out = {}
-    for t in range(1, ell + 1):
-        out[f"C{t}"] = gens.lamC[t - 1].materialize()
-    for (s, t) in sorted(gens.D):
-        out[f"D{s}{t}"] = gens.D[(s, t)].materialize()
-    for t in range(1, ell + 1):
-        out[f"U{t}"] = gens.U[t - 1].materialize()
+    out = {GenToken(kind, t, s).name: op.materialize()
+           for kind, t, s, op in gens.sp_generating_ops()}
     if full:
         for name, ops in (("rawC", gens.rawC), ("A", gens.A),
                           ("B", gens.B), ("E", gens.E)):
-            for t in range(1, ell + 1):
+            for t in range(1, gens.ell + 1):
                 out[f"{name}{t}"] = ops[t - 1].materialize()
         out["sigma"] = gens.sigma.materialize()
     return out

@@ -16,6 +16,7 @@ set) and last for B (so the B/A coordinate is the final one).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .linalg import DenseMatrix, NotInvariant, solve_in_span
@@ -89,11 +90,13 @@ def restrict(op, basis, ctx, r=None, ell=None):
     """The matrix of op in the submodule basis (columns = coordinates of the
     images of the basis vectors).
 
-    For the pair-structured bases built by submodule_bases the exact solve
-    collapses to coefficient-symmetry conditions, handled in O(n) per image;
-    other bases go through the generic RREF solve.
+    Given r (ell defaults to the one with r^ell = n), the pair-structured
+    bases built by submodule_bases take coefficient-symmetry conditions, O(n)
+    per image, in place of the exact solve; other bases use solve_in_span.
     """
     if basis.label in ("W+", "W-", "A", "B") and r is not None:
+        n = len(basis.vectors[0])
+        ell = ell or next(e for e in itertools.count(1) if r ** e >= n)
         return _restrict_paired(op, basis, ctx, r, ell)
     images = [op.apply(list(v)) for v in basis.vectors]
     coords = solve_in_span(ctx, basis.vectors, images)

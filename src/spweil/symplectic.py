@@ -45,6 +45,11 @@ class GenToken:
     s: int | None = None
     exp: int = 1
 
+    @property
+    def name(self):
+        """The generator's name in emitted documents and check ids: C1, D12, U1."""
+        return f"D{self.s}{self.t}" if self.kind == "D" else f"{self.kind}{self.t}"
+
     def order(self, r):
         return 4 if self.kind == "C" else r
 
@@ -102,22 +107,11 @@ class SpMatrix:
         return SpMatrix(self.r, zip(*self.rows))
 
     def inverse(self):
-        r, n = self.r, self.n
-        rows = [list(row) + [1 if i == j else 0 for j in range(n)]
-                for i, row in enumerate(self.rows)]
-        for j in range(n):
-            pivot = next((i for i in range(j, n) if rows[i][j] % r), None)
-            if pivot is None:
-                raise ZeroDivisionError("singular matrix")
-            if pivot != j:
-                rows[j], rows[pivot] = rows[pivot], rows[j]
-            inv = pow(rows[j][j], r - 2, r)
-            rows[j] = [x * inv % r for x in rows[j]]
-            for i in range(n):
-                if i != j and rows[i][j]:
-                    f = rows[i][j]
-                    rows[i] = [(a - f * b) % r for a, b in zip(rows[i], rows[j])]
-        return SpMatrix(r, [row[n:] for row in rows])
+        """g^-1 = J^-1 g^T J, read off g^T J g = J, with J^-1 = J^T = -J."""
+        if not self.is_symplectic():
+            raise NotSymplectic("only a symplectic matrix is inverted through the form")
+        J = sp_form(self.ell, self.r)
+        return J.transpose() * self.transpose() * J
 
     def is_symplectic(self):
         J = sp_form(self.ell, self.r)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field, replace
 
 from .generators import gauss_forms, lam_C_squared, op_C, weil_generators
@@ -57,9 +57,13 @@ class VerificationReport:
     def failures(self):
         return [e for e in self.entries if e.status == "fail"]
 
-    def record(self, cid, params, ok, witness=None):
+    def record(self, cid, params, witnesses):
+        """Record a failure with the first of witnesses, or a pass when there
+        is none; no later witness is drawn.  Returns whether it passed."""
+        witness = next(iter(witnesses), None)
         self.entries.append(CheckResult(
-            cid, params, "pass" if ok else "fail", None if ok else witness))
+            cid, params, "pass" if witness is None else "fail", witness))
+        return witness is None
 
     def skip(self, cid, params, reason):
         self.entries.append(CheckResult(cid, params, "skip", reason))
@@ -78,10 +82,8 @@ class VerificationReport:
             if e.witness:
                 line += f" -- {e.witness}"
             lines.append(line)
-        npass = sum(1 for e in self.entries if e.status == "pass")
-        nfail = sum(1 for e in self.entries if e.status == "fail")
-        nskip = sum(1 for e in self.entries if e.status == "skip")
-        lines.append(f"{npass} passed, {nfail} failed, {nskip} skipped")
+        count = Counter(e.status for e in self.entries)
+        lines.append(f"{count['pass']} passed, {count['fail']} failed, {count['skip']} skipped")
         return "\n".join(lines)
 
 
@@ -92,12 +94,11 @@ class VerificationReport:
 def _check_ops(report, cid, pstr, lhs, rhs):
     diff = _first_difference(lhs, rhs)
     if diff is None:
-        report.record(cid, pstr, True)
-    else:
-        i, j, a, b = diff
-        ser = lhs.ctx.serialize_elem
-        report.record(cid, pstr, False,
-                      f"entry ({i},{j}): {json.dumps(ser(a))} != {json.dumps(ser(b))}")
+        return report.record(cid, pstr, ())
+    i, j, a, b = diff
+    ser = lhs.ctx.serialize_elem
+    return report.record(cid, pstr, [
+        f"entry ({i},{j}): {json.dumps(ser(a))} != {json.dumps(ser(b))}"])
 
 
 def _serialized(ctx, value):
@@ -114,11 +115,22 @@ def _check_value(report, cid, pstr, got, want, what="", ctx=None):
     """Record got == want.  With ctx, got and want are field elements,
     DenseMatrix values or (nested) lists of them, and the witness shows
     them serialised."""
-    if got == want:
-        report.record(cid, pstr, True)
-    else:
-        show = repr if ctx is None else (lambda v: json.dumps(_serialized(ctx, v)))
-        report.record(cid, pstr, False, f"{what}: {show(got)} != {show(want)}")
+    show = repr if ctx is None else (lambda v: json.dumps(_serialized(ctx, v)))
+    report.record(cid, pstr, () if got == want else [f"{what}: {show(got)} != {show(want)}"])
+
+
+def _named_ops(gens):
+    """(name, operator) for each of gens.sp_generating_ops(), in its order."""
+    return [(GenToken(kind, t, s).name, op) for kind, t, s, op in gens.sp_generating_ops()]
+
+
+def _catch_not_normalizing(witnesses, what):
+    """The witnesses, ended by one naming what when drawing them raises
+    DoesNotNormalize."""
+    try:
+        yield from witnesses
+    except DoesNotNormalize as exc:
+        yield f"{what} does not normalize R*Z: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -149,27 +161,19 @@ def _generator_checks(report, params, gens):
     one = ctx.one
 
     # extraspecial relations of the A_t, B_t
-    ok, witness = True, None
-    for s in range(1, ell + 1):
-        As, Bs = gens.A[s - 1], gens.B[s - 1]
-        if As ** r != ident or Bs ** r != ident:
-            ok, witness = False, f"A_{s}^r or B_{s}^r != 1"
-            break
-        for t in range(1, ell + 1):
-            At, Bt = gens.A[t - 1], gens.B[t - 1]
-            if As.commutator(At) != ident:
-                ok, witness = False, f"[A_{s}, A_{t}] != 1"
-                break
-            if Bs.commutator(Bt) != ident:
-                ok, witness = False, f"[B_{s}, B_{t}] != 1"
-                break
-            want = ctx.theta if s == t else one
-            if As.commutator(Bt) != ScalarOp(params, want):
-                ok, witness = False, f"[A_{s}, B_{t}] != theta^delta"
-                break
-        if not ok:
-            break
-    report.record("extraspecial-relations", pstr, ok, witness)
+    def extraspecial_failures():
+        for s, (As, Bs) in enumerate(zip(gens.A, gens.B), 1):
+            if As ** r != ident or Bs ** r != ident:
+                yield f"A_{s}^r or B_{s}^r != 1"
+            for t, (At, Bt) in enumerate(zip(gens.A, gens.B), 1):
+                if As.commutator(At) != ident:
+                    yield f"[A_{s}, A_{t}] != 1"
+                if Bs.commutator(Bt) != ident:
+                    yield f"[B_{s}, B_{t}] != 1"
+                if As.commutator(Bt) != ScalarOp(params, ctx.theta if s == t else one):
+                    yield f"[A_{s}, B_{t}] != theta^delta"
+
+    report.record("extraspecial-relations", pstr, extraspecial_failures())
 
     # C_t^2 = r * (negation in slot t)
     r_elem = ctx.from_int(r)
@@ -202,7 +206,8 @@ def _generator_checks(report, params, gens):
 
     # det(D_st) = 1
     for (s, t), dop in sorted(gens.D.items()):
-        _check_value(report, f"det-D{s}{t}", pstr, dop.det(), one, f"det(D_{s}{t})", ctx)
+        name = GenToken("D", t, s).name
+        _check_value(report, f"det-{name}", pstr, dop.det(), one, f"det(D_{s}{t})", ctx)
 
     # Lemma 3.2(iii) on the generators: det(g)^r = 1
     _check_value(report, "det-power-r", pstr,
@@ -246,16 +251,17 @@ def _generator_checks(report, params, gens):
 
     if ell >= 2:
         for (s, t), dop in sorted(gens.D.items()):
+            name = GenToken("D", t, s).name
             lc2 = gens.lamC[t - 1] * gens.lamC[t - 1]
             inner = lc2 * dop
-            _check_ops(report, f"lamC{t}sq-D{s}{t}-involution", pstr,
+            _check_ops(report, f"lamC{t}sq-{name}-involution", pstr,
                        ProductOp(params, inner.factors * 2), ident)
             # Lemma statement: X U_t X^-1 U_t^-1 = U_s D_st, X = C_t D_st C_t^-1
             ct = gens.rawC[t - 1]
             x = ct * dop * ct.inverse()
             lhs = x * gens.U[t - 1] * x.inverse() * gens.U[t - 1].inverse()
             rhs = gens.U[s - 1] * dop
-            _check_ops(report, f"X-commutator-D{s}{t}", pstr, lhs, rhs)
+            _check_ops(report, f"X-commutator-{name}", pstr, lhs, rhs)
 
     # sigma: the product form, inversion on R, and centrality in G
     sigma = gens.sigma
@@ -266,16 +272,14 @@ def _generator_checks(report, params, gens):
     _check_ops(report, "sigma-product-form", pstr, sigma,
                ScalarOp(params, sign_l) * ProductOp(params, prod_factors))
 
-    ok, witness = True, None
     sigma_inv = sigma.inverse()
-    for t in range(1, ell + 1):
-        for g, name in ((gens.A[t - 1], f"A_{t}"), (gens.B[t - 1], f"B_{t}")):
-            if sigma.compose(g).compose(sigma_inv) != g.inverse():
-                ok, witness = False, f"sigma {name} sigma^-1 != {name}^-1"
-    report.record("sigma-inversion", pstr, ok, witness)
+    report.record("sigma-inversion", pstr, (
+        f"sigma {name} sigma^-1 != {name}^-1"
+        for t in range(1, ell + 1)
+        for g, name in ((gens.A[t - 1], f"A_{t}"), (gens.B[t - 1], f"B_{t}"))
+        if sigma.compose(g).compose(sigma_inv) != g.inverse()))
 
-    for kind, t, s, op in gens.sp_generating_ops():
-        name = f"{kind}{s}{t}" if kind == "D" else f"{kind}{t}"
+    for name, op in _named_ops(gens):
         _check_ops(report, f"sigma-commutes-{name}", pstr,
                    sigma * op, op * sigma)
 
@@ -315,7 +319,6 @@ def _centralizer_check(report, params, gens, pstr, sample=200, seed=1):
         x = realize(elem, params)
         return sigma.compose(x).compose(sigma_inv) == x
 
-    ok, witness = True, None
     if size <= 243:
         space = itertools.product(range(r), *([range(r)] * ell), *([range(r)] * ell))
         cases = ((c, tuple(rest[:ell]), tuple(rest[ell:]))
@@ -326,13 +329,9 @@ def _centralizer_check(report, params, gens, pstr, sample=200, seed=1):
                    tuple(rng.randrange(r) for _ in range(ell)),
                    tuple(rng.randrange(r) for _ in range(ell))))
                  for _ in range(sample))
-    for c, a, b in cases:
-        elem = ExtraspecialElement(c, a, b)
-        central = all(x == 0 for x in a) and all(x == 0 for x in b)
-        if centralised(elem) != central:
-            ok, witness = False, f"(c,a,b)=({c},{a},{b}) breaks C_R(sigma)=Z(R)"
-            break
-    report.record("sigma-centralizer-in-R", pstr, ok, witness)
+    report.record("sigma-centralizer-in-R", pstr, (
+        f"(c,a,b)=({c},{a},{b}) breaks C_R(sigma)=Z(R)" for c, a, b in cases
+        if centralised(ExtraspecialElement(c, a, b)) == any(a + b)))
 
 
 def _projection_checks(report, params, gens, seed):
@@ -343,19 +342,13 @@ def _projection_checks(report, params, gens, seed):
     ident_sp = SpMatrix.identity(ell, r)
 
     # kernel: R and the scalars project to the identity
-    ok, witness = True, None
     kernel_samples = [gens.A[0], gens.B[0],
                       ScalarOp(params, ctx.theta),
                       ScalarOp(params, ctx.add(ctx.one, ctx.theta)),
                       gens.A[ell - 1].compose(gens.B[ell - 1])]
-    try:
-        for op in kernel_samples:
-            if pi_map(op, params) != ident_sp:
-                ok, witness = False, "an element of R*Z has nontrivial image"
-                break
-    except DoesNotNormalize as exc:
-        ok, witness = False, f"an element of R*Z does not normalize R*Z: {exc}"
-    report.record("pi-kernel", pstr, ok, witness)
+    report.record("pi-kernel", pstr, _catch_not_normalizing(
+        ("an element of R*Z has nontrivial image" for op in kernel_samples
+         if pi_map(op, params) != ident_sp), "an element of R*Z"))
 
     minus_i = SpMatrix(r, [[(r - 1) if i == j else 0 for j in range(2 * ell)]
                            for i in range(2 * ell)])
@@ -365,37 +358,32 @@ def _projection_checks(report, params, gens, seed):
         pi_sigma = f"DoesNotNormalize: {exc}"
     _check_value(report, "pi-sigma", pstr, pi_sigma, minus_i.rows, "pi(sigma)")
 
-    ok, witness = True, None
-    try:
+    def image_failures():
         for kind, t, s, op in gens.sp_generating_ops():
             tok = GenToken(kind, t, s)
             if pi_map(op, params) != images[tok]:
-                ok, witness = False, f"pi image of {kind}{t} mismatches its table entry"
-                break
-        if ok:
-            for t in range(1, ell + 1):
-                if pi_map(gens.E[t - 1], params) != images[GenToken("U", t)]:
-                    ok, witness = False, f"pi(E_{t}) != pi(U_{t})"
-                    break
-    except DoesNotNormalize as exc:
-        ok, witness = False, f"a generator does not normalize R*Z: {exc}"
-    report.record("pi-generator-images", pstr, ok, witness)
+                yield f"pi image of {tok.name} mismatches its table entry"
+        for t in range(1, ell + 1):
+            if pi_map(gens.E[t - 1], params) != images[GenToken("U", t)]:
+                yield f"pi(E_{t}) != pi(U_{t})"
+
+    report.record("pi-generator-images", pstr,
+                  _catch_not_normalizing(image_failures(), "a generator"))
 
     # homomorphism property on random products
     rng = random.Random(seed)
     pool = [op for _, _, _, op in gens.sp_generating_ops()]
     pool += [gens.A[0], gens.B[0], gens.sigma]
-    ok, witness = True, None
-    try:
+
+    def homomorphism_failures():
         for trial in range(5):
             x = ProductOp(params, tuple(rng.choice(pool) for _ in range(3)))
             y = ProductOp(params, tuple(rng.choice(pool) for _ in range(3)))
             if pi_map(x * y, params) != pi_map(x, params) * pi_map(y, params):
-                ok, witness = False, f"pi(xy) != pi(x)pi(y) on trial {trial}"
-                break
-    except DoesNotNormalize as exc:
-        ok, witness = False, f"a sampled product does not normalize R*Z: {exc}"
-    report.record("pi-homomorphism", pstr, ok, witness)
+                yield f"pi(xy) != pi(x)pi(y) on trial {trial}"
+
+    report.record("pi-homomorphism", pstr,
+                  _catch_not_normalizing(homomorphism_failures(), "a sampled product"))
 
     # the commutator form: Gram matrix, bilinear, alternating, nondegenerate
     basis_elems = []
@@ -405,31 +393,29 @@ def _projection_checks(report, params, gens, seed):
         basis_elems.append(ExtraspecialElement(0, (0,) * ell, a))
     gram = SpMatrix(r, [[comm_exponent(x, y, r) for y in basis_elems]
                         for x in basis_elems])
-    ok = gram == sp_form(ell, r)
-    witness = None if ok else "Gram matrix of comm_exponent != J"
-    if ok:
-        def rand_elem():
-            return ExtraspecialElement(0, tuple(rng.randrange(r) for _ in range(ell)),
-                                       tuple(rng.randrange(r) for _ in range(ell)))
 
+    def rand_elem():
+        return ExtraspecialElement(0, tuple(rng.randrange(r) for _ in range(ell)),
+                                   tuple(rng.randrange(r) for _ in range(ell)))
+
+    def form_failures():
+        if gram != sp_form(ell, r):
+            yield "Gram matrix of comm_exponent != J"
         for _ in range(10):
             x, y, w = rand_elem(), rand_elem(), rand_elem()
             if comm_exponent(x, x, r) != 0:
-                ok, witness = False, "form is not alternating"
-                break
+                yield "form is not alternating"
             xw = ExtraspecialElement(0, tuple((p + q) % r for p, q in zip(x.a, w.a)),
                                      tuple((p + q) % r for p, q in zip(x.b, w.b)))
             if comm_exponent(xw, y, r) != (comm_exponent(x, y, r)
                                            + comm_exponent(w, y, r)) % r:
-                ok, witness = False, "form is not additive in the first slot"
-                break
+                yield "form is not additive in the first slot"
             # matrix commutator realisation
             commutator = realize(x, params).commutator(realize(y, params))
-            expo = comm_exponent(x, y, params.r)
-            if commutator != ScalarOp(params, ctx.theta_pow[expo]):
-                ok, witness = False, "matrix commutator disagrees with comm_exponent"
-                break
-    report.record("commutator-form", pstr, ok, witness)
+            if commutator != ScalarOp(params, ctx.theta_pow[comm_exponent(x, y, r)]):
+                yield "matrix commutator disagrees with comm_exponent"
+
+    report.record("commutator-form", pstr, form_failures())
 
 
 def _submodule_checks(report, params, gens):
@@ -439,7 +425,7 @@ def _submodule_checks(report, params, gens):
     n = params.n
     char2 = ctx.char == 2
     bases = submodule_bases(params)
-    gen_ops = gens.sp_generating_ops()
+    named = _named_ops(gens)
 
     if not char2:
         w_plus, w_minus = bases
@@ -460,19 +446,16 @@ def _submodule_checks(report, params, gens):
                      (True, True, True, 1), "0 < A < B < W with dim B/A = 1")
 
     restricted = {}  # (basis label, generator name) -> matrix
-    ok, witness = True, None
-    for kind, t, s, op in gen_ops:
-        name = f"{kind}{s}{t}" if kind == "D" else f"{kind}{t}"
-        for basis in bases:
-            try:
-                restricted[(basis.label, name)] = restrict(op, basis, ctx, r, ell)
-            except NotInvariant as exc:
-                ok, witness = False, f"{name} on {basis.label}: {exc}"
-                break
-        if not ok:
-            break
-    report.record("submodule-invariance", pstr, ok, witness)
-    if not ok:
+
+    def invariance_failures():
+        for name, op in named:
+            for basis in bases:
+                try:
+                    restricted[(basis.label, name)] = restrict(op, basis, ctx, r, ell)
+                except NotInvariant as exc:
+                    yield f"{name} on {basis.label}: {exc}"
+
+    if not report.record("submodule-invariance", pstr, invariance_failures()):
         return
 
     if not char2:
@@ -492,39 +475,28 @@ def _submodule_checks(report, params, gens):
                      "sigma is trivial on B", ctx)
         # B/A: trivial 1-dim action unless (r, l) = (3, 1)
         if (r, ell) != (3, 1):
-            ok, witness = True, None
-            for kind, t, s, op in gen_ops:
-                name = f"{kind}{s}{t}" if kind == "D" else f"{kind}{t}"
-                mat = restricted[("B", name)]
-                if mat.rows[-1][-1] != ctx.one:
-                    shown = json.dumps(ctx.serialize_elem(mat.rows[-1][-1]))
-                    ok, witness = False, f"{name} acts as {shown} on B/A"
-                    break
-            report.record("BA-action-trivial", pstr, ok, witness)
+            ba_actions = ((name, restricted[("B", name)].rows[-1][-1]) for name, _ in named)
+            report.record("BA-action-trivial", pstr, (
+                f"{name} acts as {json.dumps(ctx.serialize_elem(a))} on B/A"
+                for name, a in ba_actions if a != ctx.one))
         # trace additivity across the three composition factors
-        ok, witness = True, None
-        for kind, t, s, op in gen_ops:
-            name = f"{kind}{s}{t}" if kind == "D" else f"{kind}{t}"
-            full = op.trace()
-            t_a = restricted[("A", name)].trace()
-            t_ba = restricted[("B", name)].rows[-1][-1]
-            t_q = restrict_quotient(op, params).trace()
-            if full != ctx.add(ctx.add(t_a, t_ba), t_q):
-                ok, witness = False, f"trace additivity fails for {name}"
-                break
-        report.record("trace-additivity", pstr, ok, witness)
+        def additivity_failures():
+            for name, op in named:
+                t_a = restricted[("A", name)].trace()
+                t_ba = restricted[("B", name)].rows[-1][-1]
+                t_q = restrict_quotient(op, params).trace()
+                if op.trace() != ctx.add(ctx.add(t_a, t_ba), t_q):
+                    yield f"trace additivity fails for {name}"
+
+        report.record("trace-additivity", pstr, additivity_failures())
 
     # irreducibility evidence by spinning, at the spec's parameter grid
     if (r, ell) in ((3, 1), (5, 1), (3, 2)):
         target = next(b for b in bases if b.label == ("A" if char2 else "W-"))
-        ops = [op for _, _, _, op in gen_ops]
-        ok, witness = True, None
-        for v in target.vectors:
-            d = spin([list(v)], ops, ctx)
-            if d != target.dim:
-                ok, witness = False, f"spin gave {d}, expected {target.dim}"
-                break
-        report.record("spin-irreducibility", pstr, ok, witness)
+        ops = [op for _, op in named]
+        dims = (spin([list(v)], ops, ctx) for v in target.vectors)
+        report.record("spin-irreducibility", pstr, (
+            f"spin gave {d}, expected {target.dim}" for d in dims if d != target.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,18 @@
 
 Every name a module imports is used there; __init__.py is left out, as its
 imports are the package's public names.  Only fields.py and serialize.py,
-which define and spell the field encodings, branch on the field family."""
+which define and spell the field encodings, branch on the field family.
+Every attribute a module stores on self is read, and every top-level
+function is referenced, somewhere in src, tests, scripts or perfbench."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "spweil"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "spweil"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -80,3 +84,76 @@ def test_scan_finds_a_field_family_branch():
 @pytest.mark.parametrize("path", FAMILY_BLIND, ids=lambda p: p.name)
 def test_no_field_family_branches(path):
     assert field_family_branches(path.read_text()) == []
+
+
+READERS = sorted(p for d in ("src", "tests", "scripts", "perfbench")
+                 for p in (ROOT / d).rglob("*.py"))
+
+
+@functools.lru_cache(maxsize=None)
+def loaded_names(source):
+    """(attributes, names) source reads: attributes are loaded attribute
+    names and getattr/hasattr string arguments; names are loaded names,
+    imported names and string constants (a monkeypatch or span table may
+    name a function by string)."""
+    attrs, names = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attrs.add(node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+        if (isinstance(node, ast.Call) and len(node.args) > 1
+                and getattr(node.func, "id", None) in ("getattr", "hasattr")
+                and isinstance(node.args[1], ast.Constant)):
+            attrs.add(node.args[1].value)
+    return attrs, names
+
+
+def unread_names(source, readers):
+    """The attributes source stores on self that no reader reads as an
+    attribute, and its top-level functions that no reader names at all,
+    each with its line."""
+    attrs, names = set(), set()
+    for reader in readers:
+        reader_attrs, reader_names = loaded_names(reader)
+        attrs |= reader_attrs
+        names |= reader_names
+    tree = ast.parse(source)
+    stored = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and getattr(node.value, "id", None) == "self"):
+            stored.setdefault(node.attr, node.lineno)
+    found = [(line, name) for name, line in stored.items() if name not in attrs]
+    found += [(node.lineno, node.name) for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name not in attrs | names]
+    return sorted(found)
+
+
+def test_scan_finds_unread_attributes_and_functions():
+    source = (
+        "class K:\n"
+        "    def __init__(self):\n"
+        "        self.kept, self.lost = 1, 2\n"
+        "        self.by_getattr = 3\n"
+        "        self.spec = 4\n"
+        "def used():\n"
+        "    pass\n"
+        "def unused():\n"
+        "    pass\n"
+        "def by_string():\n"
+        "    pass\n")
+    reader = ("from m import used\n"
+              "print(k.kept, getattr(k, 'by_getattr'))\n"
+              "spans = [(m, 'by_string')]\n"
+              "spec = 'a local variable named like an attribute'\n")
+    assert unread_names(source, [source, reader]) == [(3, "lost"), (5, "spec"), (8, "unused")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_attributes_or_functions(path):
+    assert unread_names(path.read_text(), [p.read_text() for p in READERS]) == []

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -61,6 +63,48 @@ def test_inverse_contract(gf7, cyc3):
             found += 1
             assert m.inverse() * m == eye
             assert m * m.inverse() == eye
+
+
+DET_FIELDS = {name: make_field(FieldSpec(kind, 3)) for name, kind in
+              (("Q(theta3)", "cyclotomic"), ("GF(7)", "auto-prime"), ("GF(4)", "auto-char2"))}
+
+
+def _leibniz_det(ctx, rows):
+    """sum over permutations p of sign(p) * prod_i rows[i][p(i)]."""
+    n = len(rows)
+    acc = ctx.zero
+    for perm in itertools.permutations(range(n)):
+        term = ctx.one
+        for i, j in enumerate(perm):
+            term = ctx.mul(term, rows[i][j])
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        acc = ctx.sub(acc, term) if inversions % 2 else ctx.add(acc, term)
+    return acc
+
+
+@given(field=st.sampled_from(sorted(DET_FIELDS)), n=st.integers(1, 4),
+       coeffs=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                       min_size=16, max_size=16),
+       singular=st.sampled_from([None, "zero column", "row combination"]))
+@settings(max_examples=80, deadline=None)
+def test_det_matches_leibniz_expansion(field, n, coeffs, singular):
+    # entries a + b * theta reach every element of GF(4) and non-rational
+    # ones of Q(theta); a singular matrix gets a zero column or a last row
+    # that is the sum of the others
+    ctx = DET_FIELDS[field]
+    elems = [ctx.add(ctx.from_int(a), ctx.mul(ctx.from_int(b), ctx.theta)) for a, b in coeffs]
+    rows = [elems[i * n:(i + 1) * n] for i in range(n)]
+    if singular == "zero column":
+        for row in rows:
+            row[-1] = ctx.zero
+    elif singular == "row combination" and n > 1:
+        rows[-1] = [functools.reduce(ctx.add, col) for col in zip(*rows[:-1])]
+    else:
+        singular = None
+    m = DenseMatrix(ctx, rows)
+    assert m.det() == _leibniz_det(ctx, rows)
+    if singular:
+        assert m.det() == ctx.zero
 
 
 def test_singular_matrix_raises(gf7):

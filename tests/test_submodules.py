@@ -88,6 +88,16 @@ def test_fast_path_matches_generic_solve(cyc3, gf4):
                 assert fast == generic
 
 
+def test_restrict_takes_ell_from_the_basis(gf7, gf4):
+    # with r but no ell, ell is the one with r^ell = n
+    for ctx in (gf7, gf4):
+        params = WeilParams(3, 2, ctx)
+        gens = weil_generators(params)
+        for basis in submodule_bases(params):
+            for op in (gens.U[0], gens.D[(1, 2)], gens.lamC[1]):
+                assert restrict(op, basis, ctx, 3) == restrict(op, basis, ctx, 3, 2)
+
+
 def test_generic_solve_on_adhoc_basis(gf7):
     # solve_in_span on a non-structured basis
     basis = [(1, 0, 1), (0, 1, 0)]

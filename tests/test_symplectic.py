@@ -292,3 +292,22 @@ def test_weil_token_powers_project_to_sp_powers(r, p):
         for e in range(base_tok.order(r)):
             tok = GenToken(base_tok.kind, base_tok.t, base_tok.s, e)
             assert pi_map(weil(tok), params) == sp(tok)
+
+
+@pytest.mark.parametrize("ell,r", [(1, 3), (1, 5), (2, 3), (2, 5), (3, 3)])
+def test_sp_inverse_from_the_form(ell, r):
+    ident = SpMatrix.identity(ell, r)
+    for seed in range(6):
+        g = random_element(ell, r, seed)
+        assert g * g.inverse() == ident
+        assert g.inverse() * g == ident
+        assert g ** -3 * g ** 3 == ident
+
+
+def test_sp_inverse_rejects_a_non_symplectic_matrix():
+    # both invertible, but the final entry 2 scales the form on the last plane
+    for g in (SpMatrix(3, [[1, 0], [0, 2]]),
+              SpMatrix(5, [[1 if i == j else 0 for j in range(4)] for i in range(3)]
+                       + [[0, 0, 0, 2]])):
+        with pytest.raises(NotSymplectic):
+            g.inverse()

@@ -346,3 +346,25 @@ def test_grid_script_closure_rows_cover_every_family(monkeypatch, capsys):
         ("GF(7)", 24, 24), ("Q(theta_5)", 120, 120), ("GF(2^4)", 120, 120)]
     for row in rows:
         assert set(row) == {"r", "l", "field", "closure", "group_order", "duration_s"}
+
+
+def test_record_draws_only_the_first_witness():
+    def witnesses():
+        yield "first"
+        raise AssertionError("a second witness was drawn")
+
+    report = VerificationReport()
+    assert report.record("fails", "p", witnesses()) is False
+    assert report.record("passes", "p", iter(())) is True
+    assert [(e.id, e.status, e.witness) for e in report.entries] == [
+        ("fails", "fail", "first"), ("passes", "pass", None)]
+
+
+def test_pi_generator_images_witness_names_the_generator(gf7):
+    # at l = 3, D13 and D23 share t = 3: the witness must say which one
+    params = WeilParams(3, 3, gf7)
+    gens = weil_generators(params)
+    swapped = replace(gens, D={**gens.D, (1, 3): gens.D[(2, 3)]})
+    report = run_relation_suite(params, gens=swapped)
+    witnesses = {e.id: e.witness for e in report.entries}
+    assert witnesses["pi-generator-images"] == "pi image of D13 mismatches its table entry"
