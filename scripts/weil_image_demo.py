@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Decompose a pseudorandom symplectic matrix and pull it back through the
-Weil representation, printing the word, the matrix, and the projection
-roundtrip check.
+Weil representation, printing the word, the matrix, its check against the
+word evaluated on every column (weil_image builds it from l + 1 columns),
+and the projection roundtrip check.
 
 Usage: python3 scripts/weil_image_demo.py [--r 5] [--l 2] [--seed 7]
        [--field auto-prime]
@@ -17,7 +18,7 @@ from spweil.cli import EXIT_USAGE, validated_setup
 from spweil.fields import InvalidFieldSpec
 from spweil.generators import weil_generators
 from spweil.heisenberg import pi_map
-from spweil.symplectic import decompose, random_element, weil_image
+from spweil.symplectic import decompose, random_element, weil_image, weil_image_op
 
 
 def main():
@@ -48,13 +49,15 @@ def main():
         for t in word)
     print(f"\nword ({len(word)} tokens): {pretty}")
 
-    mat = weil_image(g, gens)
+    mat = weil_image(g, gens, word)
     print(f"\nWeil image over {ctx.describe()} ({params.n} x {params.n}):")
     for row in mat.serialize():
         print("   ", row)
 
+    reference = weil_image_op(g, gens, word).materialize()
+    print("\nword-route check:", "ok" if mat == reference else "MISMATCH")
     back = pi_map(mat, params)
-    print("\nprojection roundtrip:", "ok" if back == g else "MISMATCH")
+    print("projection roundtrip:", "ok" if back == g else "MISMATCH")
     return 0
 
 

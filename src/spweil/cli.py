@@ -142,10 +142,10 @@ def cmd_image(args):
     gens = weil_generators(params)
     word = decompose(g)
     if args.irreducible:
-        mat = weil_image_irreducible(g, gens, args.irreducible)
+        mat = weil_image_irreducible(g, gens, args.irreducible, word)
         name = f"g_weil_{args.irreducible}"
     else:
-        mat = weil_image(g, gens)
+        mat = weil_image(g, gens, word)
         name = "g_weil"
     return _write_matrices(args, gens, {name: mat}, word=word, input=g.serialize())
 

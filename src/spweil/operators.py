@@ -32,7 +32,8 @@ ctx.product_rows((op,), rows).  Each column of M goes through every
 factor's apply, except over GF(p) with r * p^2 < 2^64, where each factor's
 mul_packed left-multiplies M's rows, packed into 64-bit lanes
 (fields.PackedRows), handing over perm and diag (monomial), stride and
-table (Fourier) or its materialised matrix's mul_rows (anything else).
+table (Fourier), its factors' in turn (product) or its materialised
+matrix's mul_rows (anything else).
 MonomialOp.mul_rows is the one single-step shortcut: it permutes M's rows
 and scales them by ctx.mul_theta_power_row, with no packing.
 
@@ -391,6 +392,10 @@ class ProductOp(Operator):
         for f in reversed(self.factors):
             vec = f.apply(vec)
         return list(vec)
+
+    def mul_packed(self, packed):
+        for f in reversed(self.factors):
+            f.mul_packed(packed)
 
     def inverse(self):
         return ProductOp(self.params, tuple(f.inverse() for f in reversed(self.factors)))

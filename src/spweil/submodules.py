@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .linalg import DenseMatrix, NotInvariant, solve_in_span
-from .operators import flat_index, index_vectors
+from .operators import DenseOp, flat_index, index_vectors
 
 
 class WrongCharacteristic(ValueError):
@@ -146,12 +146,13 @@ def restrict_quotient(op, params):
     return DenseMatrix.from_columns(ctx, cols)
 
 
-def weil_image_irreducible(g, gens, which):
-    """Action of a symplectic matrix on one irreducible constituent.
+def weil_image_irreducible(g, gens, which, word=None):
+    """Action of a symplectic matrix on one irreducible constituent: the
+    restriction of weil_image(g, gens, word).
 
     which: "plus" | "minus" (char != 2) or "socle" | "quotient" (char 2).
     """
-    from .symplectic import weil_image_op
+    from .symplectic import weil_image
 
     params = gens.params
     char2 = params.ctx.char == 2
@@ -159,7 +160,7 @@ def weil_image_irreducible(g, gens, which):
         raise WrongCharacteristic(f"{which!r} requires characteristic != 2")
     if which in ("socle", "quotient") and not char2:
         raise WrongCharacteristic(f"{which!r} requires characteristic 2")
-    op = weil_image_op(g, gens)
+    op = DenseOp(params, weil_image(g, gens, word))
     if which == "quotient":
         return restrict_quotient(op, params)
     label = {"plus": "W+", "minus": "W-", "socle": "A"}[which]

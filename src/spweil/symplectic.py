@@ -423,13 +423,27 @@ def decompose(g):
     return eng.word()
 
 
-def weil_image_op(g, gens):
+def weil_image_op(g, gens, word=None):
     """The image of a symplectic matrix under the Weil representation, as the
-    structured product of the word in (lam*C_t, D_st, U_t)."""
-    word = decompose(g)
+    structured product of the word in (lam*C_t, D_st, U_t); word is
+    decompose(g), computed here when it is not given."""
+    if word is None:
+        word = decompose(g)
     return evaluate_word(word, weil_assignment(gens), identity_op(gens.params))
 
 
-def weil_image(g, gens):
-    """weil_image_op, materialised."""
-    return weil_image_op(g, gens).materialize()
+def weil_image(g, gens, word=None):
+    """The matrix of weil_image_op(g, gens, word), for every field family
+    from l + 1 of its columns: the word is applied to e_0 and each
+    e_(delta_t) only, and heisenberg.image_from_columns fills the rest from
+    g's action on R.  weil_image_op(...).materialize() is the reference
+    route, through all n columns.
+
+    The two agree when gens is a sound generator set.  When it is not, only
+    those l + 1 columns are checked: heisenberg.DoesNotNormalize is raised
+    when they are not those of a normaliser of R projecting to g, and a
+    fault that shows in the word's other columns only goes undetected, the
+    result being a normaliser that differs from the reference route."""
+    from .heisenberg import image_from_columns
+
+    return image_from_columns(g, weil_image_op(g, gens, word), gens.params)

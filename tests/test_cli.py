@@ -282,6 +282,25 @@ def test_image_from_file(capsys, tmp_path):
     assert json.loads(out)["word"] == [{"gen": "U", "t": 1, "exp": 1}]
 
 
+@pytest.mark.parametrize("extra", [[], ["--irreducible", "plus"]])
+def test_image_decomposes_its_input_once(extra, capsys, monkeypatch):
+    # cli holds the word it writes into the document; the image reuses it
+    from spweil import cli, symplectic
+    calls = []
+    original = symplectic.decompose
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(symplectic, "decompose", counting)
+    monkeypatch.setattr(cli, "decompose", counting)
+    g = " ".join(str(x) for row in symplectic.random_element(2, 3, 5).rows for x in row)
+    code, out, _ = run_cli(["image", "--r", "3", "--l", "2", "--g", g, *extra], capsys)
+    assert code == 0 and json.loads(out)["word"]
+    assert len(calls) == 1
+
+
 def test_image_non_symplectic_exits_3(capsys):
     code, _, err = run_cli(["image", "--r", "3", "--l", "1",
                             "--g", "1 1 1 1"], capsys)
@@ -498,4 +517,4 @@ def test_demo_script_roundtrip():
                            "--r", "3", "--l", "1"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
-    assert proc.stdout.rstrip().endswith("projection roundtrip: ok")
+    assert proc.stdout.rstrip().endswith("word-route check: ok\nprojection roundtrip: ok")

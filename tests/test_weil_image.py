@@ -1,0 +1,162 @@
+"""weil_image builds rho(g) from l + 1 word columns and g's action on R.
+
+The reference is the word route, weil_image_op(g, gens).materialize(),
+which pushes every basis vector through the word; pi_map(image) == g is
+no reference, as the image is built from g's columns.  The trace identity
+Tr rho(g) * Tr rho(g^-1) = r^dim ker(g - 1) shares no route with either.
+"""
+
+import functools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spweil.fields import make_field, parse_field_spec
+from spweil.generators import weil_generators
+from spweil.heisenberg import DoesNotNormalize, image_from_columns
+from spweil.linalg import DenseMatrix
+from spweil.operators import WeilParams
+from spweil.submodules import (restrict, restrict_quotient, submodule_bases,
+                               weil_image_irreducible)
+from spweil.symplectic import (GenToken, SpMatrix, evaluate_word, gen_images,
+                               random_element, sp_assignment, weil_image,
+                               weil_image_op)
+from spweil.verification import corrupt_c_entry
+
+FAMILIES = ["cyclotomic", "auto-prime", "gf2-auto"]
+CELLS = [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]
+
+
+@functools.lru_cache(maxsize=None)
+def generator_set(family, r, ell):
+    return weil_generators(WeilParams(r, ell, make_field(parse_field_spec(family, r))))
+
+
+def rank_mod(rows, r):
+    """Rank over GF(r) by Gauss-Jordan elimination on integer rows."""
+    rows = [[x % r for x in row] for row in rows]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][j], r - 2, r)
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                f = rows[i][j] * inv
+                rows[i] = [(a - f * b) % r for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def lower_left_rank(g):
+    """Rank of the block of g from the e-coordinates to the f-coordinates."""
+    return rank_mod([row[0::2] for row in g.rows[1::2]], g.r)
+
+
+def unipotent_word(draw, r, ell):
+    """A word in U_t and D_st: g with zero lower-left block and identity
+    diagonal blocks."""
+    tokens = [GenToken("U", t) for t in range(1, ell + 1)]
+    tokens += [GenToken("D", t, s) for s in range(1, ell + 1) for t in range(s + 1, ell + 1)]
+    picks = draw(st.lists(st.sampled_from(tokens), max_size=4))
+    return [GenToken(tok.kind, tok.t, tok.s, draw(st.integers(1, r - 1))) for tok in picks]
+
+
+@st.composite
+def elements(draw, r, ell):
+    """The identity, a generator image, an element whose lower-left block
+    has rank < l (C_t on fewer than l slots between two unipotent words),
+    or a random_element."""
+    kind = draw(st.sampled_from(["identity", "generator", "low-rank", "random"]))
+    if kind == "identity":
+        return SpMatrix.identity(ell, r)
+    if kind == "generator":
+        images = gen_images(ell, r)
+        return images[draw(st.sampled_from(sorted(images, key=lambda tok: tok.name)))]
+    if kind == "random":
+        return random_element(ell, r, draw(st.integers(0, 10 ** 6)))
+    slots = draw(st.sets(st.integers(1, ell), max_size=ell - 1))
+    word = unipotent_word(draw, r, ell) + [GenToken("C", t) for t in sorted(slots)]
+    word += unipotent_word(draw, r, ell)
+    g = evaluate_word(word, sp_assignment(ell, r), SpMatrix.identity(ell, r))
+    assert lower_left_rank(g) == len(slots) < ell
+    return g
+
+
+@st.composite
+def cases(draw):
+    r, ell = draw(st.sampled_from(CELLS))
+    return r, ell, draw(elements(r, ell))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(case=cases())
+@settings(max_examples=60, deadline=None)
+def test_image_matches_the_word_route(family, case):
+    r, ell, g = case
+    gens = generator_set(family, r, ell)
+    assert weil_image(g, gens) == weil_image_op(g, gens).materialize()
+
+
+@pytest.mark.parametrize("family,which", [
+    ("cyclotomic", "plus"), ("cyclotomic", "minus"), ("auto-prime", "plus"),
+    ("auto-prime", "minus"), ("gf2-auto", "socle"), ("gf2-auto", "quotient")])
+@pytest.mark.parametrize("r,ell", [(5, 1), (3, 2), (3, 3)])
+def test_constituent_is_the_restricted_word_route(family, which, r, ell):
+    gens = generator_set(family, r, ell)
+    params = gens.params
+    label = {"plus": "W+", "minus": "W-", "socle": "A"}.get(which)
+    images = gen_images(ell, r)
+    for g in [random_element(ell, r, seed) for seed in range(3)] + [images[GenToken("U", 1)]]:
+        op = weil_image_op(g, gens)
+        if which == "quotient":
+            want = restrict_quotient(op, params)
+        else:
+            basis = next(b for b in submodule_bases(params) if b.label == label)
+            want = restrict(op, basis, params.ctx, r, ell)
+        assert weil_image_irreducible(g, gens, which) == want
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("r,ell", CELLS)
+def test_corrupted_generators_do_not_normalize(family, r, ell):
+    # weil_image checks only the l + 1 columns it computes (e_0 and the
+    # e_(delta_t)), so it sees a fault in C_1 only where the word carries
+    # one of those columns onto the fault; for C_1 alone that needs the
+    # corrupted column of C_1 to be one of them, which is asserted first
+    sound = generator_set(family, r, ell)
+    gens = corrupt_c_entry(sound)
+    faulty = {j for j, (a, b) in enumerate(zip(gens.rawC[0].materialize().columns(),
+                                               sound.rawC[0].materialize().columns()))
+              if a != b}
+    assert faulty and faulty <= {0} | {r ** (ell - t) for t in range(1, ell + 1)}
+    c1 = gen_images(ell, r)[GenToken("C", 1)]
+    for g in (c1, c1 ** 3, c1 * random_element(ell, r, 1)):
+        with pytest.raises(DoesNotNormalize, match="slot"):
+            weil_image(g, gens)
+
+
+def test_zero_first_column_does_not_normalize(gf7):
+    params = WeilParams(3, 2, gf7)
+    zero = DenseMatrix(gf7, [[0] * 9 for _ in range(9)])
+    with pytest.raises(DoesNotNormalize, match="zero"):
+        image_from_columns(SpMatrix.identity(2, 3), zero, params)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(case=cases())
+@settings(max_examples=30, deadline=None)
+def test_trace_identity(family, case):
+    # |chi(g)|^2 = r^dim ker(g - 1) for the Weil character (Howe 1973,
+    # Gerardin 1977), here as Tr rho(g) * Tr rho(g^-1), an identity of
+    # algebraic integers that holds in every family
+    r, ell, g = case
+    gens = generator_set(family, r, ell)
+    ctx = gens.params.ctx
+    kernel_dim = 2 * ell - rank_mod(
+        [[a - (i == j) for j, a in enumerate(row)] for i, row in enumerate(g.rows)], r)
+    product = ctx.mul(weil_image(g, gens).trace(), weil_image(g.inverse(), gens).trace())
+    assert product == ctx.from_int(r ** kernel_dim)
