@@ -43,10 +43,7 @@ def main():
         print("   ", row)
 
     word = decompose(g)
-    pretty = " ".join(
-        (f"{t.kind}{t.t}" if t.kind != "D" else f"D{t.s}{t.t}")
-        + (f"^{t.exp}" if t.exp != 1 else "")
-        for t in word)
+    pretty = " ".join(t.name + (f"^{t.exp}" if t.exp != 1 else "") for t in word)
     print(f"\nword ({len(word)} tokens): {pretty}")
 
     mat = weil_image(g, gens, word)

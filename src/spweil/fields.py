@@ -20,8 +20,8 @@ theta times one scalar.  mul_theta_power(a, e) is a * theta^e: one modular
 multiply over GF(p), a rotation of the coefficient vector over Q(theta),
 which keeps the denominator and needs no gcd, and a table lookup over
 GF(p^k) (a mul above the table bound).  fourier_apply(vec, stride,
-table, scale) applies scale times the Fourier kernel theta^(i*x) in one
-tensor slot; over Q(theta) it sums integer rotations over one common
+table) applies the Fourier kernel theta^(i*x) in one tensor slot, times the
+scale table[0][0]; over Q(theta) it sums integer rotations over one common
 denominator and normalises each output once.  The whole-row form
 mul_theta_power_row serves a monomial's single-step mul_rows in closure
 counting; GF(p) scales rows in C-level maps with one reduction per entry.
@@ -294,10 +294,11 @@ class FieldContext:
         """The tuple of row's entries, each times theta^e."""
         return tuple(map(self.mul_theta_power, row, itertools.repeat(e)))
 
-    def fourier_apply(self, vec, stride, table, scale):
+    def fourier_apply(self, vec, stride, table):
         """scale * C applied to vec: on each fibre of r entries stride apart,
         out_i = scale * sum_x theta^(i*x) v_x.  table[i][x] is
-        scale * theta^(i*x).  All-zero fibres are skipped."""
+        scale * theta^(i*x), so table[0][0] is the scale.  All-zero fibres
+        are skipped."""
         r = self.r
         n = len(vec)
         block = stride * r
@@ -471,12 +472,13 @@ class CyclotomicContext(FieldContext):
             return (tuple(x - high for x in rot[:-1]), den)
         return (rot[:-1], den)
 
-    def fourier_apply(self, vec, stride, table, scale):
+    def fourier_apply(self, vec, stride, table):
         r = self.r
         n = len(vec)
         block = stride * r
         zero = self.zero
         out = [zero] * n
+        scale = table[0][0]
         unit = scale == self.one
         for base in range(0, n, block):
             for off in range(base, base + stride):

@@ -17,7 +17,7 @@ negates every index coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .fields import legendre
 from .operators import FourierOp, MonomialOp, Operator, WeilParams, negation_monomial
@@ -124,7 +124,9 @@ class WeilGeneratorSet:
 
     lamC[t-1] is lam*C_t; D[(s, t)] is D_st; U[t-1] is U_t.  The normalizer
     extras A, B, rawC, E, plus sigma and the scalar lam, are kept for the
-    projection map and for verification work.
+    projection map and for verification work.  symplectic.weil_assignment
+    keeps the set's token operators in _assignment, built on first use; a
+    set made by dataclasses.replace starts without them.
     """
 
     params: WeilParams
@@ -137,6 +139,7 @@ class WeilGeneratorSet:
     rawC: tuple
     E: tuple
     sigma: Operator
+    _assignment: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ctx(self):

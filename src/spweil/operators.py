@@ -116,16 +116,6 @@ class Operator:
             return NotImplemented
         return ProductOp(self.params, (self, other))
 
-    def __pow__(self, e):
-        if e < 0:
-            return self.inverse() ** (-e)
-        if e == 0:
-            return identity_op(self.params)
-        out = self
-        for _ in range(e - 1):
-            out = out * self
-        return out
-
     def materialize(self):
         cols = []
         zero = self.ctx.zero
@@ -338,7 +328,7 @@ class FourierOp(Operator):
         self._stride = r ** (params.ell - t)
 
     def apply(self, vec):
-        return self.ctx.fourier_apply(vec, self._stride, self._table, self.scale)
+        return self.ctx.fourier_apply(vec, self._stride, self._table)
 
     def mul_packed(self, packed):
         packed.fourier(self._stride, self._table)

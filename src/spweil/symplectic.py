@@ -198,7 +198,10 @@ def weil_assignment(gens):
     """Assignment mapping tokens to Weil operators: C -> lam*C_t, D -> D_st,
     U -> U_t, raised to the token's exponent (a C-token square is the
     monomial (-1)^((r-1)/2) * slot negation).  It rejects the tokens
-    sp_assignment rejects."""
+    sp_assignment rejects.  It is built once per generator set, so each
+    token power is computed once per set."""
+    if gens._assignment is not None:
+        return gens._assignment
     params = gens.params
     ell = params.ell
     images = {GenToken("C", t): gens.lamC[t - 1] for t in range(1, ell + 1)}
@@ -215,7 +218,8 @@ def weil_assignment(gens):
         sq = lam_C_squared(params, t)
         return sq if e == 2 else sq * base
 
-    return _assignment(images, params.r, power)
+    gens._assignment = _assignment(images, params.r, power)
+    return gens._assignment
 
 
 def group_order(ell, r):
@@ -250,138 +254,90 @@ def random_element(ell, r, seed, length=50):
 
 class _Engine:
     """Left-multiplies the working matrix by generator words until it reaches
-    the identity, recording each word.  Every helper acts only on planes
-    >= its smallest argument, so previously standardised hyperbolic pairs are
+    the identity, recording each word.  apply is the one method that writes
+    rows; reduce only chooses tokens, and each word it applies acts on planes
+    >= the plane being standardised, so standardised hyperbolic pairs are
     never disturbed."""
 
     def __init__(self, g):
         self.r = g.r
         self.ell = g.ell
         self.m = [list(row) for row in g.rows]
-        self.applied = []  # list of token lists, in application order
+        self.applied = []  # token tuples, in application order
 
-    # row operations; tokens evaluate to the matrix being applied on the left
+    def apply(self, *tokens):
+        """Record the word and left-multiply the matrix by it, rightmost
+        token first, each token by its kind's row operation on the rows
+        e_t = 2t - 2 and f_t = 2t - 1:
 
-    def _addmul(self, dst, src, a):
-        if a % self.r:
-            m, r = self.m, self.r
-            m[dst] = [(x + a * y) % r for x, y in zip(m[dst], m[src])]
-
-    def u(self, k, a):
-        a %= self.r
-        if a:
-            self.applied.append([GenToken("U", k + 1, None, a)])
-            self._addmul(2 * k, 2 * k + 1, a)
-
-    def x_opp(self, k, a):
-        """c_k u_k^a c_k^-1: row f_k -= a * row e_k."""
-        a %= self.r
-        if a:
-            self.applied.append([GenToken("C", k + 1), GenToken("U", k + 1, None, a),
-                                 GenToken("C", k + 1, None, 3)])
-            self._addmul(2 * k + 1, 2 * k, -a)
-
-    def c(self, k):
-        self.applied.append([GenToken("C", k + 1)])
+            C_t^a, a = 1, 2, 3:  (e_t, f_t) -> (f_t, -e_t), (-e_t, -f_t), (-f_t, e_t)
+            U_t^a:               e_t += a * f_t
+            D_st^a:              e_s += a * f_t and e_t += a * f_s
+        """
+        self.applied.append(tokens)
         m, r = self.m, self.r
-        e, f = 2 * k, 2 * k + 1
-        m[e], m[f] = m[f], [(-x) % r for x in m[e]]
+        for tok in reversed(tokens):
+            a, e, f = tok.exp, 2 * tok.t - 2, 2 * tok.t - 1
+            if tok.kind != "C":
+                pairs = [(e, f)] if tok.kind == "U" else [(2 * tok.s - 2, f), (e, 2 * tok.s - 1)]
+                for dst, src in pairs:
+                    m[dst] = [(x + a * y) % r for x, y in zip(m[dst], m[src])]
+            elif a % 4 == 1:
+                m[e], m[f] = m[f], [-x % r for x in m[e]]
+            elif a % 4 == 2:
+                m[e], m[f] = [-x % r for x in m[e]], [-x % r for x in m[f]]
+            else:
+                m[e], m[f] = [-x % r for x in m[f]], m[e]
 
-    def d(self, k, t, a):
-        a %= self.r
-        if a:
-            self.applied.append([GenToken("D", t + 1, k + 1, a)])
-            self._addmul(2 * k, 2 * t + 1, a)
-            self._addmul(2 * t, 2 * k + 1, a)
-
-    def y_mixed(self, k, t, a):
-        """c_k d^a c_k^-1: row e_t += a * row e_k; row f_k -= a * row f_t."""
-        a %= self.r
-        if a:
-            self.applied.append([GenToken("C", k + 1), GenToken("D", t + 1, k + 1, a),
-                                 GenToken("C", k + 1, None, 3)])
-            self._addmul(2 * t, 2 * k, a)
-            self._addmul(2 * k + 1, 2 * t + 1, -a)
-
-    def z_mixed(self, k, t, a):
-        """c_t d^a c_t^-1: row e_k += a * row e_t; row f_t -= a * row f_k."""
-        a %= self.r
-        if a:
-            self.applied.append([GenToken("C", t + 1), GenToken("D", t + 1, k + 1, a),
-                                 GenToken("C", t + 1, None, 3)])
-            self._addmul(2 * k, 2 * t, a)
-            self._addmul(2 * t + 1, 2 * k + 1, -a)
-
-    def w_mixed(self, k, t, a):
-        """c_k c_t d^a c_t^-1 c_k^-1: row f_k -= a * row e_t; row f_t -= a * row e_k."""
-        a %= self.r
-        if a:
-            self.applied.append([GenToken("C", k + 1), GenToken("C", t + 1),
-                                 GenToken("D", t + 1, k + 1, a),
-                                 GenToken("C", t + 1, None, 3),
-                                 GenToken("C", k + 1, None, 3)])
-            self._addmul(2 * k + 1, 2 * t, -a)
-            self._addmul(2 * t + 1, 2 * k, -a)
-
-    def torus(self, k, alpha):
-        """diag(alpha, alpha^-1) on plane k, via three unipotents and c_k^-1."""
-        r = self.r
-        alpha %= r
-        if alpha == 1:
-            return
-        beta = pow(alpha, r - 2, r)
-        self.applied.append([GenToken("U", k + 1, None, alpha), GenToken("C", k + 1),
-                             GenToken("U", k + 1, None, beta),
-                             GenToken("C", k + 1, None, 3),
-                             GenToken("U", k + 1, None, alpha),
-                             GenToken("C", k + 1, None, 3)])
-        m = self.m
-        m[2 * k] = [x * alpha % r for x in m[2 * k]]
-        m[2 * k + 1] = [x * beta % r for x in m[2 * k + 1]]
-
-    def column(self, j):
-        return [row[j] for row in self.m]
+    def conj(self, outer, *inner):
+        """The tokens of outer * inner * outer^-1, for a token list outer."""
+        return (*outer, *inner, *(tok.inverse(self.r) for tok in reversed(outer)))
 
     def reduce(self):
-        r, ell = self.r, self.ell
-        for k in range(ell):
-            v = self.column(2 * k)
+        """Standardise the planes in turn: column e_k becomes e_k, then
+        column f_k becomes f_k."""
+        r, ell, m, apply, conj = self.r, self.ell, self.m, self.apply, self.conj
+        for k in range(1, ell + 1):
+            e, f = 2 * k - 2, 2 * k - 1
+            c = GenToken("C", k)
+
+            def d(t, a):
+                return GenToken("D", t, k, a % r)
+
+            def u(a):
+                return GenToken("U", k, None, a % r)
+
             # make the plane-k component of column e_k nonzero
-            if v[2 * k] == 0 and v[2 * k + 1] == 0:
-                t = next(t for t in range(k + 1, ell)
-                         if v[2 * t] or v[2 * t + 1])
-                if v[2 * t + 1]:
-                    self.d(k, t, 1)
+            if not (m[e][e] or m[f][e]):
+                t = next(t for t in range(k + 1, ell + 1) if m[2 * t - 2][e] or m[2 * t - 1][e])
+                if m[2 * t - 1][e]:
+                    apply(d(t, 1))
                 else:
-                    self.z_mixed(k, t, 1)
-                v = self.column(2 * k)
-            if v[2 * k] == 0:
-                self.c(k)
-                v = self.column(2 * k)
+                    apply(*conj([GenToken("C", t)], d(t, 1)))
+            if m[e][e] == 0:
+                apply(c)
             # clear the other planes of column e_k, then plane k itself
-            inv_x = pow(v[2 * k], r - 2, r)
-            for t in range(k + 1, ell):
-                if v[2 * t]:
-                    self.y_mixed(k, t, -v[2 * t] * inv_x)
-                    v = self.column(2 * k)
-                if v[2 * t + 1]:
-                    self.w_mixed(k, t, v[2 * t + 1] * inv_x)
-                    v = self.column(2 * k)
-            if v[2 * k + 1]:
-                self.x_opp(k, v[2 * k + 1] * inv_x)
-                v = self.column(2 * k)
-            self.torus(k, pow(v[2 * k], r - 2, r))
-            # column f_k: pairing with the standardised e_k forces w[f_k] = 1
-            w = self.column(2 * k + 1)
-            for t in range(k + 1, ell):
-                if w[2 * t]:
-                    self.d(k, t, -w[2 * t])
-                    w = self.column(2 * k + 1)
-                if w[2 * t + 1]:
-                    self.z_mixed(k, t, w[2 * t + 1])
-                    w = self.column(2 * k + 1)
-            if w[2 * k]:
-                self.u(k, -w[2 * k])
+            inv_x = pow(m[e][e], r - 2, r)
+            for t in range(k + 1, ell + 1):
+                if m[2 * t - 2][e]:
+                    apply(*conj([c], d(t, -m[2 * t - 2][e] * inv_x)))
+                if m[2 * t - 1][e]:
+                    apply(*conj([c, GenToken("C", t)], d(t, m[2 * t - 1][e] * inv_x)))
+            if m[f][e]:
+                apply(*conj([c], u(m[f][e] * inv_x)))
+            # the torus element diag(alpha, alpha^-1), alpha = x^-1, on plane k
+            x = m[e][e]
+            if x != 1:
+                alpha = pow(x, r - 2, r)
+                apply(u(alpha), *conj([c], u(x)), u(alpha), c.inverse(r))
+            # column f_k: pairing with the standardised e_k forces m[f][f] = 1
+            for t in range(k + 1, ell + 1):
+                if m[2 * t - 2][f]:
+                    apply(d(t, -m[2 * t - 2][f]))
+                if m[2 * t - 1][f]:
+                    apply(*conj([GenToken("C", t)], d(t, m[2 * t - 1][f])))
+            if m[e][f]:
+                apply(u(-m[e][f]))
 
     def word(self):
         """g = h_1^-1 h_2^-1 ... in application order, tokens merged."""

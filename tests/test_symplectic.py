@@ -1,18 +1,23 @@
+import hashlib
 import itertools
+import json
 from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spweil import generators
 from spweil.fields import FieldSpec, make_field
 from spweil.generators import weil_generators
 from spweil.heisenberg import pi_map
-from spweil.operators import WeilParams, identity_op
+from spweil.operators import WeilParams, identity_op, operators_equal
+from spweil.serialize import serialize_word
 from spweil.symplectic import (GenToken, NotSymplectic, SpMatrix, UndefinedToken,
                                decompose, evaluate_word, gen_images, group_order,
                                random_element, sp_assignment, sp_form,
                                symplectic_pairing, weil_assignment, weil_image)
+from spweil.verification import mutate_lambda_sign
 
 
 def brute_force_sp2(r):
@@ -133,6 +138,21 @@ def test_decompose_roundtrip_random(ell, r):
         word = decompose(g)
         assert evaluate_word(word, assign, ident) == g
         assert len(word) <= bound
+
+
+GOLDEN_CELLS = [(1, 3), (1, 5), (1, 7), (2, 3), (2, 5), (2, 7), (3, 3), (3, 5), (4, 3)]
+GOLDEN_WORDS_SHA256 = "b6dce48547526ad231f7c65abec4863473a956cc639453bc74b7335ecb0633e5"
+
+
+def test_decompose_golden_words():
+    # the roundtrip holds for many words; this pins the one decompose emits,
+    # so the words in `spweil image` documents keep their bytes
+    h = hashlib.sha256()
+    for ell, r in GOLDEN_CELLS:
+        for seed in range(200):
+            word = decompose(random_element(ell, r, seed))
+            h.update(json.dumps(serialize_word(word)).encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_WORDS_SHA256
 
 
 @given(seed=st.integers(0, 10 ** 9))
@@ -280,6 +300,26 @@ def test_weil_assignment_rejects_what_sp_assignment_rejects(gf7):
             sp(tok)
         with pytest.raises(UndefinedToken):
             weil(tok)
+
+
+def test_weil_token_powers_built_once_per_generator_set(gf7, monkeypatch):
+    gens = weil_generators(WeilParams(3, 3, gf7))
+    calls = []
+    negation = generators.negation_monomial
+    monkeypatch.setattr(generators, "negation_monomial",
+                        lambda *args: calls.append(args) or negation(*args))
+    g = random_element(3, 3, 5)
+    weil_image(g, gens)
+    built = len(calls)
+    assert built > 0  # the word has C-token powers above 1
+    weil_image(g, gens)
+    assert len(calls) == built
+    # a set made by dataclasses.replace gets its own operators
+    bad = mutate_lambda_sign(gens)
+    assert weil_assignment(bad) is not weil_assignment(gens)
+    assert weil_assignment(bad)(GenToken("C", 1)) is bad.lamC[0]
+    c3 = GenToken("C", 1, None, 3)
+    assert not operators_equal(weil_assignment(bad)(c3), weil_assignment(gens)(c3))
 
 
 @pytest.mark.parametrize("r,p", [(3, 7), (5, 11)])
