@@ -23,11 +23,11 @@ GF(p^k) (a mul above the table bound).  fourier_apply(vec, stride,
 table) applies the Fourier kernel theta^(i*x) in one tensor slot, times the
 scale table[0][0]; over Q(theta) it sums integer rotations over one common
 denominator and normalises each output once.  The whole-row form
-mul_theta_power_row serves a monomial's single-step mul_rows in closure
-counting; GF(p) scales rows in C-level maps with one reduction per entry.
-pi_map keys rows by theta_row_scaler(expo), row[j] * theta^(expo[j] + k)
-for one k per row; GF(p) multiplies by one of r precomputed coefficient
-tuples.
+mul_theta_power_row serves a monomial's single-step mul_rows, a closure
+step on tuple rows; GF(p) scales rows in C-level maps with one reduction
+per entry.  pi_map keys rows by theta_row_scaler(expo), row[j] *
+theta^(expo[j] + k) for one k per row; GF(p) multiplies by one of r
+precomputed coefficient tuples.
 
 FieldContext.product_rows(factors, rows) is the bulk route for
 left-multiplying rows by operators: the rows of the product of the factors
@@ -47,6 +47,18 @@ host's byte order (lane j is entry j on a little-endian host); packing and
 unpacking share it.  Delayed reduction over word-size primes follows Dumas,
 Giorgi and Pernet 2008 (FFLAS-FFPACK), the packing Kronecker substitution.
 
+FieldContext.closure_steps(n, ops) gives a breadth-first group count its
+start state and one step per generator.  The base class keeps tuple rows
+and each op's mul_rows.  GF(p) with r * p^2 < 2^64 keeps each element as
+the tuple of its packed rows with every lane in [0, p), which is canonical
+and hashable as it is: a step wraps them in PackedRows, runs the op's
+mul_packed and reduces every row int at once, x - (((x * m) >> s) & mask)
+* p, with m, s and the lane mask fixed per prime (lane_division; Granlund
+and Montgomery 1994).  That is exact for lanes below 2^N, N = (64 -
+bits(p)) // 2 - 1; a step whose lanes may reach 2^N (at r = 3 a Fourier
+step can from about p = 3,300 on, where 3 * (p - 1)^2 passes 2^25) reduces
+lane by lane instead.
+
 GF(p^k) with q <= MAX_TABLE_ORDER = 2^16 multiplies, adds and inverts by
 Zech-log tables (Huber 1990; Lidl and Niederreiter, Finite Fields, ch. 10).
 At the bound they hold about 17 MB and take about 0.5 s to build (2 vCPUs,
@@ -55,6 +67,7 @@ Python 3.11); at q = 2^12, 1 MB and 0.06 s.  Larger fields use convolution.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -148,6 +161,16 @@ def smallest_primitive_root(p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in facs):
             return g
     raise AssertionError
+
+
+@functools.lru_cache(maxsize=64)
+def _every_lane(value, lanes):
+    """The packed row with value in each of its lanes."""
+    return PackedRows.pack([value] * lanes)
+
+
+def _identity_rows(n, zero, one):
+    return [[zero] * j + [one] + [zero] * (n - 1 - j) for j in range(n)]
 
 
 # polynomials over GF(p): lists/tuples of ascending coefficients
@@ -335,6 +358,16 @@ class FieldContext:
         for f in reversed(factors):
             cols = [f.apply(col) for col in cols]
         return tuple(zip(*cols))
+
+    def closure_steps(self, n, ops):
+        """(start, steps) for a breadth-first count of the group generated
+        by ops, n x n operators or matrices over this field with mul_rows
+        and packed_step: start is the identity as a hashable state, steps[i]
+        maps the state of M to that of ops[i] * M, and two states are equal
+        exactly when their matrices are.  Here a state is M's tuple of row
+        tuples and a step is the op's mul_rows."""
+        start = tuple(map(tuple, _identity_rows(n, self.zero, self.one)))
+        return start, [op.mul_rows for op in ops]
 
     def pow(self, a, e):
         if e < 0:
@@ -571,6 +604,7 @@ class PrimeFieldContext(FieldContext):
         self.one = 1
         self._theta_table = self.theta_pow
         self._packs = r * p * p < LANE_LIMIT
+        self._lane_division = lane_division(p)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -613,12 +647,28 @@ class PrimeFieldContext(FieldContext):
         if not self._packs:
             return super().product_rows(factors, rows)
         if rows is None:
-            n = factors[0].n
-            rows = [[0] * j + [1] + [0] * (n - 1 - j) for j in range(n)]
-        packed = PackedRows(self, rows)
+            rows = _identity_rows(factors[0].n, 0, 1)
+        packed = PackedRows(self, list(map(PackedRows.pack, rows)), len(rows[0]),
+                            max(map(max, rows)))
         for f in reversed(factors):
             f.mul_packed(packed)
         return packed.unpacked()
+
+    def closure_steps(self, n, ops):
+        # a state is M's rows packed with every lane in [0, p), as canonical
+        # as the tuples; a step runs op's packed_step on them and reduces
+        if not self._packs:
+            return super().closure_steps(n, ops)
+        start = tuple(map(PackedRows.pack, _identity_rows(n, 0, 1)))
+
+        def step(mul_packed):
+            def run(rows):
+                packed = PackedRows(self, rows, n, self.p - 1)
+                mul_packed(packed)
+                packed.reduce()
+                return tuple(packed.rows)
+            return run
+        return start, [step(op.packed_step()) for op in ops]
 
     def pow(self, a, e):
         if e < 0:
@@ -645,37 +695,70 @@ class PrimeFieldContext(FieldContext):
         return f"GF({self.p})"
 
 
+def lane_division(p):
+    """(budget, m, s, mask) for reducing 64-bit lanes mod p all at once:
+    for every lane value x below budget = 2^N, N = (64 - bits(p)) // 2 - 1,
+    the lane of ((X * m) >> s) & M is x // p, where X is a packed row and M
+    repeats mask in each lane.  m = ceil(2^s / p) with s = N + bits(p) makes
+    x * m / 2^s fall short of x // p + 1 (x * (m * p - 2^s) < 2^N * p <= 2^s),
+    so the quotient is exact (Granlund and Montgomery 1994, "Division by
+    invariant integers using multiplication").  x * m < 2^(2N + 1) < 2^64
+    keeps each lane's product in its lane; the shift moves the low s bits of
+    the next lane's product into bits 64 - s and up, and mask keeps the
+    64 - s bits below them, where the quotient, below 2^(N + 1 - bits(p)),
+    lies."""
+    bits = p.bit_length()
+    budget_bits = (64 - bits) // 2 - 1
+    s = budget_bits + bits
+    return 1 << budget_bits, -(-(1 << s) // p), s, (1 << (64 - s)) - 1
+
+
 class PackedRows:
-    """The rows of a matrix over GF(p), each one int of 64-bit lanes holding
-    the entries as integers congruent to them mod p, every lane at most
-    bound.  monomial, fourier and mul_rows replace the rows by op * rows for
-    one operator; each first reduces the lanes mod p if the operator could
-    carry a lane to LANE_LIMIT.  Starts from the given rows of residues in
-    [0, p), bounded by their largest entry."""
+    """The rows of a matrix over GF(p), each one int (pack) whose lanes,
+    lanes of 64 bits, hold the entries as integers congruent to them mod p,
+    every lane at most bound.  monomial, fourier and mul_rows replace the rows by
+    op * rows for one operator; each first reduces the lanes (reduce) if the
+    operator could carry a lane to LANE_LIMIT."""
 
-    __slots__ = ("p", "width", "rows", "bound")
+    __slots__ = ("ctx", "width", "rows", "bound")
 
-    def __init__(self, ctx, rows):
-        self.p = ctx.p
-        self.width = 8 * len(rows[0])   # bytes per row
-        self.rows = list(map(self._pack, rows))
-        self.bound = max(map(max, rows))
+    def __init__(self, ctx, rows, lanes, bound):
+        self.ctx = ctx
+        self.width = 8 * lanes   # bytes per row
+        self.rows = rows
+        self.bound = bound
 
     @staticmethod
-    def _pack(row):
+    def pack(row):
+        """One int whose lanes are row's entries, each in [0, 2^64)."""
         return int.from_bytes(array("Q", row).tobytes(), sys.byteorder)
 
     def _lanes(self, row):
         """row's lanes reduced mod p, as an iterator of ints."""
         lanes = array("Q", row.to_bytes(self.width, sys.byteorder))
-        return map(operator.mod, lanes, itertools.repeat(self.p))
+        return map(operator.mod, lanes, itertools.repeat(self.ctx.p))
+
+    def reduce(self):
+        """Bring every lane into [0, p), so bound becomes p - 1.  Below the
+        budget of lane_division each row takes one multiply, shift, mask,
+        multiply and subtract on the whole int; above it the lanes are
+        unpacked, reduced one by one and packed again."""
+        p = self.ctx.p
+        if self.bound < p:
+            return
+        budget, m, s, mask = self.ctx._lane_division
+        if self.bound < budget:
+            mask = _every_lane(mask, self.width // 8)
+            self.rows = [x - ((x * m >> s) & mask) * p for x in self.rows]
+        else:
+            pack, lanes = self.pack, self._lanes
+            self.rows = [pack(lanes(row)) for row in self.rows]
+        self.bound = p - 1
 
     def _grow(self, growth):
         """Make room for lanes multiplied by at most growth."""
         if self.bound * growth >= LANE_LIMIT:
-            pack, lanes = self._pack, self._lanes
-            self.rows = [pack(lanes(row)) for row in self.rows]
-            self.bound = self.p - 1
+            self.reduce()
         self.bound *= growth
 
     def monomial(self, perm, diag):
@@ -701,8 +784,8 @@ class PackedRows:
 
     def mul_rows(self, mul_rows):
         """Any other operator: its mul_rows on the reduced, unpacked rows."""
-        self.rows = [self._pack(row) for row in mul_rows(self.unpacked())]
-        self.bound = self.p - 1
+        self.rows = [self.pack(row) for row in mul_rows(self.unpacked())]
+        self.bound = self.ctx.p - 1
 
     def unpacked(self):
         """The rows as tuples of residues in [0, p)."""

@@ -15,7 +15,8 @@ Operator variants:
                   zero exponents and scale c;
 * FourierOp    -- the discrete Fourier kernel theta^(i*xi) in one tensor
                   slot, times a scalar; apply is ctx.fourier_apply;
-* DenseOp      -- arbitrary invertible DenseMatrix;
+* DenseOp      -- arbitrary invertible DenseMatrix; a vector of 0 and +-1
+                  entries is applied as a signed sum of columns;
 * ProductOp    -- composition, factors applied right to left; nested
                   products are flattened, so no factor is a ProductOp.
 
@@ -33,9 +34,12 @@ factor's apply, except over GF(p) with r * p^2 < 2^64, where each factor's
 mul_packed left-multiplies M's rows, packed into 64-bit lanes
 (fields.PackedRows), handing over perm and diag (monomial), stride and
 table (Fourier), its factors' in turn (product) or its materialised
-matrix's mul_rows (anything else).
+matrix's mul_rows (anything else).  ctx.closure_steps runs each
+generator's packed_step, its mul_packed with the monomial's diagonal read
+once, on rows it keeps packed, reducing them after each step.
 MonomialOp.mul_rows is the one single-step shortcut: it permutes M's rows
-and scales them by ctx.mul_theta_power_row, with no packing.
+and scales them by ctx.mul_theta_power_row, with no packing; it is a
+closure step over the fields that keep tuple rows.
 
 first_difference compares two operators on their materialised matrices,
 so a product is compared through ctx.product_rows.
@@ -107,6 +111,11 @@ class Operator:
         materialised matrix; self.mul_rows would come back here through
         ctx.product_rows."""
         packed.mul_rows(self.materialize().mul_rows)
+
+    def packed_step(self):
+        """mul_packed as one function, with what it reads of self computed
+        once: a closure count runs it at every step."""
+        return self.mul_packed
 
     def inverse(self):
         raise NotImplementedError
@@ -186,11 +195,14 @@ class MonomialOp(Operator):
         """The rows of self * M: row j of M, times scale * theta^expo[j],
         becomes row perm[j].  A row whose factor is 1 is reused as is.
 
-        The one single-step shortcut past ctx.product_rows: a closure step
-        permutes rows it keeps reduced, and packing and unpacking them costs
-        more than the step.  The Sp(4,3) closure over GF(7), capped at 12,000
-        elements, took 0.59 s this way and 1.10 s with its monomial steps on
-        packed rows (best of 9, 2 vCPUs, Python 3.11)."""
+        The one single-step shortcut past ctx.product_rows: over the fields
+        whose closure keeps tuple rows (FieldContext.closure_steps), a
+        closure step permutes rows it keeps reduced, where product_rows
+        would send every column of M through apply.  The Sp(4,3) closure
+        over Q(theta_3), capped at 12,000 elements, took 6.95 s this way and
+        8.72 s through ctx.product_rows (best of 5, 2 vCPUs, Python 3.11);
+        over GF(4) the two were within run-to-run noise (1.96-2.62 s and
+        2.20-2.63 s over three runs)."""
         ctx = self.ctx
         out = [None] * self.n
         if self.scale == ctx.one:
@@ -206,6 +218,10 @@ class MonomialOp(Operator):
 
     def mul_packed(self, packed):
         packed.monomial(self.perm, self.diag)
+
+    def packed_step(self):
+        perm, diag = self.perm, self.diag
+        return lambda packed: packed.monomial(perm, diag)
 
     def compose(self, other):
         """self after other (= self * other as matrices), staying monomial."""
@@ -361,7 +377,19 @@ class DenseOp(Operator):
         self.mat = mat
 
     def apply(self, vec):
-        return self.mat.apply(vec)
+        """mat applied to vec.  When every entry of vec is 0, 1 or -1 (the
+        vectors of submodules' pair bases are), the image is a signed sum of
+        columns, made by add and sub with no multiply."""
+        ctx = self.ctx
+        zero, one = ctx.zero, ctx.one
+        units = {one: ctx.add, ctx.neg(one): ctx.sub}
+        if len(vec) != self.n or any(v != zero and v not in units for v in vec):
+            return self.mat.apply(vec)
+        out = [zero] * self.n
+        for j, v in enumerate(vec):
+            if v != zero:
+                out = list(map(units[v], out, (row[j] for row in self.mat.rows)))
+        return out
 
     def inverse(self):
         return DenseOp(self.params, self.mat.inverse())

@@ -230,8 +230,9 @@ def group_order(ell, r):
     return order
 
 
-def random_element(ell, r, seed, length=50):
-    """Deterministic pseudorandom element: a random word evaluated in Sp."""
+def random_word(ell, r, seed, length=50):
+    """Deterministic pseudorandom word of length tokens: C_t^(1..3), U_t^(1..r-1)
+    and, for l >= 2, D_st^(1..r-1)."""
     rng = random.Random(seed)
     kinds = ["C", "U"] + (["D"] if ell >= 2 else [])
     word = []
@@ -245,7 +246,17 @@ def random_element(ell, r, seed, length=50):
             t = rng.randrange(1, ell + 1)
             exp = rng.randrange(1, 4) if kind == "C" else rng.randrange(1, r)
             word.append(GenToken(kind, t, None, exp))
-    return evaluate_word(word, sp_assignment(ell, r), SpMatrix.identity(ell, r))
+    return word
+
+
+def random_element(ell, r, seed, length=50):
+    """Deterministic pseudorandom element: random_word evaluated in Sp, by
+    left-multiplying the identity by the word with _Engine.apply's row
+    operations; the matrix is evaluate_word's over sp_assignment, with no
+    dense products."""
+    eng = _Engine(SpMatrix.identity(ell, r))
+    eng.apply(*random_word(ell, r, seed, length))
+    return SpMatrix(r, eng.m)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,14 @@ mutations (negated lam, U replaced by E, a corrupted C entry) are provided
 as negative controls: a suite that cannot detect them would be vacuous.
 
 closure_order counts a matrix group by breadth-first search, multiplying on
-the left by each generator's structure: a generator recognised as monomial
-permutes rows and scales them by theta powers (MonomialOp.mul_rows, the one
-single-step shortcut), a Fourier kernel maps fibres of r rows by the bulk
-route ctx.product_rows(factors, rows) (over GF(p), on packed rows as a
-product is materialised), and any other matrix stays a dense product.
+the left by each generator's structure, one ctx.closure_steps step per
+generator: a generator recognised as monomial permutes rows and scales them
+by theta powers, a Fourier kernel maps fibres of r rows, and any other
+matrix stays a dense product.  Over GF(p) with r * p^2 < 2^64 an element is
+its packed rows (fields.PackedRows) with every lane reduced into [0, p), so
+no step unpacks; elsewhere it is its tuple of row tuples, and a step is
+mul_rows (MonomialOp.mul_rows, the one single-step shortcut, for a
+monomial).
 """
 
 from __future__ import annotations
@@ -552,30 +555,33 @@ def structured_generator(g):
 
 def closure_order(generators, cap):
     """Exact order of the matrix group generated by the given DenseMatrix
-    list, by breadth-first closure over row tuples.  Raises CapExceeded
-    when the closure passes cap.
+    list, by breadth-first closure.  Raises CapExceeded when the closure
+    passes cap: when one more element would be recorded with cap elements
+    already seen.
 
     Each generator is recognised once (structured_generator), and the search
-    multiplies on the left: g * M for every element M and generator g, by
-    field kernels on whole rows.  A monomial generator permutes M's rows and
-    scales them by ctx.mul_theta_power_row, with no packing, which is about
-    twice as fast here as packed rows (MonomialOp.mul_rows gives the
-    measurement).  A Fourier generator maps each fibre of r rows by
-    ctx.product_rows((op,), rows) (over GF(p) with r * p^2 < 2^64 on packed
-    rows, elsewhere fourier_apply on M's columns).  An
-    unrecognised generator, such as a constituent's restricted generator, is
-    a dense product.  Left and right multiplication give the same group, so
-    the count and the cap behaviour do not depend on the route."""
+    multiplies on the left: g * M for every element M and generator g, one
+    step of ctx.closure_steps per generator.  Over GF(p) with
+    r * p^2 < 2^64 an element is its rows packed into 64-bit lanes, each
+    lane reduced into [0, p): a step runs the generator's packed_step (a
+    monomial permutes and scales rows, a Fourier kernel maps fibres of r
+    rows, any other matrix multiplies the unpacked rows) and reduces every
+    lane by fields.lane_division's multiply and shift, or lane by lane past
+    its budget.  Over other fields an element is its tuple of row tuples,
+    and a step is the generator's mul_rows.  Left and right multiplication
+    give the same group, and every route keeps one canonical state per
+    matrix, so the count and the cap behaviour do not depend on the route."""
     if not generators:
         return 1
-    actions = [structured_generator(g).mul_rows for g in generators]
-    ident = DenseMatrix.identity(generators[0].ctx, generators[0].nrows).rows
-    seen = {ident}
-    queue = deque([ident])
+    first = generators[0]
+    start, steps = first.ctx.closure_steps(
+        first.nrows, [structured_generator(g) for g in generators])
+    seen = {start}
+    queue = deque([start])
     while queue:
-        rows = queue.popleft()
-        for act in actions:
-            prod = act(rows)
+        state = queue.popleft()
+        for step in steps:
+            prod = step(state)
             if prod not in seen:
                 if len(seen) >= cap:
                     raise CapExceeded(f"closure exceeded cap {cap}")

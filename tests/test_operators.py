@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spweil.fields import (LANE_LIMIT, FieldContext, FieldSpec, PackedRows,
-                           PrimeFieldContext, make_field)
+                           PrimeFieldContext, lane_division, make_field)
 from spweil.linalg import DenseMatrix
 from spweil.operators import (DenseOp, FourierOp, MonomialOp, ProductOp,
                               ScalarOp, WeilParams, first_difference, flat_index,
@@ -412,6 +412,55 @@ def test_packed_route_at_the_lane_limit(monkeypatch):
         if p == above:
             monkeypatch.setattr(PackedRows, "__init__", None)
         assert op.materialize().rows == want
+
+
+# (r, p) with r | p - 1, for the lane reduction
+DIVISION_CTXS = [(3, 7), (5, 11), (7, 29), (13, 53), (3, 1009)]
+
+
+def _lane_specials(p):
+    """0, p - 1, p, the budget's last value and the largest value below the
+    budget that is p - 1 mod p, where a quotient x // p is closest to
+    rounding up."""
+    budget = lane_division(p)[0]
+    top = budget - budget % p - 1
+    return [0, p - 1, p, budget - 1, top]
+
+
+@pytest.mark.parametrize("r,p", DIVISION_CTXS, ids=str)
+@given(data=st.data(), lanes=st.integers(1, 30))
+@settings(max_examples=40, deadline=None)
+def test_lane_reduction_is_lane_by_lane_mod_p(r, p, data, lanes):
+    # every lane below the budget reduces to x % p in one multiply and shift
+    # per row; rows of several lanes show a carry or a shifted-in bit
+    ctx = PrimeFieldContext(r, p)
+    budget = lane_division(p)[0]
+    lane = st.one_of(st.sampled_from(_lane_specials(p)), st.integers(0, budget - 1))
+    rows = data.draw(st.lists(st.lists(lane, min_size=lanes, max_size=lanes),
+                              min_size=1, max_size=3))
+    packed = PackedRows(ctx, list(map(PackedRows.pack, rows)), lanes, budget - 1)
+    packed.reduce()
+    assert packed.rows == [PackedRows.pack([x % p for x in row]) for row in rows]
+    assert packed.bound == p - 1
+
+
+@pytest.mark.parametrize("r,p", DIVISION_CTXS, ids=str)
+def test_lane_reduction_route_switches_at_the_budget(r, p, monkeypatch):
+    # a bound below the budget takes the multiply and shift, a bound at it
+    # the lane-by-lane route; both give the same residues
+    ctx = PrimeFieldContext(r, p)
+    budget = lane_division(p)[0]
+    assert budget == 2 ** ((64 - p.bit_length()) // 2 - 1)
+    rows = [_lane_specials(p), _lane_specials(p)[::-1]]
+    want = [PackedRows.pack([x % p for x in row]) for row in rows]
+    calls = []
+    lanes = PackedRows._lanes
+    monkeypatch.setattr(PackedRows, "_lanes", lambda self, row: calls.append(1) or lanes(self, row))
+    for bound, lane_calls in ((budget - 1, 0), (budget, len(rows))):
+        calls.clear()
+        packed = PackedRows(ctx, list(map(PackedRows.pack, rows)), 5, bound)
+        packed.reduce()
+        assert (packed.rows, len(calls)) == (want, lane_calls)
 
 
 def test_products_flatten_and_inverse_is_unchanged(gf11):

@@ -1,13 +1,14 @@
 import pytest
 
+from spweil.fields import CyclotomicContext, FieldSpec, make_field
 from spweil.generators import weil_generators
 from spweil.linalg import DenseMatrix, SingularMatrix
-from spweil.operators import WeilParams, flat_index
+from spweil.operators import DenseOp, WeilParams, flat_index
 from spweil.submodules import (NotInvariant, SubmoduleBasis, WrongCharacteristic,
                                quotient_representatives, representative_indices,
                                restrict, restrict_quotient, solve_in_span, spin,
                                submodule_bases, weil_image_irreducible)
-from spweil.symplectic import SpMatrix, random_element
+from spweil.symplectic import SpMatrix, random_element, weil_image
 
 
 def test_representative_indices():
@@ -237,3 +238,24 @@ def test_socle_isomorphic_quotient_dims_and_traces(gf4):
         q_mat = restrict_quotient(op, params)
         assert a_mat.nrows == q_mat.nrows == 4
         assert a_mat.trace() == q_mat.trace()
+
+
+def test_restrict_dense_image_on_pair_bases_makes_no_multiply(monkeypatch):
+    # the pair bases' vectors have entries 0, 1 and -1, so a dense image
+    # restricts by adding and subtracting its columns; the generic solve is
+    # the reference
+    ctx = make_field(FieldSpec("cyclotomic", 5))
+    params = WeilParams(5, 2, ctx)
+    gens = weil_generators(params)
+    op = DenseOp(params, weil_image(random_element(2, 5, 7), gens))
+    calls = []
+    mul = CyclotomicContext.mul
+    monkeypatch.setattr(CyclotomicContext, "mul",
+                        lambda self, a, b: calls.append(1) or mul(self, a, b))
+    got = {b.label: restrict(op, b, ctx, 5, 2) for b in submodule_bases(params)}
+    assert calls == []
+    monkeypatch.undo()
+    for basis in submodule_bases(params):
+        images = [op.mat.apply(list(v)) for v in basis.vectors]
+        want = DenseMatrix.from_columns(ctx, solve_in_span(ctx, basis.vectors, images))
+        assert got[basis.label] == want

@@ -15,7 +15,7 @@ from spweil.operators import WeilParams, identity_op, operators_equal
 from spweil.serialize import serialize_word
 from spweil.symplectic import (GenToken, NotSymplectic, SpMatrix, UndefinedToken,
                                decompose, evaluate_word, gen_images, group_order,
-                               random_element, sp_assignment, sp_form,
+                               random_element, random_word, sp_assignment, sp_form,
                                symplectic_pairing, weil_assignment, weil_image)
 from spweil.verification import mutate_lambda_sign
 
@@ -170,6 +170,16 @@ def test_random_element_deterministic_and_symplectic():
     assert a == b
     assert a.is_symplectic()
     assert random_element(2, 5, 124) != a
+
+
+@pytest.mark.parametrize("ell,r", [(4, 3), (2, 5), (3, 3), (1, 7)])
+def test_random_element_is_its_word_in_sp(ell, r):
+    # random_element applies the word by row operations; the dense product
+    # of the word's SpMatrix images is the reference
+    for seed in range(60):
+        want = evaluate_word(random_word(ell, r, seed), sp_assignment(ell, r),
+                             SpMatrix.identity(ell, r))
+        assert random_element(ell, r, seed) == want, (ell, r, seed)
 
 
 def test_random_element_hits_all_of_sp2_3():

@@ -3,7 +3,8 @@ from dataclasses import replace
 
 import pytest
 
-from spweil.fields import FieldSpec, make_field
+from spweil.fields import (FieldContext, FieldSpec, PackedRows, PrimeFieldContext,
+                           make_field, parse_field_spec)
 from spweil.generators import weil_generators
 from spweil.linalg import DenseMatrix
 from spweil.operators import FourierOp, MonomialOp, WeilParams
@@ -368,3 +369,60 @@ def test_pi_generator_images_witness_names_the_generator(gf7):
     report = run_relation_suite(params, gens=swapped)
     witnesses = {e.id: e.witness for e in report.entries}
     assert witnesses["pi-generator-images"] == "pi image of D13 mismatches its table entry"
+
+
+# ---------------------------------------------------------------------------
+# the packed GF(p) closure route against the tuple route
+
+
+def _tuple_route(monkeypatch):
+    """Make every GF(p) closure take the base class's tuple rows."""
+    monkeypatch.setattr(PrimeFieldContext, "closure_steps", FieldContext.closure_steps)
+
+
+def _sp_mats(spec, r, ell):
+    ctx = make_field(parse_field_spec(spec, r))
+    return _closure_mats(weil_generators(WeilParams(r, ell, ctx)))
+
+
+@pytest.mark.parametrize("r", [3, 5, 7, 11])
+def test_closure_packed_route_matches_tuple_route(r, monkeypatch):
+    # GF(7), GF(11), GF(29), GF(23); lam*C_1 * U_1, materialised, is neither
+    # monomial nor Fourier and takes the unpacked mul_rows inside a step
+    mats = _sp_mats("auto-prime", r, 1)
+    mixed = mats + [mats[0] * mats[-1]]
+    assert structured_generator(mixed[-1]) is mixed[-1]
+    start, _ = mats[0].ctx.closure_steps(r, mats)
+    assert all(isinstance(row, int) for row in start)
+    packed = [closure_order(mats, 10 ** 6), closure_order(mixed, 10 ** 6)]
+    _tuple_route(monkeypatch)
+    assert isinstance(mats[0].ctx.closure_steps(r, mats)[0][0], tuple)
+    assert packed == [closure_order(mats, 10 ** 6), closure_order(mixed, 10 ** 6)]
+    assert packed == [group_order(1, r)] * 2
+
+
+def test_closure_cap_sp43_on_both_routes(monkeypatch):
+    # the capped Sp(4,3) search with D_12 * C_1 mixed in as a dense generator
+    mats = _sp_mats("auto-prime", 3, 2)
+    mats.append(mats[-1] * mats[0])
+    assert structured_generator(mats[-1]) is mats[-1]
+    with pytest.raises(CapExceeded):
+        closure_order(mats, 12_000)
+    _tuple_route(monkeypatch)
+    with pytest.raises(CapExceeded):
+        closure_order(mats, 12_000)
+
+
+@pytest.mark.parametrize("spec,lane_by_lane", [("gf:4093", False), ("gf:6007", True),
+                                               ("gf:2147483647", True)])
+def test_closure_at_and_past_the_lane_budget(spec, lane_by_lane, monkeypatch):
+    # over GF(4093) the lam*C_1 step bounds its lanes by 4092 * 8186, just
+    # below lane_division's budget 2^25, so every step multiplies and shifts
+    # near the top of the budget; over GF(6007) (budget 2^24) and
+    # GF(2^31 - 1) the Fourier steps are past it and reduce lane by lane
+    mats = _sp_mats(spec, 3, 1)
+    calls = []
+    lanes = PackedRows._lanes
+    monkeypatch.setattr(PackedRows, "_lanes", lambda self, row: calls.append(1) or lanes(self, row))
+    assert closure_order(mats, 10 ** 6) == 24
+    assert bool(calls) == lane_by_lane
