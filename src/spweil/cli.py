@@ -36,6 +36,10 @@ EXIT_VERIFY = 4
 # each, so this keeps one at no more than 4 * 10^6 entries.
 MAX_DIM = 2000
 
+# Largest closure verify starts, in bytes: the group order times the size
+# of one generator matrix, about what a breadth-first search keeps.
+MAX_CLOSURE_BYTES = 2 ** 31
+
 
 def _common_flags(sub):
     sub.add_argument("--r", type=int, required=True, help="odd prime r")
@@ -150,6 +154,40 @@ def cmd_image(args):
     return _write_matrices(args, gens, {name: mat}, word=word, input=g.serialize())
 
 
+def _matrix_bytes(mat):
+    """sys.getsizeof summed over mat's row tuples and each distinct object in
+    its entries, nested tuples included."""
+    sizes, stack = {}, [mat.rows]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in sizes:
+            sizes[id(obj)] = sys.getsizeof(obj)
+            if isinstance(obj, tuple):
+                stack.extend(obj)
+    return sum(sizes.values())
+
+
+def _check_closure(report, pstr, args, gens):
+    """Record closure-order, or skip it when the group order passes --cap or
+    the search would need more than MAX_CLOSURE_BYTES."""
+    expected = group_order(args.l, args.r)
+    if expected > args.cap:
+        return report.skip("closure-order", pstr,
+                           f"group order {expected} exceeds cap {args.cap}")
+    mats = [op.materialize() for _, _, _, op in gens.sp_generating_ops()]
+    need = expected * max(map(_matrix_bytes, mats))
+    if need > MAX_CLOSURE_BYTES:
+        return report.skip("closure-order", pstr,
+                           f"closure of {expected} elements needs about {need} "
+                           f"bytes, above the limit of {MAX_CLOSURE_BYTES}")
+    try:
+        count = closure_order(mats, args.cap)
+    except CapExceeded as exc:
+        return report.skip("closure-order", pstr, str(exc))
+    report.record("closure-order", pstr, () if count == expected else
+                  [f"closure gave {count}, expected {expected}"])
+
+
 def cmd_verify(args):
     if args.cap < 1:
         print("error: --cap must be >= 1", file=sys.stderr)
@@ -159,18 +197,7 @@ def cmd_verify(args):
     report = run_relation_suite(params, seed=args.seed, gens=gens)
     pstr = f"r={args.r}, l={args.l}, {params.ctx.describe()}"
     if args.closure:
-        expected = group_order(args.l, args.r)
-        if expected > args.cap:
-            report.skip("closure-order", pstr,
-                        f"group order {expected} exceeds cap {args.cap}")
-        else:
-            mats = [op.materialize() for _, _, _, op in gens.sp_generating_ops()]
-            try:
-                count = closure_order(mats, args.cap)
-                report.record("closure-order", pstr, () if count == expected else
-                              [f"closure gave {count}, expected {expected}"])
-            except CapExceeded as exc:
-                report.skip("closure-order", pstr, str(exc))
+        _check_closure(report, pstr, args, gens)
     with _output(args) as out:
         if args.as_json:
             out.write(json.dumps(report.to_json(), indent=2) + "\n")

@@ -22,19 +22,16 @@ which keeps the denominator and needs no gcd, and a table lookup over
 GF(p^k) (a mul above the table bound).  fourier_apply(vec, stride,
 table) applies the Fourier kernel theta^(i*x) in one tensor slot, times the
 scale table[0][0]; over Q(theta) it sums integer rotations over one common
-denominator and normalises each output once.  The whole-row form
-mul_theta_power_row serves a monomial's single-step mul_rows, a closure
-step on tuple rows; GF(p) scales rows in C-level maps with one reduction
-per entry.  pi_map keys rows by theta_row_scaler(expo), row[j] *
-theta^(expo[j] + k) for one k per row; GF(p) multiplies by one of r
-precomputed coefficient tuples.
+denominator and normalises each output once.  pi_map keys rows by
+theta_row_scaler(expo), row[j] * theta^(expo[j] + k) for one k per row;
+GF(p) multiplies by one of r precomputed coefficient tuples.
 
 FieldContext.product_rows(factors, rows) is the bulk route for
 left-multiplying rows by operators: the rows of the product of the factors
 times M, with M the identity when rows is left out.  It materialises a
-product, and it is every operator's mul_rows but a monomial's.  The base
-class sends the columns of M, or of the last factor's matrix, through every
-other factor's apply.  GF(p) with r * p^2 < 2^64 instead packs each row of
+product and applies an operator to a few columns.  The base class sends
+the columns of M, or of the last factor's matrix, through every other
+factor's apply.  GF(p) with r * p^2 < 2^64 instead packs each row of
 M into one Python int of n 64-bit lanes (PackedRows), left-multiplies
 the rows by the factors with whole-integer arithmetic, and reduces mod p
 lane by lane only when a lane could reach 2^64, and once at the end.  Lane
@@ -48,16 +45,17 @@ unpacking share it.  Delayed reduction over word-size primes follows Dumas,
 Giorgi and Pernet 2008 (FFLAS-FFPACK), the packing Kronecker substitution.
 
 FieldContext.closure_steps(n, ops) gives a breadth-first group count its
-start state and one step per generator.  The base class keeps tuple rows
-and each op's mul_rows.  GF(p) with r * p^2 < 2^64 keeps each element as
-the tuple of its packed rows with every lane in [0, p), which is canonical
-and hashable as it is: a step wraps them in PackedRows, runs the op's
-mul_packed and reduces every row int at once, x - (((x * m) >> s) & mask)
-* p, with m, s and the lane mask fixed per prime (lane_division; Granlund
-and Montgomery 1994).  That is exact for lanes below 2^N, N = (64 -
-bits(p)) // 2 - 1; a step whose lanes may reach 2^N (at r = 3 a Fourier
-step can from about p = 3,300 on, where 3 * (p - 1)^2 passes 2^25) reduces
-lane by lane instead.
+start state and one step per generator.  The base class keeps each element
+as its tuple of column tuples, and a step applies the op to every column.
+GF(p) with r * p^2 < 2^64 keeps each element as the tuple of its packed
+rows with every lane in [0, p), which is canonical and hashable as it is:
+a step wraps them in PackedRows, runs the op's packed_step (its mul_packed,
+with what it reads of the op computed once) and reduces every row int at
+once, x - (((x * m) >> s) & mask) * p, with m, s and the lane mask fixed
+per prime (lane_division; Granlund and Montgomery 1994).  That is exact for
+lanes below 2^N, N = (64 - bits(p)) // 2 - 1; a step whose lanes may reach
+2^N (at r = 3 a Fourier step can from about p = 3,300 on, where
+3 * (p - 1)^2 passes 2^25) reduces lane by lane instead.
 
 GF(p^k) with q <= MAX_TABLE_ORDER = 2^16 multiplies, adds and inverts by
 Zech-log tables (Huber 1990; Lidl and Niederreiter, Finite Fields, ch. 10).
@@ -313,10 +311,6 @@ class FieldContext:
         """a * theta^e for any integer e."""
         return self.mul(a, self.theta_pow[e % self.r])
 
-    def mul_theta_power_row(self, row, e):
-        """The tuple of row's entries, each times theta^e."""
-        return tuple(map(self.mul_theta_power, row, itertools.repeat(e)))
-
     def fourier_apply(self, vec, stride, table):
         """scale * C applied to vec: on each fibre of r entries stride apart,
         out_i = scale * sum_x theta^(i*x) v_x.  table[i][x] is
@@ -361,13 +355,16 @@ class FieldContext:
 
     def closure_steps(self, n, ops):
         """(start, steps) for a breadth-first count of the group generated
-        by ops, n x n operators or matrices over this field with mul_rows
-        and packed_step: start is the identity as a hashable state, steps[i]
+        by ops, n x n operators or matrices over this field with apply and
+        packed_step: start is the identity as a hashable state, steps[i]
         maps the state of M to that of ops[i] * M, and two states are equal
-        exactly when their matrices are.  Here a state is M's tuple of row
-        tuples and a step is the op's mul_rows."""
+        exactly when their matrices are.  Here a state is M's tuple of
+        column tuples and a step applies the op to every column."""
         start = tuple(map(tuple, _identity_rows(n, self.zero, self.one)))
-        return start, [op.mul_rows for op in ops]
+
+        def step(op):
+            return lambda cols: tuple(tuple(op.apply(c)) for c in cols)
+        return start, [step(op) for op in ops]
 
     def pow(self, a, e):
         if e < 0:
@@ -628,10 +625,6 @@ class PrimeFieldContext(FieldContext):
 
     def mul_theta_power(self, a, e):
         return a * self._theta_table[e % self.r] % self.p
-
-    def mul_theta_power_row(self, row, e):
-        c = itertools.repeat(self._theta_table[e % self.r])
-        return tuple(map(operator.mod, map(operator.mul, row, c), itertools.repeat(self.p)))
 
     def theta_row_scaler(self, expo):
         # coefs[k][j] = theta^(expo[j] + k), one tuple per k in [0, r)

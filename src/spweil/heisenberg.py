@@ -256,11 +256,11 @@ def _conjugates_of_basis(n, params):
 
 
 def image_from_columns(g, op, params):
-    """The matrix N normalising R with pi_map(N) = g that agrees with op on
-    e_0 and each e_(delta_t), built as the module docstring shows: op goes
-    through ctx.product_rows on those l + 1 basis vectors only, and column
-    xi is x_t * (column xi - delta_t), filled slot by slot, most
-    significant first, as realize fills its tables.  The other n - l - 1
+    """The matrix N normalising R with pi_map(N) = g that agrees with the
+    Operator op on e_0 and each e_(delta_t), built as the module docstring
+    shows: op goes through ctx.product_rows on those l + 1 basis vectors
+    only, and column xi is x_t * (column xi - delta_t), filled slot by slot,
+    most significant first, as realize fills its tables.  The other n - l - 1
     columns of op are not computed, so op is not checked on them.
 
     Each column is m * (N e_0) for a monomial m, held as keys e * n + i
@@ -274,8 +274,8 @@ def image_from_columns(g, op, params):
     2 vCPUs, Python 3.11)."""
     ctx, r, ell, n = params.ctx, params.r, params.ell, params.n
     units = [0] + [r ** (ell - t) for t in range(1, ell + 1)]
-    rows = op.mul_rows(tuple(tuple(ctx.one if i == u else ctx.zero for u in units)
-                             for i in range(n)))
+    rows = ctx.product_rows((op,), tuple(tuple(ctx.one if i == u else ctx.zero
+                                               for u in units) for i in range(n)))
     multiples = [ctx.mul_theta_power(row[0], e) for e in range(r) for row in rows]
     size = r * n
 

@@ -21,25 +21,15 @@ Operator variants:
                   products are flattened, so no factor is a ProductOp.
 
 apply() costs O(n) for a monomial and O(n*r) for a Fourier factor; only
-apply(), mul_rows(), mul_packed() and materialize() make field values.
-materialize() returns the DenseMatrix whose column xi is apply(e_xi), and
-det() and trace() are those of materialize() unless the operator's
-structure gives them directly (a monomial's do).
+apply(), mul_packed() and materialize() make field values.  materialize()
+returns the DenseMatrix whose column xi is apply(e_xi), and det() and
+trace() are those of materialize() unless the operator's structure gives
+them directly (a monomial's do).
 
-ctx.product_rows(factors, rows) is the bulk route: the rows of the product
-times M (the identity when rows is left out).  A product's materialize() is
-ctx.product_rows(factors) and op.mul_rows(rows) is
-ctx.product_rows((op,), rows).  Each column of M goes through every
-factor's apply, except over GF(p) with r * p^2 < 2^64, where each factor's
-mul_packed left-multiplies M's rows, packed into 64-bit lanes
-(fields.PackedRows), handing over perm and diag (monomial), stride and
-table (Fourier), its factors' in turn (product) or its materialised
-matrix's mul_rows (anything else).  ctx.closure_steps runs each
-generator's packed_step, its mul_packed with the monomial's diagonal read
-once, on rows it keeps packed, reducing them after each step.
-MonomialOp.mul_rows is the one single-step shortcut: it permutes M's rows
-and scales them by ctx.mul_theta_power_row, with no packing; it is a
-closure step over the fields that keep tuple rows.
+Each operator multiplies by two kernels: apply on a column, over every
+field, and mul_packed on packed GF(p) rows (fields.PackedRows).  Products
+and closure steps are built from them by ctx.product_rows and
+ctx.closure_steps; fields.py describes both routes.
 
 first_difference compares two operators on their materialised matrices,
 so a product is compared through ctx.product_rows.
@@ -102,14 +92,9 @@ class Operator:
     def apply(self, vec):
         raise NotImplementedError
 
-    def mul_rows(self, rows):
-        """The rows of self * M, for M given as a tuple of row tuples."""
-        return self.ctx.product_rows((self,), rows)
-
     def mul_packed(self, packed):
         """Left-multiply the packed GF(p) rows (fields.PackedRows) by self's
-        materialised matrix; self.mul_rows would come back here through
-        ctx.product_rows."""
+        materialised matrix."""
         packed.mul_rows(self.materialize().mul_rows)
 
     def packed_step(self):
@@ -190,31 +175,6 @@ class MonomialOp(Operator):
             for p, e, v in zip(self.perm, self.expo, vec):
                 out[p] = mul(table[e], v)
         return out
-
-    def mul_rows(self, rows):
-        """The rows of self * M: row j of M, times scale * theta^expo[j],
-        becomes row perm[j].  A row whose factor is 1 is reused as is.
-
-        The one single-step shortcut past ctx.product_rows: over the fields
-        whose closure keeps tuple rows (FieldContext.closure_steps), a
-        closure step permutes rows it keeps reduced, where product_rows
-        would send every column of M through apply.  The Sp(4,3) closure
-        over Q(theta_3), capped at 12,000 elements, took 6.95 s this way and
-        8.72 s through ctx.product_rows (best of 5, 2 vCPUs, Python 3.11);
-        over GF(4) the two were within run-to-run noise (1.96-2.62 s and
-        2.20-2.63 s over three runs)."""
-        ctx = self.ctx
-        out = [None] * self.n
-        if self.scale == ctx.one:
-            mtp_row = ctx.mul_theta_power_row
-            for p, e, row in zip(self.perm, self.expo, rows):
-                out[p] = mtp_row(row, e) if e else row
-        else:
-            mul = ctx.mul
-            table = [ctx.mul_theta_power(self.scale, e) for e in range(self.params.r)]
-            for p, e, row in zip(self.perm, self.expo, rows):
-                out[p] = tuple(map(mul, itertools.repeat(table[e]), row))
-        return tuple(out)
 
     def mul_packed(self, packed):
         packed.monomial(self.perm, self.diag)

@@ -20,6 +20,7 @@ evaluate_word(decompose(g)) == g, not by the internal route.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -85,11 +86,10 @@ class SpMatrix:
     def __mul__(self, other):
         if not isinstance(other, SpMatrix):
             return NotImplemented
-        r = self.r
         cols = list(zip(*other.rows))
-        rows = [tuple(sum(a * b for a, b in zip(row, col)) % r for col in cols)
-                for row in self.rows]
-        return SpMatrix(r, rows)
+        # __post_init__ reduces the entries mod r
+        return SpMatrix(self.r, [[sum(map(operator.mul, row, col)) for col in cols]
+                                 for row in self.rows])
 
     def __pow__(self, e):
         if e < 0:

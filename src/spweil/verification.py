@@ -7,14 +7,9 @@ mutations (negated lam, U replaced by E, a corrupted C entry) are provided
 as negative controls: a suite that cannot detect them would be vacuous.
 
 closure_order counts a matrix group by breadth-first search, multiplying on
-the left by each generator's structure, one ctx.closure_steps step per
-generator: a generator recognised as monomial permutes rows and scales them
-by theta powers, a Fourier kernel maps fibres of r rows, and any other
-matrix stays a dense product.  Over GF(p) with r * p^2 < 2^64 an element is
-its packed rows (fields.PackedRows) with every lane reduced into [0, p), so
-no step unpacks; elsewhere it is its tuple of row tuples, and a step is
-mul_rows (MonomialOp.mul_rows, the one single-step shortcut, for a
-monomial).
+the left by each generator, recognised once as a monomial or Fourier
+operator where it is one; ctx.closure_steps (fields.py) holds the element
+states and steps.
 """
 
 from __future__ import annotations
@@ -561,14 +556,7 @@ def closure_order(generators, cap):
 
     Each generator is recognised once (structured_generator), and the search
     multiplies on the left: g * M for every element M and generator g, one
-    step of ctx.closure_steps per generator.  Over GF(p) with
-    r * p^2 < 2^64 an element is its rows packed into 64-bit lanes, each
-    lane reduced into [0, p): a step runs the generator's packed_step (a
-    monomial permutes and scales rows, a Fourier kernel maps fibres of r
-    rows, any other matrix multiplies the unpacked rows) and reduces every
-    lane by fields.lane_division's multiply and shift, or lane by lane past
-    its budget.  Over other fields an element is its tuple of row tuples,
-    and a step is the generator's mul_rows.  Left and right multiplication
+    step of ctx.closure_steps per generator.  Left and right multiplication
     give the same group, and every route keeps one canonical state per
     matrix, so the count and the cap behaviour do not depend on the route."""
     if not generators:

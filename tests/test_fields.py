@@ -93,18 +93,6 @@ def test_mul_theta_power_matches_mul(spec, ints, e):
 
 @pytest.mark.parametrize("spec", FAST_PATH_CTXS, ids=str)
 @given(ints=st.lists(st.integers(-50, 50), min_size=15, max_size=15),
-       e=st.integers(-40, 40))
-@settings(max_examples=30, deadline=None)
-def test_mul_theta_power_row_matches_per_entry(spec, ints, e):
-    ctx = make_field(spec)
-    row = (ctx.zero,) + tuple(_elements(ctx, ints[i:i + 5]) for i in range(0, 15, 5))
-    want = tuple(ctx.mul_theta_power(a, e) for a in row)
-    assert ctx.mul_theta_power_row(row, e) == want
-    assert FieldContext.mul_theta_power_row(ctx, row, e) == want
-
-
-@pytest.mark.parametrize("spec", FAST_PATH_CTXS, ids=str)
-@given(ints=st.lists(st.integers(-50, 50), min_size=15, max_size=15),
        expo=st.lists(st.integers(0, 6), min_size=4, max_size=4),
        k=st.integers(-40, 40))
 @settings(max_examples=30, deadline=None)

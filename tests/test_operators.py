@@ -271,8 +271,8 @@ def test_monomial_equality_up_to_theta_shift(spec, seed):
 @given(seed=st.integers(0, 2 ** 32))
 @settings(max_examples=5, deadline=None)
 def test_mul_rows_matches_dense_product(spec, seed):
-    # op.mul_rows(M.rows) is the rows of op * M, for a monomial (permuted and
-    # scaled rows), a Fourier kernel and a product (columns through apply)
+    # ctx.product_rows((op,), M.rows) and the dense mul_rows are the rows of
+    # op * M, for a monomial, a Fourier kernel and a product
     ctx = make_field(spec)
     params = WeilParams(ctx.r, 2, ctx)
     rng = random.Random(seed)
@@ -285,11 +285,8 @@ def test_mul_rows_matches_dense_product(spec, seed):
     for op in ops:
         dense = op.materialize()
         want = (dense * m).rows
-        assert op.mul_rows(m.rows) == want
+        assert ctx.product_rows((op,), m.rows) == want
         assert dense.mul_rows(m.rows) == want
-    # a row whose factor is 1 is passed through, not copied
-    unit = MonomialOp(params, range(params.n), [0] * params.n)
-    assert all(a is b for a, b in zip(unit.mul_rows(m.rows), m.rows))
 
 
 # Q(theta_3), GF(7) and GF(4) at l = 1..3 (n up to 27), and GF(11) at l = 1, 2
@@ -301,10 +298,9 @@ ROW_KERNEL_CASES = [(FieldSpec(kind, 3), ell) for kind in ("cyclotomic", "auto-p
 @given(seed=st.integers(0, 2 ** 32))
 @settings(max_examples=3, deadline=None)
 def test_row_kernels_match_column_route(spec, ell, seed):
-    # ctx.product_rows((op,), rows) (packed rows over GF(p)), op.mul_rows
-    # (for a monomial ctx.mul_theta_power_row) and the dense product against
-    # the base class's column route, which sends each column through apply;
-    # M has zero entries and whole zero rows
+    # ctx.product_rows((op,), rows) (packed rows over GF(p)) and the dense
+    # product against the base class's column route, which sends each column
+    # through apply; M has zero entries and whole zero rows
     ctx = make_field(spec)
     params = WeilParams(ctx.r, ell, ctx)
     rng = random.Random(seed)
@@ -317,7 +313,6 @@ def test_row_kernels_match_column_route(spec, ell, seed):
     for op in ops:
         want = FieldContext.product_rows(ctx, (op,), rows)
         assert ctx.product_rows((op,), rows) == want
-        assert op.mul_rows(rows) == want
         assert op.materialize().mul_rows(rows) == want
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from spweil.fields import (FieldContext, FieldSpec, PackedRows, PrimeFieldContext,
                            make_field, parse_field_spec)
-from spweil.generators import weil_generators
+from spweil.generators import op_B, weil_generators
 from spweil.linalg import DenseMatrix
 from spweil.operators import FourierOp, MonomialOp, WeilParams
 from spweil.submodules import restrict, submodule_bases
@@ -399,6 +399,37 @@ def test_closure_packed_route_matches_tuple_route(r, monkeypatch):
     assert isinstance(mats[0].ctx.closure_steps(r, mats)[0][0], tuple)
     assert packed == [closure_order(mats, 10 ** 6), closure_order(mixed, 10 ** 6)]
     assert packed == [group_order(1, r)] * 2
+
+
+@pytest.mark.parametrize("kind,packed", [("cyclotomic", False), ("auto-char2", False),
+                                         ("auto-prime", True), ("auto-prime", False)])
+def test_closure_step_multiplies_on_the_left(kind, packed, monkeypatch):
+    # a count cannot tell g from its transpose (<g^T> has the order of
+    # <g>), so one step from the identity must give g's own state, and a
+    # step by h after one by g that of h * g: M's column tuples on the tuple
+    # route, its packed rows over GF(p)
+    ctx = make_field(FieldSpec(kind, 3))
+    if not packed:
+        _tuple_route(monkeypatch)
+    params = WeilParams(3, 2, ctx)
+    gens = weil_generators(params)
+    lam_c, u = gens.lamC[0].materialize(), gens.U[0].materialize()
+    mats = [u * op_B(params, 1).materialize(), lam_c * u, lam_c]
+    ops = [structured_generator(m) for m in mats]
+    assert isinstance(ops[0], MonomialOp) and ops[1] is mats[1]
+    assert isinstance(ops[2], FourierOp)
+    assert all(m.rows != tuple(zip(*m.rows)) for m in mats[:2])
+
+    def state(m):
+        return tuple(map(PackedRows.pack, m.rows)) if packed else tuple(zip(*m.rows))
+    start, steps = ctx.closure_steps(params.n, ops)
+    assert start == state(DenseMatrix.identity(ctx, params.n))
+    for step, m in zip(steps, mats):
+        assert step(start) == state(m)
+    g, h = mats[:2]
+    assert h * g != g * h
+    assert steps[1](steps[0](start)) == state(h * g)
+    assert steps[0](steps[1](start)) == state(g * h)
 
 
 def test_closure_cap_sp43_on_both_routes(monkeypatch):

@@ -16,7 +16,7 @@ from spweil.fields import make_field, parse_field_spec
 from spweil.generators import weil_generators
 from spweil.heisenberg import DoesNotNormalize, image_from_columns
 from spweil.linalg import DenseMatrix
-from spweil.operators import WeilParams
+from spweil.operators import DenseOp, WeilParams
 from spweil.submodules import (restrict, restrict_quotient, submodule_bases,
                                weil_image_irreducible)
 from spweil.symplectic import (GenToken, SpMatrix, evaluate_word, gen_images,
@@ -141,7 +141,7 @@ def test_corrupted_generators_do_not_normalize(family, r, ell):
 
 def test_zero_first_column_does_not_normalize(gf7):
     params = WeilParams(3, 2, gf7)
-    zero = DenseMatrix(gf7, [[0] * 9 for _ in range(9)])
+    zero = DenseOp(params, DenseMatrix(gf7, [[0] * 9 for _ in range(9)]))
     with pytest.raises(DoesNotNormalize, match="zero"):
         image_from_columns(SpMatrix.identity(2, 3), zero, params)
 
