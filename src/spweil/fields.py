@@ -13,7 +13,8 @@ Three field families are supported, all exact (no floating point anywhere):
   irreducible polynomial.
 
 Element values are plain hashable Python objects; all arithmetic goes through
-the owning FieldContext.  Contexts are immutable after construction.
+the owning FieldContext.  Contexts are immutable after construction; each
+fixes theta and theta_pow = (theta^0, ..., theta^(r-1)) when it is built.
 
 Two primitives serve the structured operators, whose entries are powers of
 theta times one scalar.  mul_theta_power(a, e) is a * theta^e: one modular
@@ -49,13 +50,13 @@ start state and one step per generator.  The base class keeps each element
 as its tuple of column tuples, and a step applies the op to every column.
 GF(p) with r * p^2 < 2^64 keeps each element as the tuple of its packed
 rows with every lane in [0, p), which is canonical and hashable as it is:
-a step wraps them in PackedRows, runs the op's packed_step (its mul_packed,
-with what it reads of the op computed once) and reduces every row int at
-once, x - (((x * m) >> s) & mask) * p, with m, s and the lane mask fixed
-per prime (lane_division; Granlund and Montgomery 1994).  That is exact for
-lanes below 2^N, N = (64 - bits(p)) // 2 - 1; a step whose lanes may reach
-2^N (at r = 3 a Fourier step can from about p = 3,300 on, where
-3 * (p - 1)^2 passes 2^25) reduces lane by lane instead.
+a step wraps them in PackedRows, runs the op's mul_packed and reduces
+every row int at once, x - (((x * m) >> s) & mask) * p, with m, s and the
+lane mask fixed per prime (lane_division; Granlund and Montgomery 1994).
+That is exact for lanes below 2^N, N = (64 - bits(p)) // 2 - 1; a step
+whose lanes may reach 2^N (at r = 3 a Fourier step can from about
+p = 3,300 on, where 3 * (p - 1)^2 passes 2^25) reduces lane by lane
+instead.
 
 GF(p^k) with q <= MAX_TABLE_ORDER = 2^16 multiplies, adds and inverts by
 Zech-log tables (Huber 1990; Lidl and Niederreiter, Finite Fields, ch. 10).
@@ -356,7 +357,7 @@ class FieldContext:
     def closure_steps(self, n, ops):
         """(start, steps) for a breadth-first count of the group generated
         by ops, n x n operators or matrices over this field with apply and
-        packed_step: start is the identity as a hashable state, steps[i]
+        mul_packed: start is the identity as a hashable state, steps[i]
         maps the state of M to that of ops[i] * M, and two states are equal
         exactly when their matrices are.  Here a state is M's tuple of
         column tuples and a step applies the op to every column."""
@@ -383,30 +384,20 @@ class FieldContext:
 
     # -- the distinguished root of unity --
 
-    @property
-    def theta(self):
-        return self.theta_pow[1]
-
-    @property
-    def theta_pow(self):
-        """Tuple (theta^0, ..., theta^(r-1))."""
-        cached = getattr(self, "_theta_pow", None)
-        if cached is None:
-            t = self._compute_theta()
-            powers = [self.one]
-            for _ in range(self.r - 1):
-                powers.append(self.mul(powers[-1], t))
-            cached = tuple(powers)
-            self._theta_pow = cached
-        return cached
+    def _set_theta(self, theta):
+        """Fix theta, once, when the context is built: theta_pow is the
+        tuple (theta^0, ..., theta^(r-1)) and _dlog maps each power to its
+        exponent."""
+        powers = [self.one]
+        for _ in range(self.r - 1):
+            powers.append(self.mul(powers[-1], theta))
+        self.theta = theta
+        self.theta_pow = tuple(powers)
+        self._dlog = {v: e for e, v in enumerate(powers)}
 
     def dlog_theta(self, a):
         """Exponent e in [0, r) with a = theta^e, or None."""
-        table = getattr(self, "_dlog", None)
-        if table is None:
-            table = {v: i for i, v in enumerate(self.theta_pow)}
-            self._dlog = table
-        return table.get(a)
+        return self._dlog.get(a)
 
     # -- serialization --
 
@@ -441,6 +432,7 @@ class CyclotomicContext(FieldContext):
         self._d = r - 1
         self.zero = ((0,) * self._d, 1)
         self.one = ((1,) + (0,) * (self._d - 1), 1)
+        self._set_theta(((0, 1) + (0,) * (self._d - 2), 1))
 
     def _norm(self, nums, den):
         if den < 0:
@@ -559,9 +551,6 @@ class CyclotomicContext(FieldContext):
     def from_int(self, n):
         return ((n,) + (0,) * (self._d - 1), 1)
 
-    def _compute_theta(self):
-        return ((0, 1) + (0,) * (self._d - 2), 1) if self._d > 1 else ((-1,), 1)
-
     def serialize_elem(self, a):
         nums, den = a
         return [f"{Fraction(x, den).numerator}/{Fraction(x, den).denominator}" for x in nums]
@@ -599,7 +588,7 @@ class PrimeFieldContext(FieldContext):
         self.char = p
         self.zero = 0
         self.one = 1
-        self._theta_table = self.theta_pow
+        self._set_theta(pow(smallest_primitive_root(p), (p - 1) // r, p))
         self._packs = r * p * p < LANE_LIMIT
         self._lane_division = lane_division(p)
 
@@ -624,11 +613,11 @@ class PrimeFieldContext(FieldContext):
         return sum(map(operator.mul, xs, ys)) % self.p
 
     def mul_theta_power(self, a, e):
-        return a * self._theta_table[e % self.r] % self.p
+        return a * self.theta_pow[e % self.r] % self.p
 
     def theta_row_scaler(self, expo):
         # coefs[k][j] = theta^(expo[j] + k), one tuple per k in [0, r)
-        theta, r, p = self._theta_table, self.r, self.p
+        theta, r, p = self.theta_pow, self.r, self.p
         coefs = [tuple(theta[(e + k) % r] for e in expo) for k in range(r)]
         mod, mul, rep = operator.mod, operator.mul, itertools.repeat
 
@@ -649,7 +638,7 @@ class PrimeFieldContext(FieldContext):
 
     def closure_steps(self, n, ops):
         # a state is M's rows packed with every lane in [0, p), as canonical
-        # as the tuples; a step runs op's packed_step on them and reduces
+        # as the tuples; a step runs op's mul_packed on them and reduces
         if not self._packs:
             return super().closure_steps(n, ops)
         start = tuple(map(PackedRows.pack, _identity_rows(n, 0, 1)))
@@ -661,7 +650,7 @@ class PrimeFieldContext(FieldContext):
                 packed.reduce()
                 return tuple(packed.rows)
             return run
-        return start, [step(op.packed_step()) for op in ops]
+        return start, [step(op.mul_packed) for op in ops]
 
     def pow(self, a, e):
         if e < 0:
@@ -670,10 +659,6 @@ class PrimeFieldContext(FieldContext):
 
     def from_int(self, n):
         return n % self.p
-
-    def _compute_theta(self):
-        g = smallest_primitive_root(self.p)
-        return pow(g, (self.p - 1) // self.r, self.p)
 
     def serialize_elem(self, a):
         return str(a)
@@ -754,12 +739,12 @@ class PackedRows:
             self.reduce()
         self.bound *= growth
 
-    def monomial(self, perm, diag):
-        """Row j, times diag[j], becomes row perm[j]."""
-        self._grow(max(diag))
+    def monomial(self, perm, expo, table):
+        """Row j, times table[expo[j]], becomes row perm[j]."""
+        self._grow(max(table))
         out = [None] * len(perm)
-        for p, d, row in zip(perm, diag, self.rows):
-            out[p] = row * d
+        for p, e, row in zip(perm, expo, self.rows):
+            out[p] = row * table[e]
         self.rows = out
 
     def fourier(self, stride, table):
@@ -825,9 +810,9 @@ class ExtensionFieldContext(FieldContext):
         self.one = (1,) + (0,) * (k - 1)
         self._log = None
         facs = prime_factors(q - 1)
-        self._generator = g = next(
-            g for g in map(self._encode, range(2, q))
-            if all(self.pow(g, (q - 1) // f) != self.one for f in facs))
+        g = next(g for g in map(self._encode, range(2, q))
+                 if all(self.pow(g, (q - 1) // f) != self.one for f in facs))
+        self._set_theta(self.pow(g, (q - 1) // r))
         if q > MAX_TABLE_ORDER:
             return
         # a * g is (low half of a) * g + (high half of a) * g, both looked up
@@ -900,9 +885,6 @@ class ExtensionFieldContext(FieldContext):
             digits.append(n % self.p)
             n //= self.p
         return tuple(digits)
-
-    def _compute_theta(self):
-        return self.pow(self._generator, (self.q - 1) // self.r)
 
     def serialize_elem(self, a):
         return [str(c) for c in a]

@@ -128,8 +128,9 @@ def monomial_form(mat, params):
     has one nonzero entry, in distinct rows, and each entry is s * theta^e
     with s the first column's entry.  Raises NotMonomial for another
     support and NotCharacterDiagonal for an entry that is no theta multiple
-    of s.  The exponents are looked up among the r multiples s * theta^e, so
-    no field inverse or multiply is made."""
+    of s.  The exponents are looked up in the table of r multiples
+    s * theta^e of the monomial with scale s, so no field inverse or
+    multiply is made."""
     ctx = params.ctx
     zero = ctx.zero
     n = params.n
@@ -143,13 +144,13 @@ def monomial_form(mat, params):
         entries.append(col[support[0]])
     if len(set(perm)) != n:
         raise NotMonomial("two columns share their nonzero row")
-    s = entries[0]
-    dlog = {ctx.mul_theta_power(s, e): e for e in range(params.r)}
+    first = MonomialOp(params, perm, (0,) * n, entries[0])
+    dlog = {v: e for e, v in enumerate(first.table)}
     expo = [dlog.get(a) for a in entries]
     if None in expo:
         raise NotCharacterDiagonal(
             f"column {expo.index(None)} entry is not a theta power times column 0's")
-    return MonomialOp(params, perm, expo, s)
+    return MonomialOp(params, perm, expo, first.scale)
 
 
 def _recognize_monomial(mono, params, mod_scalars):

@@ -126,10 +126,9 @@ class DenseMatrix:
         dot = self.ctx.dot
         return tuple(tuple(dot(row, col) for col in cols) for row in self.rows)
 
-    def packed_step(self):
-        """The function left-multiplying packed GF(p) rows (fields.PackedRows)
-        by self, a step of a closure count."""
-        return lambda packed: packed.mul_rows(self.mul_rows)
+    def mul_packed(self, packed):
+        """Left-multiply the packed GF(p) rows (fields.PackedRows) by self."""
+        packed.mul_rows(self.mul_rows)
 
     def apply(self, vec):
         """Matrix-vector product (vec is a sequence of field values)."""

@@ -7,10 +7,11 @@ r x r matrix M is literally I_{r^(t-1)} (x) M (x) I_{r^(ell-t)}.
 
 Operator variants:
 
-* MonomialOp   -- permutation times diagonal; the diagonal is stored as
-                  integer theta exponents in [0, r) and one scalar, so
-                  compose, inverse, powers, equality, det and trace are
-                  integer work plus at most one field operation per entry;
+* MonomialOp   -- permutation times diagonal: out[perm[j]] = table[expo[j]]
+                  * v[j], with expo integer theta exponents in [0, r), one
+                  scale, and table its r entry values scale * theta^e, built
+                  once on first use; compose, inverse, powers, equality and
+                  det are integer work plus at most one field operation;
 * ScalarOp     -- c * I, the MonomialOp with the identity permutation,
                   zero exponents and scale c;
 * FourierOp    -- the discrete Fourier kernel theta^(i*xi) in one tensor
@@ -26,10 +27,10 @@ returns the DenseMatrix whose column xi is apply(e_xi), and det() and
 trace() are those of materialize() unless the operator's structure gives
 them directly (a monomial's do).
 
-Each operator multiplies by two kernels: apply on a column, over every
-field, and mul_packed on packed GF(p) rows (fields.PackedRows).  Products
-and closure steps are built from them by ctx.product_rows and
-ctx.closure_steps; fields.py describes both routes.
+Each operator multiplies by two kernels and nothing else: apply on a
+column, over every field, and mul_packed on packed GF(p) rows
+(fields.PackedRows).  Products and closure steps are built from them by
+ctx.product_rows and ctx.closure_steps; fields.py describes both routes.
 
 first_difference compares two operators on their materialised matrices,
 so a product is compared through ctx.product_rows.
@@ -95,12 +96,7 @@ class Operator:
     def mul_packed(self, packed):
         """Left-multiply the packed GF(p) rows (fields.PackedRows) by self's
         materialised matrix."""
-        packed.mul_rows(self.materialize().mul_rows)
-
-    def packed_step(self):
-        """mul_packed as one function, with what it reads of self computed
-        once: a closure count runs it at every step."""
-        return self.mul_packed
+        self.materialize().mul_packed(packed)
 
     def inverse(self):
         raise NotImplementedError
@@ -133,13 +129,14 @@ class MonomialOp(Operator):
     """out[perm[j]] = scale * theta^expo[j] * v[j]; perm and expo are flat
     tables, expo in [0, r), and scale is one field element."""
 
-    __slots__ = ("perm", "expo", "scale")
+    __slots__ = ("perm", "expo", "scale", "_table")
 
     def __init__(self, params, perm, expo, scale=None):
         super().__init__(params)
         self.perm = tuple(perm)
         self.expo = tuple(expo)
         self.scale = params.ctx.one if scale is None else scale
+        self._table = None
 
     @classmethod
     def from_affine(cls, params, shift, expo_fn=None):
@@ -156,11 +153,13 @@ class MonomialOp(Operator):
         return cls(params, perm, [expo_fn(xi) % r for xi in index_vectors(r, ell)])
 
     @property
-    def diag(self):
-        """The diagonal entries scale * theta^expo[j] as field elements."""
-        mtp, scale = self.ctx.mul_theta_power, self.scale
-        table = [mtp(scale, e) for e in range(self.params.r)]
-        return tuple(map(table.__getitem__, self.expo))
+    def table(self):
+        """The r entry values scale * theta^e, e in [0, r): entry j of the
+        diagonal is table[expo[j]]."""
+        if self._table is None:
+            mtp, scale = self.ctx.mul_theta_power, self.scale
+            self._table = tuple(mtp(scale, e) for e in range(self.params.r))
+        return self._table
 
     def apply(self, vec):
         ctx = self.ctx
@@ -170,18 +169,13 @@ class MonomialOp(Operator):
             for p, e, v in zip(self.perm, self.expo, vec):
                 out[p] = mtp(v, e) if e else v
         else:
-            mul = ctx.mul
-            table = [ctx.mul_theta_power(self.scale, e) for e in range(self.params.r)]
+            mul, table = ctx.mul, self.table
             for p, e, v in zip(self.perm, self.expo, vec):
                 out[p] = mul(table[e], v)
         return out
 
     def mul_packed(self, packed):
-        packed.monomial(self.perm, self.diag)
-
-    def packed_step(self):
-        perm, diag = self.perm, self.diag
-        return lambda packed: packed.monomial(perm, diag)
+        packed.monomial(self.perm, self.expo, self.table)
 
     def compose(self, other):
         """self after other (= self * other as matrices), staying monomial."""
@@ -239,9 +233,10 @@ class MonomialOp(Operator):
         ctx = self.ctx
         zero = ctx.zero
         n = self.n
+        table = self.table
         rows = [[zero] * n for _ in range(n)]
-        for j, (p, d) in enumerate(zip(self.perm, self.diag)):
-            rows[p][j] = d
+        for j, (p, e) in enumerate(zip(self.perm, self.expo)):
+            rows[p][j] = table[e]
         return DenseMatrix(ctx, rows)
 
     def det(self):
@@ -263,12 +258,12 @@ class MonomialOp(Operator):
         return ctx.neg(acc) if transpositions % 2 else acc
 
     def trace(self):
-        """Sum of scale * theta^expo[j] over the fixed points j of perm."""
-        ctx = self.ctx
-        acc = ctx.zero
+        """Sum of table[expo[j]] over the fixed points j of perm."""
+        add, table = self.ctx.add, self.table
+        acc = self.ctx.zero
         for j, (p, e) in enumerate(zip(self.perm, self.expo)):
             if p == j:
-                acc = ctx.add(acc, ctx.mul_theta_power(self.scale, e))
+                acc = add(acc, table[e])
         return acc
 
 

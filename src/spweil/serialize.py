@@ -123,7 +123,6 @@ def _magma_elem(ctx, value):
 def emit_magma(gens, matrices, out):
     """Write Magma assignments for the field, theta, lambda, and matrices."""
     ctx = gens.ctx
-    n = gens.params.n
     if ctx.kind == "cyclotomic":
         out.write(f"K := CyclotomicField({gens.r});\n")
         out.write("theta := K.1;\n")
@@ -136,10 +135,10 @@ def emit_magma(gens, matrices, out):
         out.write(f"theta := {_magma_elem(ctx, ctx.theta)};\n")
     out.write(f"lambda := {_magma_elem(ctx, gens.lam)};\n")
     for name, mat in matrices.items():
-        out.write(f"{name} := Matrix(K, {n}, {n}, [\n")
+        out.write(f"{name} := Matrix(K, {mat.nrows}, {mat.ncols}, [\n")
         for i, row in enumerate(mat.rows):
             line = ", ".join(_magma_elem(ctx, v) for v in row)
-            out.write(f"  {line}{',' if i < n - 1 else ''}\n")
+            out.write(f"  {line}{',' if i < mat.nrows - 1 else ''}\n")
         out.write("]);\n")
 
 

@@ -324,6 +324,26 @@ def test_image_irreducible_minus(capsys):
     assert doc["matrices"]["g_weil_minus"] == [[["-1/1", "-1/1"]]]
 
 
+@pytest.mark.parametrize("r", [3, 5])
+@pytest.mark.parametrize("field,mode", [("cyclotomic", "plus"), ("cyclotomic", "minus"),
+                                        ("gf2-auto", "socle"), ("gf2-auto", "quotient")])
+def test_image_irreducible_magma_takes_the_constituent_shape(capsys, r, field, mode):
+    # a constituent is (n +- 1)/2 square, not n = r^l: the Magma header and
+    # the row commas follow the matrix, as in the JSON document
+    args = ["image", "--r", str(r), "--l", "1", "--field", field,
+            "--g", "1 1 0 1", "--irreducible", mode]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    mat = json.loads(out)["matrices"][f"g_weil_{mode}"]
+    code, out, _ = run_cli(args + ["--format", "magma"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    start = lines.index(f"g_weil_{mode} := Matrix(K, {len(mat)}, {len(mat[0])}, [")
+    rows = lines[start + 1:start + 1 + len(mat)]
+    assert lines[start + 1 + len(mat)] == "]);"
+    assert [row.endswith(",") for row in rows] == [True] * (len(mat) - 1) + [False]
+
+
 def test_image_irreducible_wrong_char_exits_3(capsys):
     code, _, _ = run_cli(["image", "--r", "3", "--l", "1",
                           "--field", "cyclotomic",

@@ -58,21 +58,22 @@ def test_U_defining_formula(gf11):
     # U_t v = theta^(xi_t(xi_t + r)/2) v, slot independence included
     params = WeilParams(5, 2, gf11)
     U2 = op_U(params, 2)
+    rows = U2.materialize().rows
     for j, xi in enumerate(index_vectors(5, 2)):
         expo = (xi[1] * (xi[1] + 5) // 2) % 5
-        assert U2.diag[j] == gf11.theta_pow[expo]
+        assert rows[j][j] == gf11.theta_pow[expo]
         assert U2.perm[j] == j
 
 
 def test_D_diagonal_entries(cyc3):
     # D_12 entry at (xi1, xi2) is theta^(xi1*xi2); at (2,2): theta^4 = theta
     params = WeilParams(3, 2, cyc3)
-    D = op_D(params, 1, 2)
+    rows = op_D(params, 1, 2).materialize().rows
     vecs = index_vectors(3, 2)
     for j, xi in enumerate(vecs):
-        assert D.diag[j] == cyc3.theta_pow[(xi[0] * xi[1]) % 3]
+        assert rows[j][j] == cyc3.theta_pow[(xi[0] * xi[1]) % 3]
     j22 = vecs.index((2, 2))
-    assert D.diag[j22] == cyc3.theta
+    assert rows[j22][j22] == cyc3.theta
 
 
 def test_tensor_slot_kronecker_consistency(gf7):
@@ -107,6 +108,29 @@ def test_lambda_gf7(gf7):
     lam = lambda_scalar(3, gf7)
     assert lam == 3  # (-3) * 6^-1 = 4 * 6 = 24 = 3 mod 7
     assert (3 * 3 * 3) % 7 == 6  # lambda^2 * r = -1
+
+
+def _lambda_by_elimination(r, ctx):
+    minus_r = ctx.neg(ctx.from_int(r))
+    return ctx.mul(ctx.pow(minus_r, (r - 1) // 2), ctx.inv(det_C(r, ctx)))
+
+
+@pytest.mark.parametrize("kind", ["cyclotomic", "auto-prime", "auto-char2"])
+@pytest.mark.parametrize("r", [3, 5, 7, 11, 13])
+def test_lambda_matches_elimination(kind, r):
+    # lambda_scalar takes det(C) in its Gauss-sum form
+    ctx = make_field(FieldSpec(kind, r))
+    assert lambda_scalar(r, ctx) == _lambda_by_elimination(r, ctx)
+
+
+@pytest.mark.parametrize("kind", ["cyclotomic", "auto-prime", "auto-char2"])
+def test_weil_generators_eliminate_nothing(kind, monkeypatch):
+    def no_det(self):
+        raise AssertionError("DenseMatrix.det called")
+    monkeypatch.setattr(DenseMatrix, "det", no_det)
+    gens = weil_generators(_params(kind, 3, 2))
+    monkeypatch.undo()
+    assert gens.lam == _lambda_by_elimination(3, gens.ctx)
 
 
 @pytest.mark.parametrize("kind,r", GRID, ids=str)
@@ -156,7 +180,7 @@ def test_sigma_inverts_R(kind, r):
     for g in (op_A(params, 1), op_B(params, 1)):
         conj = sig.compose(g).compose(sig.inverse())
         inv = g.inverse()
-        assert conj.perm == inv.perm and conj.diag == inv.diag
+        assert conj.perm == inv.perm and conj.materialize() == inv.materialize()
 
 
 def test_lam_C_squared_matches_square(gf11, cyc5):

@@ -4,7 +4,8 @@ Every name a module imports is used there; __init__.py is left out, as its
 imports are the package's public names.  Only fields.py and serialize.py,
 which define and spell the field encodings, branch on the field family.
 Every attribute a module stores on self is read, and every top-level
-function is referenced, somewhere in src, tests, scripts or perfbench."""
+function and every method of a class other than a dunder is referenced,
+somewhere in src, tests, scripts or perfbench."""
 
 import ast
 import functools
@@ -115,8 +116,8 @@ def loaded_names(source):
 
 def unread_names(source, readers):
     """The attributes source stores on self that no reader reads as an
-    attribute, and its top-level functions that no reader names at all,
-    each with its line."""
+    attribute, and its top-level functions and non-dunder methods that no
+    reader names at all, each with its line."""
     attrs, names = set(), set()
     for reader in readers:
         reader_attrs, reader_names = loaded_names(reader)
@@ -129,7 +130,11 @@ def unread_names(source, readers):
                 and getattr(node.value, "id", None) == "self"):
             stored.setdefault(node.attr, node.lineno)
     found = [(line, name) for name, line in stored.items() if name not in attrs]
-    found += [(node.lineno, node.name) for node in tree.body
+    methods = [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)
+               and not (node.name.startswith("__") and node.name.endswith("__"))]
+    found += [(node.lineno, node.name)
+              for node in [*tree.body, *methods]
               if isinstance(node, ast.FunctionDef) and node.name not in attrs | names]
     return sorted(found)
 
@@ -141,6 +146,12 @@ def test_scan_finds_unread_attributes_and_functions():
         "        self.kept, self.lost = 1, 2\n"
         "        self.by_getattr = 3\n"
         "        self.spec = 4\n"
+        "    def called(self):\n"
+        "        pass\n"
+        "    def orphan(self):\n"
+        "        pass\n"
+        "    def __repr__(self):\n"
+        "        return 'K'\n"
         "def used():\n"
         "    pass\n"
         "def unused():\n"
@@ -148,10 +159,11 @@ def test_scan_finds_unread_attributes_and_functions():
         "def by_string():\n"
         "    pass\n")
     reader = ("from m import used\n"
-              "print(k.kept, getattr(k, 'by_getattr'))\n"
+              "print(k.kept, getattr(k, 'by_getattr'), k.called())\n"
               "spans = [(m, 'by_string')]\n"
               "spec = 'a local variable named like an attribute'\n")
-    assert unread_names(source, [source, reader]) == [(3, "lost"), (5, "spec"), (8, "unused")]
+    assert unread_names(source, [source, reader]) == [
+        (3, "lost"), (5, "spec"), (8, "orphan"), (14, "unused")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

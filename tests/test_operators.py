@@ -238,7 +238,9 @@ def test_monomial_algebra_matches_dense(spec, seed):
         assert x.commutator(y).materialize() == X * Y * X.inverse() * Y.inverse()
         v = [_element(ctx, rng) for _ in range(params.n)]
         assert x.apply(v) == X.apply(v)
-        assert list(x.diag) == [X.rows[p][j] for j, p in enumerate(x.perm)]
+        assert [X.rows[p][j] for j, p in enumerate(x.perm)] == \
+            [ctx.mul(x.scale, ctx.theta_pow[e]) for e in x.expo]
+        assert x.trace() == X.trace()
 
 
 @pytest.mark.parametrize("spec", FAST_PATH_CTXS, ids=str)
@@ -309,7 +311,8 @@ def test_row_kernels_match_column_route(spec, ell, seed):
                  else (ctx.zero,) * params.n for _ in range(params.n))
     scales = [ctx.one, ctx.inv(ctx.from_int(ctx.r)), _nonzero_element(ctx, rng)]
     ops = [FourierOp(params, t, s) for t in range(1, ell + 1) for s in scales]
-    ops.append(_random_monomial(params, rng, ctx.one))
+    ops += [_random_monomial(params, rng, ctx.one), _random_monomial(params, rng, ctx.theta),
+            negation_monomial(params)]
     for op in ops:
         want = FieldContext.product_rows(ctx, (op,), rows)
         assert ctx.product_rows((op,), rows) == want
@@ -359,16 +362,20 @@ def test_packed_product_matches_column_route(r, p, seed, length):
     assert all(0 <= a < p for row in rows for a in row)
 
 
-@pytest.mark.parametrize("r,p", PACKED_CTXS, ids=str)
+@pytest.mark.parametrize("r,p", PACKED_CTXS + [(3, 2479700473)], ids=str)
 def test_packed_long_product_reduces_mid_product(r, p, monkeypatch):
-    # 48 factors grow a lane far past 2^64 unreduced, so the lanes must be
-    # reduced before the end: _lanes runs for more than the n final rows
+    # 60 factors grow a lane far past 2^64 unreduced, so the lanes must be
+    # reduced before the end: _lanes runs for more than the n final rows.
+    # The factors are Fourier, scaled monomial, scalar and scale-one slot
+    # negation factors; at the largest packed prime for r = 3 one scaled
+    # factor can carry a reduced lane past 2^64
     ctx = PrimeFieldContext(r, p)
     rng = random.Random(r * p)
     params = WeilParams(r, 2, ctx)
-    factors = [f for _ in range(12) for f in (
+    factors = [f for t in (1, 2) * 6 for f in (
         FourierOp(params, 1, rng.randrange(1, p)), FourierOp(params, 2),
-        _random_monomial(params, rng, rng.randrange(1, p)), ScalarOp(params, p - 1))]
+        _random_monomial(params, rng, rng.randrange(1, p)), ScalarOp(params, p - 1),
+        negation_monomial(params, t))]
     op = ProductOp(params, factors)
     calls = []
     lanes = PackedRows._lanes
