@@ -7,7 +7,9 @@ Usage: python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE
 Each tree is the root of a checkout holding perfbench/run.py and
 BENCHMARK.json.  Pair i runs `perfbench/run.py --workload W --seed i
 --trace 0` once in each tree, the parent first on even i and the change
-first on odd i, so a drift in host speed falls on both sides.  --workload
+first on odd i, so a drift in host speed falls on both sides.  Every run
+compiles from source (run_once), so a tree's __pycache__ cannot change
+its memory reading.  --workload
 defaults to every workload of BENCHMARK.json, --pairs to 5 and --seconds to
 its run_seconds.
 
@@ -21,9 +23,11 @@ object.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -35,12 +39,16 @@ def pair_order(i):
 
 
 def run_once(tree, workload, seed, seconds):
-    """The last line of one perfbench/run.py run in tree, as a dict."""
+    """The last line of one perfbench/run.py run in tree, as a dict.  Each
+    run gets a fresh empty PYTHONPYCACHEPREFIX, so it compiles every module
+    from source and reads no .pyc file that the tree holds."""
     argv = [sys.executable, str(Path(tree) / "perfbench" / "run.py"), "--workload", workload,
             "--seed", str(seed), "--trace", "0"]
     if seconds is not None:
         argv += ["--seconds", str(seconds)]
-    proc = subprocess.run(argv, stdout=subprocess.PIPE, text=True, check=True)
+    with tempfile.TemporaryDirectory() as cache:
+        proc = subprocess.run(argv, stdout=subprocess.PIPE, text=True, check=True,
+                              env={**os.environ, "PYTHONPYCACHEPREFIX": cache})
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 

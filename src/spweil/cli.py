@@ -25,7 +25,7 @@ from .serialize import (build_document, dumps_document, emit_gap, emit_magma,
 from .submodules import WrongCharacteristic, weil_image_irreducible
 from .symplectic import (NotSymplectic, SpMatrix, decompose, group_order,
                          weil_image)
-from .verification import CapExceeded, closure_order, run_relation_suite
+from .verification import CapExceeded, closure_order, params_label, run_relation_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -167,9 +167,10 @@ def _matrix_bytes(mat):
     return sum(sizes.values())
 
 
-def _check_closure(report, pstr, args, gens):
+def _check_closure(report, args, gens):
     """Record closure-order, or skip it when the group order passes --cap or
     the search would need more than MAX_CLOSURE_BYTES."""
+    pstr = params_label(gens.params)
     expected = group_order(args.l, args.r)
     if expected > args.cap:
         return report.skip("closure-order", pstr,
@@ -195,9 +196,8 @@ def cmd_verify(args):
     params = validated_setup(args)
     gens = weil_generators(params)
     report = run_relation_suite(params, seed=args.seed, gens=gens)
-    pstr = f"r={args.r}, l={args.l}, {params.ctx.describe()}"
     if args.closure:
-        _check_closure(report, pstr, args, gens)
+        _check_closure(report, args, gens)
     with _output(args) as out:
         if args.as_json:
             out.write(json.dumps(report.to_json(), indent=2) + "\n")

@@ -23,9 +23,9 @@ which keeps the denominator and needs no gcd, and a table lookup over
 GF(p^k) (a mul above the table bound).  fourier_apply(vec, stride,
 table) applies the Fourier kernel theta^(i*x) in one tensor slot, times the
 scale table[0][0]; over Q(theta) it sums integer rotations over one common
-denominator and normalises each output once.  pi_map keys rows by
-theta_row_scaler(expo), row[j] * theta^(expo[j] + k) for one k per row;
-GF(p) multiplies by one of r precomputed coefficient tuples.
+denominator and normalises each output once.  pi_map reads a matrix
+through mul_theta_power alone: r calls per theta class of its entries
+register their codes, and rows are matched on those integers.
 
 FieldContext.product_rows(factors, rows) is the bulk route for
 left-multiplying rows by operators: the rows of the product of the factors
@@ -332,14 +332,6 @@ class FieldContext:
                     out[off + i * stride] = dot(row, vals)
         return out
 
-    def theta_row_scaler(self, expo):
-        """The function (row, k) -> the tuple of row[j] * theta^(expo[j] + k)."""
-        zero, mtp = self.zero, self.mul_theta_power
-
-        def scale(row, k):
-            return tuple(a if a == zero else mtp(a, e + k) for a, e in zip(row, expo))
-        return scale
-
     def product_rows(self, factors, rows=None):
         """The rows of the product of the operators factors (applied right
         to left, at least one) times M, for M given as a tuple of row tuples
@@ -614,16 +606,6 @@ class PrimeFieldContext(FieldContext):
 
     def mul_theta_power(self, a, e):
         return a * self.theta_pow[e % self.r] % self.p
-
-    def theta_row_scaler(self, expo):
-        # coefs[k][j] = theta^(expo[j] + k), one tuple per k in [0, r)
-        theta, r, p = self.theta_pow, self.r, self.p
-        coefs = [tuple(theta[(e + k) % r] for e in expo) for k in range(r)]
-        mod, mul, rep = operator.mod, operator.mul, itertools.repeat
-
-        def scale(row, k):
-            return tuple(map(mod, map(mul, row, coefs[k % r]), rep(p)))
-        return scale
 
     def product_rows(self, factors, rows=None):
         if not self._packs:

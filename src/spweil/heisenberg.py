@@ -50,8 +50,8 @@ normaliser that differs from the word route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, itemgetter, mod
+from itertools import chain, compress, count, filterfalse, repeat
+from operator import add, getitem, itemgetter, mod
 
 from .linalg import DenseMatrix
 from .operators import MonomialOp, Operator, identity_op
@@ -184,25 +184,44 @@ def _square_rows(mat, params):
     return rows
 
 
-def _theta_keyed(rows, g, params):
-    """For each row of the matrix rows * g (g a MonomialOp of scale 1):
-    (k, key) with key = theta^k times that row, the least of its r theta
-    multiples.  Two rows get the same key exactly when one is a theta power
-    times the other.  Row j of rows * g holds row[perm[j]] * theta^expo[j],
-    so the key is ctx.theta_row_scaler(expo) of the moved row and k."""
-    zero, mtp = params.ctx.zero, params.ctx.mul_theta_power
-    powers = range(params.r)
+def _theta_codes(rows, params):
+    """Each row of the matrix rows as (classes, exponents): a nonzero entry
+    rep_o * theta^e is coded o and e, rep_o the first value of its theta
+    class met in row order, and a zero entry -1 and r.  Each class costs
+    the r mul_theta_power calls that register its multiples; no other
+    field operation is made.  A normaliser has one class: it lies in
+    Z * R * rho(Sp), and each rho(g) is a scalar times theta^(quadratic) on
+    a coset (Gerardin 1977; Neuhauser 2002).  A matrix with more than n
+    classes is refused before the table passes r * n values, so memory
+    stays O(n^2) on any input."""
+    ctx, r, n = params.ctx, params.r, params.n
+    code = {ctx.zero: (-1, r)}
+    for o, a in enumerate(filterfalse(code.__contains__, chain.from_iterable(rows))):
+        if o == n:
+            raise DoesNotNormalize(f"matrix entries lie in more than {n} theta classes")
+        code.update((ctx.mul_theta_power(a, e), (o, e)) for e in range(r))
+    return [tuple(zip(*map(code.__getitem__, row))) for row in rows]
+
+
+def _theta_keyed(codes, g, shift):
+    """For each row of N * g, with codes = _theta_codes(N) and g a MonomialOp
+    of scale 1: (k, key), key the codes of theta^k times the row, whose
+    first nonzero entry then has exponent 0.  Two rows get the same key
+    exactly when one is a theta power times the other.  Row i of N * g
+    holds N[i][perm[j]] * theta^(expo[j]) in column j: its classes are row
+    i's permuted by perm, its exponents row i's permuted and shifted by
+    expo[j] + k, where shift[s] adds s mod r and keeps the zero code r."""
+    r = len(shift)
     take, expo = itemgetter(*g.perm), g.expo
-    scale = params.ctx.theta_row_scaler(expo)
-    for row in rows:
-        moved = take(row)
-        j = next((j for j, a in enumerate(moved) if a != zero), None)
+    steps = [[shift[(e + k) % r] for e in expo] for k in range(r)]
+    for classes, expos in codes:
+        moved = take(classes)
+        j = next(compress(count(), map((-1).__ne__, moved)), None)
         if j is None:
             raise DoesNotNormalize("matrix has a zero row")
-        # the row's first nonzero entry is moved[j] * theta^expo[j]
-        multiples = list(map(mtp, repeat(moved[j]), powers))
-        k = multiples.index(min(multiples)) - expo[j]
-        yield k, scale(moved, k)
+        expos = take(expos)
+        k = -(expos[j] + expo[j]) % r
+        yield k, (moved, tuple(map(getitem, steps[k], expos)))
 
 
 def _conjugates_of_basis(n, params):
@@ -211,22 +230,23 @@ def _conjugates_of_basis(n, params):
 
     A MonomialOp n is conjugated by integer compose and inverse; its scale
     is dropped, as a scalar commutes with g.  Any other n (a product or
-    Fourier operator, or a DenseMatrix) is materialised once, as
-    a whole, and x_g is read off x_g * n = n * g.  Each n * g is a column
-    permute-and-scale of n.  As the module docstring shows, a normaliser
-    gives conjugates whose entries are theta powers, so row i of n * g must
-    be theta^s times some row c of n, and then x_g has theta^s at (i, c).
-    Rows are matched on their least theta multiple (_theta_keyed): with
-    keys theta^k_i * (row i of n * g) = theta^k_c * (row c of n), the
-    entry is theta^(k_c - k_i).  No inverse of n and no field division
-    or multiply is made.
+    Fourier operator, or a DenseMatrix) is materialised once, as a whole,
+    and read once into integer theta codes; x_g is read off
+    x_g * n = n * g, one route for every field family.  Each n * g is a
+    column permute-and-scale of n.  As the module docstring shows, a
+    normaliser gives conjugates whose entries are theta powers, so row i of
+    n * g must be theta^s times some row c of n, and then x_g has theta^s
+    at (i, c).  Rows are matched on integer keys (_theta_keyed): with keys
+    theta^k_i * (row i of n * g) = theta^k_c * (row c of n), the entry is
+    theta^(k_c - k_i).  Past the codes no field operation is made.
 
     This is enough: when every match succeeds, x_g * n = n * g makes ker n
     invariant under R, and as W is irreducible under R, ker n is 0 or W.
     n has no zero row, so ker n = 0 and x_g = n g n^-1; recognising every
     x_g in R*Z then shows that n normalises R*Z.  A non-normalising n, a
-    singular one or one with a non-theta row ratio included, fails the
-    match or the recognition, and pi_map raises DoesNotNormalize.
+    singular one or one with a non-theta row ratio included, has too many
+    theta classes or fails the match or the recognition, and pi_map raises
+    DoesNotNormalize.
     """
     r, ell, size = params.r, params.ell, params.n
     units = [tuple(int(m == t) for m in range(ell)) for t in range(ell)]
@@ -239,12 +259,14 @@ def _conjugates_of_basis(n, params):
         for g in basis:
             yield unit.compose(g).compose(unit_inv)
         return
-    rows = _square_rows(n.materialize() if isinstance(n, Operator) else n, params)
-    ident = identity_op(params)
-    match = {key: (c, k) for c, (k, key) in enumerate(_theta_keyed(rows, ident, params))}
+    codes = _theta_codes(_square_rows(n.materialize() if isinstance(n, Operator) else n,
+                                      params), params)
+    shift = [tuple(range(s, r)) + tuple(range(s)) + (r,) for s in range(r)]
+    match = {key: (c, k) for c, (k, key)
+             in enumerate(_theta_keyed(codes, identity_op(params), shift))}
     for g in basis:
         perm, expo = [None] * size, [0] * size
-        for i, (k, key) in enumerate(_theta_keyed(rows, g, params)):
+        for i, (k, key) in enumerate(_theta_keyed(codes, g, shift)):
             hit = match.get(key)
             if hit is None:
                 raise NotMonomial(f"row {i} of n*g is not a theta multiple of a row of n")

@@ -14,6 +14,7 @@ states and steps.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -24,9 +25,9 @@ from .generators import gauss_forms, lam_C_squared, op_C, weil_generators
 from .heisenberg import (DoesNotNormalize, ExtraspecialElement, RecognitionError,
                          comm_exponent, monomial_form, pi_map, realize)
 from .linalg import DenseMatrix
-from .operators import (DenseOp, FourierOp, MonomialOp, ProductOp, ScalarOp,
-                        WeilParams, first_difference as _first_difference,
-                        identity_op, negation_monomial)
+from .operators import (DenseOp, FourierOp, ProductOp, ScalarOp, WeilParams,
+                        first_difference as _first_difference, identity_op,
+                        negation_monomial)
 from .submodules import (NotInvariant, restrict, restrict_quotient, spin,
                          submodule_bases)
 from .symplectic import GenToken, SpMatrix, gen_images, sp_form
@@ -66,9 +67,6 @@ class VerificationReport:
     def skip(self, cid, params, reason):
         self.entries.append(CheckResult(cid, params, "skip", reason))
 
-    def extend(self, other):
-        self.entries.extend(other.entries)
-
     def to_json(self):
         return [{"id": e.id, "params": e.params, "status": e.status,
                  "witness": e.witness} for e in self.entries]
@@ -89,6 +87,11 @@ class VerificationReport:
 # operator comparison with witnesses
 
 
+def params_label(params):
+    """The params field of every check of one (r, ell, field) choice."""
+    return f"r={params.r}, l={params.ell}, {params.ctx.describe()}"
+
+
 def _check_ops(report, cid, pstr, lhs, rhs):
     diff = _first_difference(lhs, rhs)
     if diff is None:
@@ -97,6 +100,13 @@ def _check_ops(report, cid, pstr, lhs, rhs):
     ser = lhs.ctx.serialize_elem
     return report.record(cid, pstr, [
         f"entry ({i},{j}): {json.dumps(ser(a))} != {json.dumps(ser(b))}"])
+
+
+def _check_words(report, pstr, params, rows):
+    """_check_ops on the products of each row (check id, left word, right
+    word); a word is a tuple of operators, () the identity."""
+    for cid, left, right in rows:
+        _check_ops(report, cid, pstr, ProductOp(params, left), ProductOp(params, right))
 
 
 def _serialized(ctx, value):
@@ -154,9 +164,11 @@ def _sign_exponent(ctx, e):
 def _generator_checks(report, params, gens):
     ctx = params.ctx
     r, ell = params.r, params.ell
-    pstr = f"r={r}, l={ell}, {ctx.describe()}"
+    pstr = params_label(params)
     ident = identity_op(params)
     one = ctx.one
+    lam, lamC, rawC, U = gens.lam, gens.lamC, gens.rawC, gens.U
+    check_words = functools.partial(_check_words, report, pstr, params)
 
     # extraspecial relations of the A_t, B_t
     def extraspecial_failures():
@@ -175,20 +187,17 @@ def _generator_checks(report, params, gens):
 
     # C_t^2 = r * (negation in slot t)
     r_elem = ctx.from_int(r)
-    for t in range(1, ell + 1):
-        neg_t = negation_monomial(params, t)
-        scaled = MonomialOp(params, neg_t.perm, neg_t.expo, r_elem)
-        _check_ops(report, f"C{t}-squared-negation", pstr,
-                   gens.rawC[t - 1] * gens.rawC[t - 1], scaled)
+    check_words([(f"C{t}-squared-negation", (c, c),
+                   (ScalarOp(params, r_elem), negation_monomial(params, t)))
+                  for t, c in enumerate(rawC, 1)])
 
     # determinant identities on the ell = 1 slice
-    detc = _slot1_slice(gens.rawC[0], params).det()
+    detc = _slot1_slice(rawC[0], params).det()
     sign = _sign_exponent(ctx, (r - 1) // 2)
     _check_value(report, "detC-squared", pstr, ctx.mul(detc, detc),
                  ctx.mul(sign, ctx.pow(r_elem, r)), "det(C)^2 vs (-1)^((r-1)/2) r^r", ctx)
 
     # lam^2 * r = (-1)^((r-1)/2)
-    lam = gens.lam
     _check_value(report, "lam-squared", pstr,
                  ctx.mul(ctx.mul(lam, lam), r_elem), sign,
                  "lam^2 * r vs (-1)^((r-1)/2)", ctx)
@@ -198,7 +207,7 @@ def _generator_checks(report, params, gens):
     _check_value(report, "det-lamC", pstr, det_lamC, one, "det(lam*C_t)", ctx)
 
     # det(U_t): 1 for r > 3, theta^(r^(l-1)) for r = 3; always an r-th root of 1
-    det_u = gens.U[0].det()
+    det_u = U[0].det()
     want_u = one if r > 3 else ctx.theta_pow[r ** (ell - 1) % r]
     _check_value(report, "det-U", pstr, det_u, want_u, "det(U_t)", ctx)
 
@@ -214,31 +223,23 @@ def _generator_checks(report, params, gens):
                  [one, one, [one] * len(gens.D)],
                  "r-th powers of generator determinants", ctx)
 
-    # (lam C_t)^4 = 1 and (lam C_t U_t)^3 = 1
-    for t in range(1, ell + 1):
-        lc = gens.lamC[t - 1]
-        _check_ops(report, f"lamC{t}-order4", pstr,
-                   ProductOp(params, (lc,) * 4), ident)
-        lcu = lc * gens.U[t - 1]
-        _check_ops(report, f"lamC{t}U{t}-order3", pstr,
-                   ProductOp(params, (lcu.factors * 3)), ident)
-
-    # (lam C_t)^2 acts as (-1)^((r-1)/2) v_(-xi in slot t)
-    for t in range(1, ell + 1):
-        _check_ops(report, f"lamC{t}-squared-form", pstr,
-                   gens.lamC[t - 1] * gens.lamC[t - 1], lam_C_squared(params, t))
+    # (lam C_t)^4 = 1 and (lam C_t U_t)^3 = 1; then (lam C_t)^2 acts as
+    # (-1)^((r-1)/2) v_(-xi in slot t)
+    rows = []
+    for t, (lc, u) in enumerate(zip(lamC, U), 1):
+        rows += [(f"lamC{t}-order4", (lc,) * 4, ()), (f"lamC{t}U{t}-order3", (lc, u) * 3, ())]
+    check_words(rows + [(f"lamC{t}-squared-form", (lc, lc), (lam_C_squared(params, t),))
+                        for t, lc in enumerate(lamC, 1)])
 
     # Tr(U)^2 = (-1)^((r-1)/2) * r  (ell = 1 slice)
-    tr_u = _slot1_slice(gens.U[0], params).trace()
+    tr_u = _slot1_slice(U[0], params).trace()
     _check_value(report, "traceU-squared", pstr, ctx.mul(tr_u, tr_u),
                  ctx.mul(sign, r_elem), "Tr(U)^2", ctx)
 
     if ell == 1:
         # (C U)^3 = r * Tr(U) * I
-        cu = gens.rawC[0] * gens.U[0]
-        _check_ops(report, "CU-cubed-scalar", pstr,
-                   ProductOp(params, cu.factors * 3),
-                   ScalarOp(params, ctx.mul(r_elem, tr_u)))
+        check_words([("CU-cubed-scalar", (rawC[0], U[0]) * 3,
+                      (ScalarOp(params, ctx.mul(r_elem, tr_u)),))])
 
     # Gauss sum forms of det(C)
     via_gauss, via_trace = gauss_forms(r, ctx)
@@ -247,28 +248,21 @@ def _generator_checks(report, params, gens):
     _check_value(report, "detC-trace-sum", pstr, detc, via_trace,
                  "det(C) vs r^((r-1)/2) sum theta^(i(i+r)/2)", ctx)
 
-    if ell >= 2:
-        for (s, t), dop in sorted(gens.D.items()):
-            name = GenToken("D", t, s).name
-            lc2 = gens.lamC[t - 1] * gens.lamC[t - 1]
-            inner = lc2 * dop
-            _check_ops(report, f"lamC{t}sq-{name}-involution", pstr,
-                       ProductOp(params, inner.factors * 2), ident)
-            # Lemma statement: X U_t X^-1 U_t^-1 = U_s D_st, X = C_t D_st C_t^-1
-            ct = gens.rawC[t - 1]
-            x = ct * dop * ct.inverse()
-            lhs = x * gens.U[t - 1] * x.inverse() * gens.U[t - 1].inverse()
-            rhs = gens.U[s - 1] * dop
-            _check_ops(report, f"X-commutator-{name}", pstr, lhs, rhs)
-
-    # sigma: the product form, inversion on R, and centrality in G
+    # ((lam C_t)^2 D_st)^2 = 1 and X U_t X^-1 U_t^-1 = U_s D_st, X = C_t D_st C_t^-1
+    # (ell >= 2); then sigma: the product form, inversion on R, centrality in G
+    rows = []
+    for (s, t), dop in sorted(gens.D.items()):
+        name = GenToken("D", t, s).name
+        lc, ct, ct_inv, ut = lamC[t - 1], rawC[t - 1], rawC[t - 1].inverse(), U[t - 1]
+        rows += [(f"lamC{t}sq-{name}-involution", (lc, lc, dop) * 2, ()),
+                 (f"X-commutator-{name}",
+                  (ct, dop, ct_inv, ut, ct, dop.inverse(), ct_inv, ut.inverse()),
+                  (U[s - 1], dop))]
     sigma = gens.sigma
     sign_l = _sign_exponent(ctx, ell * (r - 1) // 2)
-    prod_factors = []
-    for t in range(1, ell + 1):
-        prod_factors += [gens.lamC[t - 1], gens.lamC[t - 1]]
-    _check_ops(report, "sigma-product-form", pstr, sigma,
-               ScalarOp(params, sign_l) * ProductOp(params, prod_factors))
+    rows.append(("sigma-product-form", (sigma,),
+                 (ScalarOp(params, sign_l),) + tuple(f for lc in lamC for f in (lc, lc))))
+    check_words(rows)
 
     sigma_inv = sigma.inverse()
     report.record("sigma-inversion", pstr, (
@@ -277,14 +271,13 @@ def _generator_checks(report, params, gens):
         for g, name in ((gens.A[t - 1], f"A_{t}"), (gens.B[t - 1], f"B_{t}"))
         if sigma.compose(g).compose(sigma_inv) != g.inverse()))
 
-    for name, op in _named_ops(gens):
-        _check_ops(report, f"sigma-commutes-{name}", pstr,
-                   sigma * op, op * sigma)
+    check_words((
+        (f"sigma-commutes-{name}", (sigma, op), (op, sigma)) for name, op in _named_ops(gens)))
 
     _centralizer_check(report, params, gens, pstr)
 
     if r == 3 and ell == 1:
-        report.extend(check_sl23_presentation(params, gens))
+        check_words(_sl23_rows(gens))
 
 
 def _slot1_slice(op, params):
@@ -335,7 +328,7 @@ def _centralizer_check(report, params, gens, pstr, sample=200, seed=1):
 def _projection_checks(report, params, gens, seed):
     ctx = params.ctx
     r, ell = params.r, params.ell
-    pstr = f"r={r}, l={ell}, {ctx.describe()}"
+    pstr = params_label(params)
     images = gen_images(ell, r)
     ident_sp = SpMatrix.identity(ell, r)
 
@@ -419,7 +412,7 @@ def _projection_checks(report, params, gens, seed):
 def _submodule_checks(report, params, gens):
     ctx = params.ctx
     r, ell = params.r, params.ell
-    pstr = f"r={r}, l={ell}, {ctx.describe()}"
+    pstr = params_label(params)
     n = params.n
     char2 = ctx.char == 2
     bases = submodule_bases(params)
@@ -501,25 +494,25 @@ def _submodule_checks(report, params, gens):
 # SL_2(3) presentation
 
 
-def check_sl23_presentation(params, gens=None):
+def _sl23_rows(gens):
     """x = lam*C, y = U satisfy x^4 = y^3 = (xy)^3 = [x^2, y] = 1, and x^2 is
     central against both generators."""
+    x, y = gens.lamC[0], gens.U[0]
+    return [("sl23-x4", (x,) * 4, ()),
+            ("sl23-y3", (y,) * 3, ()),
+            ("sl23-xy3", (x, y) * 3, ()),
+            ("sl23-x2-central-y", (x, x, y), (y, x, x)),
+            ("sl23-x2-central-x", (x, x, x), (x, x, x))]
+
+
+def check_sl23_presentation(params, gens=None):
+    """The report of the SL_2(3) presentation rows (_sl23_rows) at r = 3,
+    ell = 1."""
     if params.r != 3 or params.ell != 1:
         raise ValueError("the presentation check needs r = 3, ell = 1")
-    if gens is None:
-        gens = weil_generators(params)
     report = VerificationReport()
-    pstr = f"r=3, l=1, {params.ctx.describe()}"
-    ident = identity_op(params)
-    x = gens.lamC[0]
-    y = gens.U[0]
-    _check_ops(report, "sl23-x4", pstr, ProductOp(params, (x,) * 4), ident)
-    _check_ops(report, "sl23-y3", pstr, ProductOp(params, (y,) * 3), ident)
-    xy = x * y
-    _check_ops(report, "sl23-xy3", pstr, ProductOp(params, xy.factors * 3), ident)
-    x2 = x * x
-    _check_ops(report, "sl23-x2-central-y", pstr, x2 * y, y * x2)
-    _check_ops(report, "sl23-x2-central-x", pstr, x2 * x, x * x2)
+    _check_words(report, params_label(params), params,
+                 _sl23_rows(weil_generators(params) if gens is None else gens))
     return report
 
 

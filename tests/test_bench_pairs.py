@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,3 +75,25 @@ def test_one_pair_and_the_run_order():
     assert [script.pair_order(i) for i in range(3)] == [("parent", "change"),
                                                         ("change", "parent"),
                                                         ("parent", "change")]
+
+
+def test_each_run_compiles_into_its_own_empty_cache(monkeypatch):
+    # a tree's __pycache__ must not be read: every run gets a fresh, empty
+    # PYTHONPYCACHEPREFIX, and the rest of the environment is passed on
+    script = _load_script()
+    monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
+    prefixes = []
+
+    def fake_run(argv, env, **kwargs):
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        assert os.path.isdir(prefix) and os.listdir(prefix) == []
+        assert env["BENCH_PAIRS_PROBE"] == "kept"
+        prefixes.append(prefix)
+        line = json.dumps(_run(1.0, 1.0))
+        return subprocess.CompletedProcess(argv, 0, stdout=f"log\n{line}\n")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    samples = script.collect({"parent": "a", "change": "b"}, ["w"], 2, 1.0)
+    assert [p["change"]["metrics"]["wall_s"]["value"] for p in samples["w"]] == [1.0, 1.0]
+    assert len(prefixes) == len(set(prefixes)) == 4
+    assert not any(map(os.path.exists, prefixes))

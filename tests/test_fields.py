@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spweil import fields
-from spweil.fields import (CyclotomicContext, ExtensionFieldContext, FieldContext, FieldSpec,
-                           InvalidFieldSpec, PrimeFieldContext,
+from spweil.fields import (ExtensionFieldContext, FieldSpec, InvalidFieldSpec,
                            find_irreducible_polynomial, is_irreducible, legendre,
                            make_field, parse_field_spec)
 
@@ -89,22 +88,6 @@ def test_mul_theta_power_matches_mul(spec, ints, e):
     ctx = make_field(spec)
     a = _elements(ctx, ints)
     assert ctx.mul_theta_power(a, e) == ctx.mul(a, ctx.theta_pow[e % ctx.r])
-
-
-@pytest.mark.parametrize("spec", FAST_PATH_CTXS, ids=str)
-@given(ints=st.lists(st.integers(-50, 50), min_size=15, max_size=15),
-       expo=st.lists(st.integers(0, 6), min_size=4, max_size=4),
-       k=st.integers(-40, 40))
-@settings(max_examples=30, deadline=None)
-def test_theta_row_scaler_matches_per_entry(spec, ints, expo, k):
-    # row[j] * theta^(expo[j] + k), zero entries included, against
-    # mul_theta_power and against the base class's kernel
-    ctx = make_field(spec)
-    expo = [e % ctx.r for e in expo]
-    row = (ctx.zero,) + tuple(_elements(ctx, ints[i:i + 5]) for i in range(0, 15, 5))
-    want = tuple(ctx.mul_theta_power(a, e + k) for a, e in zip(row, expo))
-    assert ctx.theta_row_scaler(expo)(row, k) == want
-    assert FieldContext.theta_row_scaler(ctx, expo)(row, k) == want
 
 
 # (r, p, k) for GF(4), GF(8), GF(16), GF(7^2), GF(3^4), with the theta that

@@ -1,18 +1,22 @@
 import itertools
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spweil.fields import FieldSpec, make_field
+from spweil.fields import FieldSpec, make_field, parse_field_spec
 from spweil.generators import op_A, op_B, op_C, weil_generators
 from spweil.heisenberg import (DoesNotNormalize, ExtraspecialElement,
                                NotCharacterDiagonal, NotMonomial, NotThetaPower,
-                               comm_exponent, pi_map, realize, recognize)
+                               RecognitionError, _recognize_monomial, comm_exponent,
+                               pi_map, realize, recognize)
 from spweil.linalg import DenseMatrix
-from spweil.operators import MonomialOp, ProductOp, ScalarOp, WeilParams
-from spweil.symplectic import GenToken, SpMatrix, gen_images, sp_form, weil_image
+from spweil.operators import MonomialOp, ProductOp, ScalarOp, WeilParams, identity_op
+from spweil.symplectic import (GenToken, SpMatrix, gen_images, random_element, sp_form,
+                               weil_image)
+from spweil.verification import corrupt_c_entry
 
 # Q(theta_3), GF(7) and GF(4): the three field families at r = 3
 FAMILIES = {"cyc3": FieldSpec("cyclotomic", 3), "gf7": FieldSpec("auto-prime", 3),
@@ -280,24 +284,161 @@ def test_pi_rejects_diag_2(field):
         pi_map(MonomialOp(params, range(n), (1,) + (0,) * (n - 1)), params)
 
 
+def reference_pi_map(mat, params):
+    """pi_map of the DenseMatrix mat with rows matched on field values, as
+    before pi_map read integer theta codes: each row of mat * g is keyed by
+    theta^k times it, k making its first nonzero entry the least of its r
+    theta multiples, every entry scaled by mul_theta_power.  The conjugates
+    are recognised, and every failure raised, as pi_map does."""
+    ctx, r, ell, n = params.ctx, params.r, params.ell, params.n
+    zero, mtp = ctx.zero, ctx.mul_theta_power
+
+    def keyed(g):
+        take = itemgetter(*g.perm)
+        for row in mat.rows:
+            moved = take(row)
+            j = next((j for j, a in enumerate(moved) if a != zero), None)
+            if j is None:
+                raise DoesNotNormalize("matrix has a zero row")
+            multiples = [mtp(moved[j], e) for e in range(r)]
+            k = multiples.index(min(multiples)) - g.expo[j]
+            yield k, tuple(a if a == zero else mtp(a, e + k) for a, e in zip(moved, g.expo))
+
+    zeros = (0,) * ell
+    units = [tuple(int(m == t) for m in range(ell)) for t in range(ell)]
+    match = {key: (c, k) for c, (k, key) in enumerate(keyed(identity_op(params)))}
+    cols = []
+    try:
+        for u in units:
+            for a, b in ((u, zeros), (zeros, u)):
+                perm, expo = [None] * n, [0] * n
+                for i, (k, key) in enumerate(keyed(realize(ExtraspecialElement(0, a, b), params))):
+                    hit = match.get(key)
+                    if hit is None:
+                        raise NotMonomial(f"row {i} of n*g is not a theta multiple of a row of n")
+                    c, k_c = hit
+                    if perm[c] is not None:
+                        raise NotMonomial(f"rows {perm[c]} and {i} of n*g match row {c} of n")
+                    perm[c], expo[c] = i, (k_c - k) % r
+                x = MonomialOp(params, perm, expo)
+                cols.append(_recognize_monomial(x, params, True).coset_vector())
+    except RecognitionError as exc:
+        raise DoesNotNormalize(f"a conjugate left R*Z: {exc}") from None
+    result = SpMatrix(r, tuple(zip(*cols)))
+    if not result.is_symplectic():
+        raise DoesNotNormalize("projected action does not preserve the form")
+    return result
+
+
+def _outcome(project, mat, params):
+    try:
+        return project(mat, params)
+    except DoesNotNormalize as exc:
+        return f"DoesNotNormalize: {exc}"
+
+
+def _theta_classes(mat, params):
+    """The number of theta classes among the nonzero entries of mat."""
+    ctx = params.ctx
+    return len({min(ctx.mul_theta_power(a, e) for e in range(params.r))
+                for row in mat.rows for a in row if a != ctx.zero})
+
+
+def _with_row(mat, i, row):
+    rows = list(mat.rows)
+    rows[i] = tuple(row)
+    return DenseMatrix(mat.ctx, rows)
+
+
+def _pi_inputs(params, gens):
+    """(name, DenseMatrix): Weil images of random elements, products with a
+    corrupted C_1, a monomial outside the normaliser, a singular matrix, a
+    row whose ratio to every other is no theta power (one class) and a row
+    scaled out of the theta class."""
+    ctx, r, ell = params.ctx, params.r, params.ell
+    images = [weil_image(random_element(ell, r, seed), gens) for seed in range(3)]
+    out = [(f"image {seed}", m) for seed, m in enumerate(images)]
+    bad = corrupt_c_entry(gens)
+    out += [("corrupt lamC1", bad.lamC[0].materialize()),
+            ("corrupt lamC1 U1", ProductOp(params, (bad.lamC[0], bad.U[0])).materialize()),
+            ("corrupt C1 D", ProductOp(params, (gens.D.get((1, 2), gens.U[0]),
+                                                bad.rawC[0])).materialize())]
+    out.append(("diag theta", MonomialOp(params, range(params.n),
+                                         (1,) + (0,) * (params.n - 1)).materialize()))
+    m = images[0]
+    out.append(("singular", _with_row(m, 1, m.rows[0])))
+    row = list(m.rows[0])
+    j, k = [j for j, a in enumerate(row) if a != ctx.zero][:2]
+    row[j], row[k] = row[k], ctx.mul_theta_power(row[j], 1)
+    out.append(("row ratio", _with_row(m, 0, row)))
+    scalars = [ctx.add(ctx.one, ctx.theta), *map(ctx.from_int, range(2, 40))]
+    lam = next((x for x in scalars if x != ctx.zero and ctx.dlog_theta(x) is None), None)
+    if lam is not None:   # GF(4) has one theta class
+        out.append(("two classes", _with_row(m, 0, (ctx.mul(lam, a) for a in m.rows[0]))))
+    return out
+
+
+@pytest.mark.parametrize("r,ell", [(3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("field", ["cyclotomic", "auto-prime", "auto-char2"])
+def test_pi_matches_the_field_value_reference(field, r, ell):
+    # the same projection, or the same DoesNotNormalize text, on normalisers
+    # and on inputs that fail the match, the recognition or the form
+    params = WeilParams(r, ell, make_field(FieldSpec(field, r)))
+    gens = weil_generators(params)
+    outcomes = []
+    for name, mat in _pi_inputs(params, gens):
+        got = _outcome(pi_map, mat, params)
+        assert got == _outcome(reference_pi_map, mat, params), name
+        outcomes.append((name, _theta_classes(mat, params), got))
+    for seed in range(3):
+        assert outcomes[seed][1:] == (1, pi_map(weil_image(
+            random_element(ell, r, seed), gens), params))
+    assert all(isinstance(got, str) for name, _, got in outcomes[3:]), outcomes
+    two = [classes for name, classes, _ in outcomes if name == "two classes"]
+    assert two == ([] if (field, r) == ("auto-char2", 3) else [2])   # GF(4): one class
+
+
+@pytest.mark.parametrize("spec", ["cyclotomic", "gf:31"])
+def test_pi_refuses_more_theta_classes_than_rows(spec, monkeypatch):
+    # entries 1 .. 9 lie in 9 theta classes over Q(theta_3) and in 4 of the
+    # 10 over GF(31); at n = 3 either is more than a normaliser can have,
+    # refused before more than r * n multiples are registered
+    ctx = make_field(parse_field_spec(spec, 3))
+    params = WeilParams(3, 1, ctx)
+    mat = DenseMatrix(ctx, [[ctx.from_int(3 * i + j + 1) for j in range(3)] for i in range(3)])
+    assert _theta_classes(mat, params) > 3
+    calls = []
+    mtp = ctx.mul_theta_power
+    monkeypatch.setattr(ctx, "mul_theta_power", lambda a, e: calls.append(e) or mtp(a, e))
+    with pytest.raises(DoesNotNormalize, match="^matrix entries lie in more than 3 theta classes$"):
+        pi_map(mat, params)
+    assert len(calls) <= 3 * 3
+
+
 @pytest.mark.parametrize("field", FAMILIES)
 def test_pi_makes_no_field_inverse_multiply_or_add(field, monkeypatch):
-    # rows are matched on theta multiples and conjugates are read as
-    # integers, so pi_map of a matrix or of a monomial calls no inv, mul or
-    # add of the field context (mul_theta_power is not one of them)
+    # a matrix is read into theta codes by r mul_theta_power calls per theta
+    # class of its entries, and a monomial's conjugates are integer work, so
+    # pi_map calls no mul, add, sub or inv of the field context
     ctx = make_field(FAMILIES[field])
     params = WeilParams(3, 2, ctx)
     gens = weil_generators(params)
-    dense = weil_image(gen_images(2, 3)[GenToken("C", 1)], gens)
+    bad = corrupt_c_entry(gens)
+    mats = [weil_image(gen_images(2, 3)[GenToken("C", 1)], gens),
+            ProductOp(params, (bad.lamC[0], gens.U[1])).materialize()]
     mono = gens.U[0].compose(gens.D[(1, 2)]).compose(gens.sigma)
     mono = MonomialOp(params, mono.perm, mono.expo, ctx.add(ctx.one, ctx.theta))
+    classes = [_theta_classes(m, params) for m in mats]
     calls = []
-    for name in ("inv", "mul", "add"):
+    for name in ("inv", "mul", "add", "sub", "mul_theta_power"):
         method = getattr(type(ctx), name)
         monkeypatch.setattr(type(ctx), name,
                             lambda self, *args, _m=method, _n=name: calls.append(_n) or _m(self, *args))
     assert ctx.mul(ctx.one, ctx.one) == ctx.one and calls == ["mul"]
+    for mat, count in zip(mats, classes):
+        calls.clear()
+        _outcome(pi_map, mat, params)
+        assert set(calls) <= {"mul_theta_power"} and len(calls) <= 3 * count
     calls.clear()
-    pi_map(dense, params)
     pi_map(mono, params)
     assert calls == []

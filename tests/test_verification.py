@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -7,7 +8,7 @@ from spweil.fields import (FieldContext, FieldSpec, PackedRows, PrimeFieldContex
                            make_field, parse_field_spec)
 from spweil.generators import op_B, weil_generators
 from spweil.linalg import DenseMatrix
-from spweil.operators import FourierOp, MonomialOp, WeilParams
+from spweil.operators import DenseOp, FourierOp, MonomialOp, WeilParams
 from spweil.submodules import restrict, submodule_bases
 from spweil.symplectic import group_order
 from spweil.verification import (CapExceeded, VerificationReport,
@@ -91,6 +92,70 @@ def test_scaled_C_square_trips_negation_check(kind):
     bad = replace(gens, rawC=(FourierOp(params, 1, ctx.theta),) + gens.rawC[1:])
     fail_ids = [f.id for f in run_relation_suite(params, gens=bad).failures()]
     assert fail_ids == ["C1-squared-negation"]
+
+
+# (kind, r, ell) of the golden relation-suite reports, each plain and under
+# the three negative controls; the hash was recorded before the suite's
+# products became (id, left word, right word) rows and before pi_map
+# matched rows on integer theta codes
+GOLDEN_SUITE_CELLS = [(kind, r, ell) for kind in ("cyclotomic", "auto-prime")
+                      for r, ell in ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (3, 3))]
+GOLDEN_SUITE_CELLS += [("auto-char2", r, ell) for r, ell in ((3, 1), (3, 2), (5, 1), (7, 1))]
+GOLDEN_SUITE_SHA256 = "9b7ebb2b9459d0756a324a06818f6692b3aa72d63b92042592cdb411645c5003"
+
+
+def test_relation_suite_golden_reports():
+    # pins every check id, its order, its status and its witness, the
+    # DoesNotNormalize texts under corrupt_c_entry included
+    h = hashlib.sha256()
+    for kind, r, ell in GOLDEN_SUITE_CELLS:
+        params = WeilParams(r, ell, make_field(FieldSpec(kind, r)))
+        gens = weil_generators(params)
+        for control in (None, mutate_lambda_sign, mutate_u_to_e, corrupt_c_entry):
+            report = run_relation_suite(params, gens=gens if control is None else control(gens))
+            h.update(json.dumps(report.to_json()).encode() + b"\n"
+                     + report.summary().encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_SUITE_SHA256
+
+
+def _bumped(op, params):
+    """op as a DenseOp with entry (0, 1) bumped by theta."""
+    ctx = params.ctx
+    rows = [list(row) for row in op.materialize().rows]
+    rows[0][1] = ctx.add(rows[0][1], ctx.theta)
+    return DenseOp(params, DenseMatrix(ctx, rows))
+
+
+def _bump(gens, which):
+    """gens with entry (0, 1) of C_l (and lam*C_l with it), U_1 or D_12
+    bumped by theta."""
+    params = gens.params
+    if which == "C":
+        raw = _bumped(gens.rawC[-1], params)
+        lam_c = DenseOp(params, raw.materialize().scale(gens.lam))
+        return replace(gens, rawC=gens.rawC[:-1] + (raw,), lamC=gens.lamC[:-1] + (lam_c,))
+    if which == "U":
+        return replace(gens, U=(_bumped(gens.U[0], params),) + gens.U[1:])
+    return replace(gens, D={**gens.D, (1, 2): _bumped(gens.D[(1, 2)], params)})
+
+
+BUMP_TRIPS = {
+    "C": {"C2-squared-negation", "lamC2-order4", "lamC2-squared-form",
+          "lamC2sq-D12-involution", "sigma-commutes-C2"},
+    "U": {"lamC1U1-order3", "X-commutator-D12", "sigma-commutes-U1"},
+    "D": {"X-commutator-D12", "lamC2sq-D12-involution", "sigma-commutes-D12"},
+}
+
+
+@pytest.mark.parametrize("which", BUMP_TRIPS)
+@pytest.mark.parametrize("kind,r", [("cyclotomic", 3), ("auto-prime", 3), ("auto-char2", 3),
+                                    ("cyclotomic", 5), ("auto-prime", 5)])
+def test_bumped_generator_trips_its_relations(kind, r, which):
+    # corrupt_c_entry bumps C_1 only; a bumped C_l, U_1 or D_12 must fail the
+    # word relations it enters
+    params = WeilParams(r, 2, make_field(FieldSpec(kind, r)))
+    report = run_relation_suite(params, gens=_bump(weil_generators(params), which))
+    assert BUMP_TRIPS[which] <= {f.id for f in report.failures()}
 
 
 def test_mutated_lambda_cube_witness():
