@@ -8,8 +8,9 @@ Each tree is the root of a checkout holding perfbench/run.py and
 BENCHMARK.json.  Pair i runs `perfbench/run.py --workload W --seed i
 --trace 0` once in each tree, the parent first on even i and the change
 first on odd i, so a drift in host speed falls on both sides.  Every run
-compiles from source (run_once), so a tree's __pycache__ cannot change
-its memory reading.  --workload
+starts from a fresh copy of its tree without __pycache__ (run_once), as a
+new checkout would, so a tree's .pyc files cannot change its memory
+reading.  --workload
 defaults to every workload of BENCHMARK.json, --pairs to 5 and --seconds to
 its run_seconds.
 
@@ -24,6 +25,7 @@ object.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -39,16 +41,20 @@ def pair_order(i):
 
 
 def run_once(tree, workload, seed, seconds):
-    """The last line of one perfbench/run.py run in tree, as a dict.  Each
-    run gets a fresh empty PYTHONPYCACHEPREFIX, so it compiles every module
-    from source and reads no .pyc file that the tree holds."""
-    argv = [sys.executable, str(Path(tree) / "perfbench" / "run.py"), "--workload", workload,
-            "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        argv += ["--seconds", str(seconds)]
-    with tempfile.TemporaryDirectory() as cache:
-        proc = subprocess.run(argv, stdout=subprocess.PIPE, text=True, check=True,
-                              env={**os.environ, "PYTHONPYCACHEPREFIX": cache})
+    """The last line of one perfbench/run.py run in tree, as a dict.  The run
+    works in a fresh copy of tree without its __pycache__ directories and
+    with no PYTHONPYCACHEPREFIX, so it compiles the tree's modules from
+    source and reads the standard library's .pyc files as a plain run does.
+    The run's .perfbench_out record is removed with the copy."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    with tempfile.TemporaryDirectory() as scratch:
+        copy = Path(scratch) / "tree"
+        shutil.copytree(tree, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        argv = [sys.executable, str(copy / "perfbench" / "run.py"), "--workload", workload,
+                "--seed", str(seed), "--trace", "0"]
+        if seconds is not None:
+            argv += ["--seconds", str(seconds)]
+        proc = subprocess.run(argv, stdout=subprocess.PIPE, text=True, check=True, env=env)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
@@ -200,7 +199,7 @@ def cmd_verify(args):
         _check_closure(report, args, gens)
     with _output(args) as out:
         if args.as_json:
-            out.write(json.dumps(report.to_json(), indent=2) + "\n")
+            out.write(dumps_document(report.to_json()))
         else:
             out.write(report.summary() + "\n")
     return EXIT_OK if report.ok else EXIT_VERIFY

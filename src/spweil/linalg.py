@@ -8,6 +8,8 @@ dimensions this package works with, exactness beats asymptotics.
 
 from __future__ import annotations
 
+from itertools import chain
+
 
 class SingularMatrix(ArithmeticError, ValueError):
     """The columns to eliminate on are linearly dependent."""
@@ -184,6 +186,13 @@ class DenseMatrix:
                 rows.append(tuple(out))
         return DenseMatrix(ctx, rows)
 
+    def entry_texts(self, spell):
+        """{entry: spell(entry)} over the distinct entries: a Weil generator
+        has at most r + 1 of them, so spell runs a few times, not n^2."""
+        return {a: spell(a) for a in set(chain.from_iterable(self.rows))}
+
     def serialize(self):
-        ser = self.ctx.serialize_elem
-        return [[ser(a) for a in row] for row in self.rows]
+        """The rows as lists of ctx.serialize_elem forms; equal entries share
+        one form object, so the JSON writer encodes each once."""
+        get = self.entry_texts(self.ctx.serialize_elem).__getitem__
+        return [list(map(get, row)) for row in self.rows]

@@ -13,10 +13,19 @@ and re-serialising it reproduces the bytes.
 Matrix keys: "C1".."Cl" are the determinant-one lam*C_t; "D12"... and
 "U1".."Ul" the other group generators; with extras enabled also "rawC1"...,
 "A1"..., "B1"..., "E1"..., "sigma".
+
+All three writers work per distinct entry and per row, not per entry.  A
+Weil generator matrix has at most r + 1 distinct entries, so each matrix
+gets a table from entry to its text (DenseMatrix.entry_texts) and every row
+is a C-level join over it.  dumps_document writes the bytes of
+json.dumps(doc, indent=2) + "\n" itself, since the standard library
+encodes with its pure-Python encoder whenever indent is set; the tests
+keep json.dumps as the reference.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -70,8 +79,60 @@ def build_document(gens, matrices, word=None):
 
 
 def dumps_document(doc):
-    """Canonical byte form; load + dumps round-trips exactly."""
-    return json.dumps(doc, indent=2) + "\n"
+    """Canonical byte form, json.dumps(doc, indent=2) + "\n" byte for byte;
+    load + dumps round-trips exactly.  doc holds dicts with str keys, lists,
+    tuples, str, int, float, bool and None."""
+    return _json_text(doc, "\n", {}, tail="\n")
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, newline, memo, head="", tail=""):
+    """head, then obj as json.dumps(obj, indent=2) writes it where newline
+    (a line break and the current indent) starts each of its lines, then
+    tail.  A container's text is one join of its items' texts, with head
+    and tail put on the first and last item, so each level copies its
+    bytes once."""
+    if isinstance(obj, (list, tuple, dict)) and obj:
+        inner = newline + "  "
+        if isinstance(obj, dict):
+            items = [_json_text(v, inner, memo, _encode_str(k) + ": ")
+                     for k, v in obj.items()]
+            opening, closing = "{", "}"
+        else:
+            items = _item_texts(obj, inner, memo)
+            opening, closing = "[", "]"
+        items[0] = head + opening + inner + items[0]
+        items[-1] += newline + closing + tail
+        return ("," + inner).join(items)
+    if isinstance(obj, str):
+        text = _encode_str(obj)
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        text = int.__repr__(obj)
+    else:
+        text = json.dumps(obj)   # None, bool, float, [] or {}
+    return head + text + tail
+
+
+def _item_texts(items, newline, memo):
+    """The text of each item where newline starts its lines.  Strings are
+    encoded in one C-level map.  Any other item's text is kept in memo by
+    indent and id, so an entry form that DenseMatrix.serialize shares
+    across a matrix's rows is encoded once; memo lives for one document,
+    which keeps every id alive."""
+    try:
+        return list(map(_encode_str, items))
+    except TypeError:   # not every item is a string
+        pass
+    texts = memo.setdefault(newline, {})
+    try:
+        return list(map(texts.__getitem__, map(id, items)))
+    except KeyError:    # an item not yet seen at this indent
+        for x in items:
+            if id(x) not in texts:
+                texts[id(x)] = _json_text(x, newline, memo)
+        return list(map(texts.__getitem__, map(id, items)))
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +195,18 @@ def emit_magma(gens, matrices, out):
         out.write(f"K<x> := ext<GF({ctx.p}) | {_modulus(ctx.modulus, 'X')}>;\n")
         out.write(f"theta := {_magma_elem(ctx, ctx.theta)};\n")
     out.write(f"lambda := {_magma_elem(ctx, gens.lam)};\n")
+    spell = functools.partial(_magma_elem, ctx)
     for name, mat in matrices.items():
-        out.write(f"{name} := Matrix(K, {mat.nrows}, {mat.ncols}, [\n")
-        for i, row in enumerate(mat.rows):
-            line = ", ".join(_magma_elem(ctx, v) for v in row)
-            out.write(f"  {line}{',' if i < mat.nrows - 1 else ''}\n")
-        out.write("]);\n")
+        out.write(f"{name} := Matrix(K, {mat.nrows}, {mat.ncols}, [\n"
+                  f"{_rows_text(mat, spell, '', '')}\n]);\n")
+
+
+def _rows_text(mat, spell, left, right):
+    """One line per row: two spaces, left, the entries as spell writes them
+    joined by ", ", then right; the lines joined by ",\n".  spell runs once
+    per distinct entry."""
+    get = mat.entry_texts(spell).__getitem__
+    return ",\n".join([f"  {left}{', '.join(map(get, row))}{right}" for row in mat.rows])
 
 
 def _gap_elem(ctx, value, r):
@@ -168,13 +235,9 @@ def emit_gap(gens, matrices, out):
         out.write("a := RootOfDefiningPolynomial(K);;\n")
         out.write(f"theta := {_gap_elem(ctx, ctx.theta, r)};;\n")
     out.write(f"lambda_ := {_gap_elem(ctx, gens.lam, r)};;\n")
+    spell = functools.partial(_gap_elem, ctx, r=r)
     for name, mat in matrices.items():
-        out.write(f"{name} := [\n")
-        nrows = len(mat.rows)
-        for i, row in enumerate(mat.rows):
-            line = ", ".join(_gap_elem(ctx, v, r) for v in row)
-            out.write(f"  [ {line} ]{',' if i < nrows - 1 else ''}\n")
-        out.write("];;\n")
+        out.write(f"{name} := [\n{_rows_text(mat, spell, '[ ', ' ]')}\n];;\n")
 
 
 def parse_matrix_text(text, ell, r):

@@ -77,23 +77,38 @@ def test_one_pair_and_the_run_order():
                                                         ("parent", "change")]
 
 
-def test_each_run_compiles_into_its_own_empty_cache(monkeypatch):
-    # a tree's __pycache__ must not be read: every run gets a fresh, empty
-    # PYTHONPYCACHEPREFIX, and the rest of the environment is passed on
+def test_each_run_works_in_a_fresh_copy_without_pycache(monkeypatch, tmp_path):
+    # a tree's __pycache__ must not be read, and the standard library's .pyc
+    # files must be, as in a plain run: every run gets its own copy of the
+    # tree with no __pycache__, PYTHONPYCACHEPREFIX is not passed on, and the
+    # rest of the environment is
     script = _load_script()
     monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
-    prefixes = []
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
+    trees = {}
+    for side in script.SIDES:
+        tree = tmp_path / side
+        (tree / "perfbench").mkdir(parents=True)
+        (tree / "perfbench" / "run.py").write_text(side)
+        (tree / "src" / "__pycache__").mkdir(parents=True)
+        (tree / "src" / "__pycache__" / "m.cpython-311.pyc").write_bytes(b"stale")
+        trees[side] = str(tree)
+    copies = []
 
     def fake_run(argv, env, **kwargs):
-        prefix = env["PYTHONPYCACHEPREFIX"]
-        assert os.path.isdir(prefix) and os.listdir(prefix) == []
+        run_py = Path(argv[1])
+        copy = run_py.parent.parent
+        assert run_py.read_text() in trees and str(copy) not in trees.values()
+        assert not list(copy.rglob("__pycache__"))
+        assert "PYTHONPYCACHEPREFIX" not in env
         assert env["BENCH_PAIRS_PROBE"] == "kept"
-        prefixes.append(prefix)
+        copies.append(copy)
         line = json.dumps(_run(1.0, 1.0))
         return subprocess.CompletedProcess(argv, 0, stdout=f"log\n{line}\n")
 
     monkeypatch.setattr(subprocess, "run", fake_run)
-    samples = script.collect({"parent": "a", "change": "b"}, ["w"], 2, 1.0)
+    samples = script.collect(trees, ["w"], 2, 1.0)
     assert [p["change"]["metrics"]["wall_s"]["value"] for p in samples["w"]] == [1.0, 1.0]
-    assert len(prefixes) == len(set(prefixes)) == 4
-    assert not any(map(os.path.exists, prefixes))
+    assert len(copies) == len(set(copies)) == 4
+    assert not any(map(os.path.exists, copies))
+    assert all((Path(t) / "src" / "__pycache__").is_dir() for t in trees.values())

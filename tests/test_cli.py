@@ -135,10 +135,11 @@ def test_gens_json_gf7(capsys):
 
 def test_gens_json_roundtrip_bytes(capsys, tmp_path):
     from spweil.serialize import dumps_document
-    code, out, _ = run_cli(["gens", "--r", "3", "--l", "2",
-                            "--field", "cyclotomic"], capsys)
-    assert code == 0
-    assert dumps_document(json.loads(out)) == out
+    for field in ("cyclotomic", "auto-prime", "gf2-auto"):
+        code, out, _ = run_cli(["gens", "--r", "3", "--l", "2",
+                                "--field", field, "--full"], capsys)
+        assert code == 0
+        assert dumps_document(json.loads(out)) == out
 
 
 def test_gens_out_file(capsys, tmp_path):
