@@ -30,33 +30,50 @@ register their codes, and rows are matched on those integers.
 FieldContext.product_rows(factors, rows) is the bulk route for
 left-multiplying rows by operators: the rows of the product of the factors
 times M, with M the identity when rows is left out.  It materialises a
-product and applies an operator to a few columns.  The base class sends
-the columns of M, or of the last factor's matrix, through every other
-factor's apply.  GF(p) with r * p^2 < 2^64 instead packs each row of
-M into one Python int of n 64-bit lanes (PackedRows), left-multiplies
-the rows by the factors with whole-integer arithmetic, and reduces mod p
-lane by lane only when a lane could reach 2^64, and once at the end.  Lane
-values are non-negative, so adding rows and multiplying them by small
-integers never carries from one lane into the next while every lane stays
-below 2^64.  After a reduction every lane is below p, and no factor grows a
-lane by more than a Fourier row sum, at most r * (p - 1), so r * p^2 < 2^64
-is the whole condition; larger p take the column route.  Lane order is the
-host's byte order (lane j is entry j on a little-endian host); packing and
-unpacking share it.  Delayed reduction over word-size primes follows Dumas,
-Giorgi and Pernet 2008 (FFLAS-FFPACK), the packing Kronecker substitution.
+product and applies an operator to a few columns.  A context names a
+row_class, which holds M's rows as whole Python ints: M is loaded into it,
+every factor's mul_packed left-multiplies it, right to left, and the rows
+are read back.  A context without one (GF(p^k), and GF(p) with
+r * p^2 >= 2^64) sends the columns of M, or of the last factor's matrix,
+through every other factor's apply instead.
+
+* PackedRows (GF(p) with r * p^2 < 2^64) packs each row into one int of n
+  unsigned 64-bit lanes and reduces mod p lane by lane only when a lane
+  could reach 2^64, and once at the end.  Adding rows and multiplying them
+  by small integers never carries from one lane into the next while every
+  lane stays below 2^64.  After a reduction every lane is below p, and no
+  factor grows a lane by more than a Fourier row sum, at most r * (p - 1),
+  so r * p^2 < 2^64 is the whole condition.  Delayed reduction over
+  word-size primes follows Dumas, Giorgi and Pernet 2008 (FFLAS-FFPACK).
+* PlaneRows (Q(theta)) holds one positive denominator for the matrix and,
+  per row, r ints, its planes: plane k packs the theta^k coefficients of
+  the row's entries in the redundant basis 1, theta, ..., theta^(r-1) of
+  Z[x]/(x^r - 1) (Bosma 1990), one signed 64-bit lane per entry.  theta^e
+  rotates the planes, a Fourier row is a sum of rotated planes, and a
+  scale convolves the planes with its numerators and multiplies the
+  denominator once.  Reading back reduces mod the cyclotomic polynomial
+  (plane k minus plane r - 1) on whole ints and normalises each distinct
+  entry with one gcd.  Lanes are tracked from a bound; before one could
+  reach 2^62 the canonical entries are loaded again, in wider lanes when
+  even they do not fit 64 bits.
+
+Both pack by Kronecker substitution (Harvey 2009); lane order is the host's
+byte order (lane j is entry j on a little-endian host), shared by packing
+and unpacking.
 
 FieldContext.closure_steps(n, ops) gives a breadth-first group count its
-start state and one step per generator.  The base class keeps each element
-as its tuple of column tuples, and a step applies the op to every column.
-GF(p) with r * p^2 < 2^64 keeps each element as the tuple of its packed
-rows with every lane in [0, p), which is canonical and hashable as it is:
-a step wraps them in PackedRows, runs the op's mul_packed and reduces
-every row int at once, x - (((x * m) >> s) & mask) * p, with m, s and the
-lane mask fixed per prime (lane_division; Granlund and Montgomery 1994).
-That is exact for lanes below 2^N, N = (64 - bits(p)) // 2 - 1; a step
-whose lanes may reach 2^N (at r = 3 a Fourier step can from about
-p = 3,300 on, where 3 * (p - 1)^2 passes 2^25) reduces lane by lane
-instead.
+start state and one step per generator.  With a row_class a step loads a
+state, runs the op's mul_packed and returns the canonical state() of the
+result.  Over GF(p) that is the tuple of packed rows with every lane in
+[0, p): a step reduces every row int at once, x - (((x * m) >> s) & mask)
+* p, with m, s and the lane mask fixed per prime (lane_division; Granlund
+and Montgomery 1994), exact for lanes below 2^N, N = (64 - bits(p)) // 2
+- 1; a step whose lanes may reach 2^N (at r = 3 a Fourier step can from
+about p = 3,300 on) reduces lane by lane instead.  Over Q(theta) it is
+(den, width, rows) with the planes reduced mod the cyclotomic polynomial,
+gcd(den, every lane) = 1 and the narrowest lanes, the matrix's canonical
+form.  Without a row_class a state is M's tuple of column tuples and a step
+applies the op to every column.
 
 GF(p^k) with q <= MAX_TABLE_ORDER = 2^16 multiplies, adds and inverts by
 Zech-log tables (Huber 1990; Lidl and Niederreiter, Finite Fields, ch. 10).
@@ -163,9 +180,9 @@ def smallest_primitive_root(p):
 
 
 @functools.lru_cache(maxsize=64)
-def _every_lane(value, lanes):
-    """The packed row with value in each of its lanes."""
-    return PackedRows.pack([value] * lanes)
+def _every_lane(value, lanes, width=8):
+    """The int with value in each of its lanes of width bytes."""
+    return int.from_bytes(value.to_bytes(width, sys.byteorder) * lanes, sys.byteorder)
 
 
 def _identity_rows(n, zero, one):
@@ -332,11 +349,24 @@ class FieldContext:
                     out[off + i * stride] = dot(row, vals)
         return out
 
+    # the class that holds a matrix's rows for product_rows and
+    # closure_steps, or None for the column route
+    row_class = None
+
     def product_rows(self, factors, rows=None):
         """The rows of the product of the operators factors (applied right
         to left, at least one) times M, for M given as a tuple of row tuples
-        or the identity when rows is None: the columns of M, or of the last
+        or the identity when rows is None.  With a row_class, M is loaded
+        into it, each factor's mul_packed multiplies it, right to left, and
+        the rows are read back; without one, the columns of M, or of the last
         factor's matrix, go through each other factor's apply."""
+        packer = self.row_class
+        if packer is not None:
+            packed = (packer.identity(self, factors[0].n) if rows is None
+                      else packer.load(self, rows))
+            for f in reversed(factors):
+                f.mul_packed(packed)
+            return packed.unpacked()
         if rows is None:
             cols = factors[-1].materialize().columns()
             factors = factors[:-1]
@@ -351,13 +381,24 @@ class FieldContext:
         by ops, n x n operators or matrices over this field with apply and
         mul_packed: start is the identity as a hashable state, steps[i]
         maps the state of M to that of ops[i] * M, and two states are equal
-        exactly when their matrices are.  Here a state is M's tuple of
-        column tuples and a step applies the op to every column."""
-        start = tuple(map(tuple, _identity_rows(n, self.zero, self.one)))
+        exactly when their matrices are.  With a row_class a state is its
+        canonical state() and a step runs the op's mul_packed on it; without
+        one, a state is M's tuple of column tuples and a step applies the op
+        to every column."""
+        packer = self.row_class
+        if packer is None:
+            def step(op):
+                return lambda cols: tuple(tuple(op.apply(c)) for c in cols)
+            return (tuple(map(tuple, _identity_rows(n, self.zero, self.one))),
+                    [step(op) for op in ops])
 
-        def step(op):
-            return lambda cols: tuple(tuple(op.apply(c)) for c in cols)
-        return start, [step(op) for op in ops]
+        def packed_step(mul_packed):
+            def run(state):
+                packed = packer.from_state(self, state, n)
+                mul_packed(packed)
+                return packed.state()
+            return run
+        return packer.identity(self, n).state(), [packed_step(op.mul_packed) for op in ops]
 
     def pow(self, a, e):
         if e < 0:
@@ -406,6 +447,223 @@ class FieldContext:
         raise NotImplementedError
 
 
+def _pack_signed(values, lanes, width):
+    """Pack the flat sequence values, each in [-2^(8 * width - 1),
+    2^(8 * width - 1)), lanes at a time: each int is sum_j v_j * 2^(8 *
+    width * j) over its lanes values v_j.  In two's complement with the top
+    bit of every lane flipped, a lane holds its value plus 2^(8 * width - 1),
+    which is never negative, so the lanes do not borrow from one another
+    until that constant is taken off the whole int."""
+    if width == 8:
+        raw = memoryview(array("q", values).tobytes())
+    else:
+        raw = b"".join(v.to_bytes(width, sys.byteorder, signed=True) for v in values)
+    size, order = lanes * width, sys.byteorder
+    top = _every_lane(1 << (8 * width - 1), lanes, width)
+    return [(int.from_bytes(raw[i:i + size], order) ^ top) - top
+            for i in range(0, len(raw), size)]
+
+
+def _unpack_signed(ints, lanes, width):
+    """The lanes of each int in ints, one int after another: the inverse of
+    _pack_signed."""
+    top = itertools.repeat(_every_lane(1 << (8 * width - 1), lanes, width))
+    to_bytes = operator.methodcaller("to_bytes", lanes * width, sys.byteorder)
+    raw = b"".join(map(to_bytes, map(operator.xor, map(operator.add, ints, top), top)))
+    if width == 8:
+        return array("q", raw)
+    return [int.from_bytes(raw[i:i + width], sys.byteorder, signed=True)
+            for i in range(0, len(raw), width)]
+
+
+def _lanes_below(ints, lanes, width, bits):
+    """Whether every signed lane of every int in ints lies in
+    [-2^bits, 2^bits), bits < 8 * width - 1.  Adding 2^bits to each lane
+    then leaves every lane in [0, 2^(bits + 1)), with no bit from bits + 1
+    up, exactly when it did: a lane out of range, read from the sum, shows
+    such a bit, or a borrow that sets the top bit of the last lane."""
+    low = _every_lane(1 << bits, lanes, width)
+    high = _every_lane((1 << 8 * width) - (2 << bits), lanes, width)
+    seen = functools.reduce(operator.or_, map(operator.add, ints, itertools.repeat(low)), 0)
+    return not seen & high
+
+
+@functools.lru_cache(maxsize=None)
+def _fourier_picks(r):
+    """For each i, the itemgetter that takes from a fibre's r rows of r
+    planes, flattened, plane k - i*x of row x for x in [0, r), for each k in
+    turn: the r terms of plane k of sum_x theta^(i*x) * row x."""
+    return [operator.itemgetter(*[x * r + (k - i * x) % r for k in range(r) for x in range(r)])
+            for i in range(r)]
+
+
+class PlaneRows:
+    """The rows of a matrix over Q(theta) as planes of integers over one
+    positive common denominator den.  Row i is a tuple of r ints: plane k
+    packs den times the theta^k coefficients of the row's entries in the
+    redundant basis 1, theta, ..., theta^(r - 1) of Q[x]/(x^r - 1) (Bosma
+    1990), one signed lane of width bytes per entry (Kronecker substitution,
+    as PackedRows packs GF(p)).  Times theta^e a row's planes rotate; times
+    a scale s they are convolved with s's numerators mod x^r - 1 and den is
+    multiplied by s's denominator, once for the matrix.
+
+    Every lane is at most bound in absolute value, and bound stays below
+    limit = 2^(8 * width - 2), so plane k minus plane r - 1, the reduction
+    mod the cyclotomic polynomial, still fits a lane.  monomial, fourier and
+    mul_rows replace the rows by op * rows for one operator; when an
+    operator could carry bound to limit, the canonical entries are loaded
+    again first, in wider lanes if even they need it."""
+
+    __slots__ = ("ctx", "lanes", "width", "den", "rows", "bound")
+
+    @classmethod
+    def load(cls, ctx, rows):
+        """rows of field values, packed."""
+        packed = cls.__new__(cls)
+        packed.ctx, packed.lanes = ctx, len(rows[0])
+        packed._load(rows)
+        return packed
+
+    @classmethod
+    def identity(cls, ctx, n):
+        """The n x n identity, packed directly: den 1, and plane 0 of row i
+        the unit vector e_i."""
+        packed = cls.__new__(cls)
+        packed.ctx, packed.lanes, packed.width, packed.den, packed.bound = ctx, n, 8, 1, 1
+        zeros = (0,) * (ctx.r - 1)
+        units = _pack_signed([int(i == j) for i in range(n) for j in range(n)], n, 8)
+        packed.rows = [(unit,) + zeros for unit in units]
+        return packed
+
+    def _load(self, rows, growth=1):
+        """Pack rows of field values over their least common denominator,
+        in the narrowest lanes, a multiple of 64 bits, with bound * growth
+        below limit."""
+        entries = set(itertools.chain.from_iterable(rows))
+        den = math.lcm(*(d for _, d in entries))
+        scaled = {a: tuple(x * (den // a[1]) for x in a[0]) for a in entries}
+        bound = max(abs(x) for nums in scaled.values() for x in nums)
+        width = 8
+        while bound * growth >= 1 << (8 * width - 2):
+            width += 8
+        get, chain = scaled.__getitem__, itertools.chain.from_iterable
+        planes = iter(_pack_signed(chain(chain(zip(*map(get, row))) for row in rows),
+                                   self.lanes, width))
+        self.rows = [row + (0,) for row in zip(*[planes] * (self.ctx.r - 1))]
+        self.den, self.bound, self.width = den, bound, width
+
+    @classmethod
+    def from_state(cls, ctx, state, lanes):
+        """The rows of a state(), with bound 2^(4 * width) when every lane
+        is that small (the common case, tested on whole ints), else loaded
+        again."""
+        packed = cls.__new__(cls)
+        packed.ctx, packed.lanes = ctx, lanes
+        packed.den, packed.width, packed.rows = state
+        bits = 4 * packed.width
+        if _lanes_below(itertools.chain.from_iterable(packed.rows), lanes, packed.width, bits):
+            packed.bound = 1 << bits
+        else:
+            packed._load(packed.unpacked())
+        return packed
+
+    def _grow(self, growth):
+        """Make room for lanes multiplied by at most growth."""
+        if self.bound * growth >= 1 << (8 * self.width - 2):
+            self._load(self.unpacked(), growth)
+        self.bound *= growth
+
+    def _scale(self, scale):
+        """Multiply every row by the field value scale: plane k becomes
+        sum_a c_a * plane (k - a) over the nonzero numerators c_a."""
+        nums, d = scale
+        terms = [(a, c) for a, c in enumerate(nums) if c]
+        self._grow(sum(abs(c) for _, c in terms))
+        r, size = self.ctx.r, len(terms)
+        coefs = [c for _ in range(r) for _, c in terms]
+        pick = operator.itemgetter(*[(k - a) % r for k in range(r) for a, _ in terms])
+        mul = operator.mul
+        self.rows = [tuple(map(sum, zip(*[map(mul, coefs, pick(row))] * size)))
+                     for row in self.rows]
+        self.den *= d
+
+    def monomial(self, perm, expo, table):
+        """Row j, times table[expo[j]] = scale * theta^expo[j], becomes row
+        perm[j]."""
+        out = [None] * len(perm)
+        for p, e, row in zip(perm, expo, self.rows):
+            out[p] = row[-e:] + row[:-e]
+        self.rows = out
+        if table[0] != self.ctx.one:
+            self._scale(table[0])
+
+    def fourier(self, stride, table):
+        """On each fibre of r rows stride apart, output row i is
+        table[0][0] * sum_x theta^(i*x) * row x."""
+        r = len(table)
+        self._grow(r)
+        picks = _fourier_picks(r)
+        rows, block = self.rows, stride * r
+        out = [None] * len(rows)
+        for base in range(0, len(rows), block):
+            for off in range(base, base + stride):
+                planes = tuple(itertools.chain.from_iterable(rows[off:off + block:stride]))
+                for i, pick in enumerate(picks):
+                    out[off + i * stride] = tuple(map(sum, zip(*[iter(pick(planes))] * r)))
+        self.rows = out
+        if table[0][0] != self.ctx.one:
+            self._scale(table[0][0])
+
+    def mul_rows(self, mul_rows):
+        """Any other operator: its mul_rows on the unpacked rows."""
+        self._load(mul_rows(self.unpacked()))
+
+    def _lanes(self, ints):
+        return _unpack_signed(ints, self.lanes, self.width)
+
+    def unpacked(self):
+        """The rows as tuples of field values in normal form: the planes
+        reduced mod the cyclotomic polynomial (theta^(r - 1) is
+        -1 - theta - ... - theta^(r - 2)) as whole ints, and each entry
+        divided by gcd(den, its numerators), one math.gcd per distinct
+        entry."""
+        den, gcd, lanes = self.den, math.gcd, self.lanes
+
+        @functools.lru_cache(maxsize=None)
+        def entry(nums):
+            g = gcd(den, *nums)
+            return (nums, den) if g == 1 else (tuple(x // g for x in nums), den // g)
+        flat = iter(self._lanes([x - row[-1] for row in self.rows for x in row[:-1]]))
+        planes = zip(*[flat] * lanes)
+        return tuple(tuple(map(entry, zip(*row))) for row in zip(*[planes] * (self.ctx.r - 1)))
+
+    def state(self):
+        """(den, width, rows) with the planes reduced mod the cyclotomic
+        polynomial (plane r - 1 is 0), gcd(den, every lane) = 1 and width
+        the narrowest that holds the lanes: the matrix's canonical form, so
+        two states are equal exactly when their matrices are.  A prime
+        dividing den and every lane divides every packed int, so the lanes
+        are read only when gcd(den, the ints) > 1; dividing an int by a
+        common divisor of its lanes divides each lane."""
+        sub, repeat = operator.sub, itertools.repeat
+        rows = [tuple(map(sub, row, repeat(row[-1]))) for row in self.rows]
+        den, width = self.den, self.width
+        g = math.gcd(den, *itertools.chain.from_iterable(rows))
+        if g > 1:
+            g = math.gcd(g, *self._lanes(itertools.chain.from_iterable(rows)))
+        if g > 1:
+            rows = [tuple(map(operator.floordiv, row, repeat(g))) for row in rows]
+            den //= g
+        if width > 8:
+            top = max(map(abs, self._lanes(itertools.chain.from_iterable(rows))))
+            narrow = 8
+            while top >= 1 << (8 * narrow - 1):
+                narrow += 8
+            rows = [tuple(_pack_signed(self._lanes(row), self.lanes, narrow)) for row in rows]
+            width = narrow
+        return den, width, tuple(rows)
+
+
 class CyclotomicContext(FieldContext):
     """Q(theta) for theta a primitive r-th root of unity, r an odd prime.
 
@@ -416,6 +674,7 @@ class CyclotomicContext(FieldContext):
 
     kind = "cyclotomic"
     char = 0
+    row_class = PlaneRows
 
     def __init__(self, r):
         if not is_prime(r) or r == 2:
@@ -581,8 +840,12 @@ class PrimeFieldContext(FieldContext):
         self.zero = 0
         self.one = 1
         self._set_theta(pow(smallest_primitive_root(p), (p - 1) // r, p))
-        self._packs = r * p * p < LANE_LIMIT
         self._lane_division = lane_division(p)
+
+    @property
+    def row_class(self):
+        """PackedRows when r * p^2 < 2^64, else None: the column route."""
+        return PackedRows if self.r * self.p ** 2 < LANE_LIMIT else None
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -606,33 +869,6 @@ class PrimeFieldContext(FieldContext):
 
     def mul_theta_power(self, a, e):
         return a * self.theta_pow[e % self.r] % self.p
-
-    def product_rows(self, factors, rows=None):
-        if not self._packs:
-            return super().product_rows(factors, rows)
-        if rows is None:
-            rows = _identity_rows(factors[0].n, 0, 1)
-        packed = PackedRows(self, list(map(PackedRows.pack, rows)), len(rows[0]),
-                            max(map(max, rows)))
-        for f in reversed(factors):
-            f.mul_packed(packed)
-        return packed.unpacked()
-
-    def closure_steps(self, n, ops):
-        # a state is M's rows packed with every lane in [0, p), as canonical
-        # as the tuples; a step runs op's mul_packed on them and reduces
-        if not self._packs:
-            return super().closure_steps(n, ops)
-        start = tuple(map(PackedRows.pack, _identity_rows(n, 0, 1)))
-
-        def step(mul_packed):
-            def run(rows):
-                packed = PackedRows(self, rows, n, self.p - 1)
-                mul_packed(packed)
-                packed.reduce()
-                return tuple(packed.rows)
-            return run
-        return start, [step(op.mul_packed) for op in ops]
 
     def pow(self, a, e):
         if e < 0:
@@ -687,6 +923,25 @@ class PackedRows:
         self.width = 8 * lanes   # bytes per row
         self.rows = rows
         self.bound = bound
+
+    @classmethod
+    def load(cls, ctx, rows):
+        """rows of residues, packed."""
+        return cls(ctx, list(map(cls.pack, rows)), len(rows[0]), max(map(max, rows)))
+
+    @classmethod
+    def identity(cls, ctx, n):
+        return cls.load(ctx, _identity_rows(n, 0, 1))
+
+    @classmethod
+    def from_state(cls, ctx, state, lanes):
+        return cls(ctx, state, lanes, ctx.p - 1)
+
+    def state(self):
+        """The rows with every lane in [0, p), as canonical as the tuples:
+        a tuple of packed rows."""
+        self.reduce()
+        return tuple(self.rows)
 
     @staticmethod
     def pack(row):

@@ -129,7 +129,8 @@ class DenseMatrix:
         return tuple(tuple(dot(row, col) for col in cols) for row in self.rows)
 
     def mul_packed(self, packed):
-        """Left-multiply the packed GF(p) rows (fields.PackedRows) by self."""
+        """Left-multiply the rows held by a row class (fields.PackedRows,
+        fields.PlaneRows) by self."""
         packed.mul_rows(self.mul_rows)
 
     def apply(self, vec):

@@ -28,8 +28,9 @@ trace() are those of materialize() unless the operator's structure gives
 them directly (a monomial's do).
 
 Each operator multiplies by two kernels and nothing else: apply on a
-column, over every field, and mul_packed on packed GF(p) rows
-(fields.PackedRows).  Products and closure steps are built from them by
+column, over every field, and mul_packed on the rows of its context's
+row_class, packed GF(p) rows (fields.PackedRows) or Q(theta) planes
+(fields.PlaneRows).  Products and closure steps are built from them by
 ctx.product_rows and ctx.closure_steps; fields.py describes both routes.
 
 first_difference compares two operators on their materialised matrices,
@@ -94,8 +95,8 @@ class Operator:
         raise NotImplementedError
 
     def mul_packed(self, packed):
-        """Left-multiply the packed GF(p) rows (fields.PackedRows) by self's
-        materialised matrix."""
+        """Left-multiply the rows held by a row class (fields.PackedRows,
+        fields.PlaneRows) by self's materialised matrix."""
         self.materialize().mul_packed(packed)
 
     def inverse(self):

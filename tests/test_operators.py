@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spweil.fields import (LANE_LIMIT, FieldContext, FieldSpec, PackedRows,
+from spweil.fields import (LANE_LIMIT, CyclotomicContext, FieldSpec, PackedRows, PlaneRows,
                            PrimeFieldContext, lane_division, make_field)
 from spweil.linalg import DenseMatrix
 from spweil.operators import (DenseOp, FourierOp, MonomialOp, ProductOp,
@@ -300,9 +300,9 @@ ROW_KERNEL_CASES = [(FieldSpec(kind, 3), ell) for kind in ("cyclotomic", "auto-p
 @given(seed=st.integers(0, 2 ** 32))
 @settings(max_examples=3, deadline=None)
 def test_row_kernels_match_column_route(spec, ell, seed):
-    # ctx.product_rows((op,), rows) (packed rows over GF(p)) and the dense
-    # product against the base class's column route, which sends each column
-    # through apply; M has zero entries and whole zero rows
+    # ctx.product_rows((op,), rows) (packed rows over GF(p), planes over
+    # Q(theta)) and the dense product against the column route, which sends
+    # each column through apply; M has zero entries and whole zero rows
     ctx = make_field(spec)
     params = WeilParams(ctx.r, ell, ctx)
     rng = random.Random(seed)
@@ -314,76 +314,140 @@ def test_row_kernels_match_column_route(spec, ell, seed):
     ops += [_random_monomial(params, rng, ctx.one), _random_monomial(params, rng, ctx.theta),
             negation_monomial(params)]
     for op in ops:
-        want = FieldContext.product_rows(ctx, (op,), rows)
+        want = _column_route(ctx, (op,), rows)
         assert ctx.product_rows((op,), rows) == want
         assert op.materialize().mul_rows(rows) == want
 
 
-# GF(7), GF(11), GF(29) and GF(31), each with a prime r dividing p - 1
+# GF(7), GF(11), GF(29) and GF(31), each with a prime r dividing p - 1, and
+# Q(theta_r) as (r, None)
 PACKED_CTXS = [(3, 7), (5, 11), (7, 29), (3, 31), (5, 31)]
+PLANE_CTXS = [(r, None) for r in (3, 5, 7, 13)]
+
+
+def _packed_ctx(r, p):
+    return CyclotomicContext(r) if p is None else PrimeFieldContext(r, p)
+
+
+def _random_scale(ctx, rng, low=1):
+    """A random nonzero value: a residue in [low, p) over GF(p); over
+    Q(theta) a _nonzero_element over a denominator 2, 6 or 10, never a power
+    of r."""
+    if ctx.kind == "prime":
+        return rng.randrange(low, ctx.p)
+    return ctx.mul(_nonzero_element(ctx, rng), ctx.inv(ctx.from_int(rng.choice((2, 6, 10)))))
 
 
 def _random_factor(params, rng):
     """A monomial (scale 1 or random), a scaled Fourier factor in a random
-    slot, a scalar c != 1, a dense operator or an inverted product."""
+    slot, a scalar, a dense operator or an inverted product."""
     ctx = params.ctx
     kind = rng.randrange(6)
     if kind == 0:
         return _random_monomial(params, rng, ctx.one)
     if kind == 1:
-        return _random_monomial(params, rng, rng.randrange(1, ctx.p))
+        return _random_monomial(params, rng, _random_scale(ctx, rng))
     if kind == 2:
-        return FourierOp(params, rng.randrange(1, params.ell + 1), rng.randrange(1, ctx.p))
+        return FourierOp(params, rng.randrange(1, params.ell + 1), _random_scale(ctx, rng))
     if kind == 3:
-        return ScalarOp(params, rng.randrange(2, ctx.p))
+        return ScalarOp(params, _random_scale(ctx, rng, 2))
     if kind == 4:
-        mixed = ProductOp(params, (FourierOp(params, 1), _random_monomial(params, rng, 2)))
+        mixed = ProductOp(params, (FourierOp(params, 1),
+                                   _random_monomial(params, rng, ctx.from_int(2))))
         return DenseOp(params, mixed.materialize())
-    return ProductOp(params, (FourierOp(params, params.ell, 3),
+    return ProductOp(params, (FourierOp(params, params.ell, ctx.from_int(3)),
                               _random_monomial(params, rng, ctx.one))).inverse()
 
 
-def _column_route(op):
-    return FieldContext.product_rows(op.ctx, op.factors)
+def _column_route(ctx, factors, rows=None):
+    """ctx.product_rows on the column route, the reference for the packed
+    routes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(type(ctx), "row_class", None)
+        return ctx.product_rows(factors, rows)
 
 
-@pytest.mark.parametrize("r,p", PACKED_CTXS, ids=str)
+def _unit_columns(params):
+    """The n x (l + 1) rows of e_0 and the e_(delta_t), as
+    heisenberg.image_from_columns passes them."""
+    ctx, r, ell = params.ctx, params.r, params.ell
+    units = [0] + [r ** (ell - t) for t in range(1, ell + 1)]
+    return tuple(tuple(ctx.one if i == u else ctx.zero for u in units)
+                 for i in range(params.n))
+
+
+@pytest.mark.parametrize("r,p", PACKED_CTXS + PLANE_CTXS, ids=str)
 @given(seed=st.integers(0, 2 ** 32), length=st.integers(1, 40))
 @settings(max_examples=8, deadline=None)
 def test_packed_product_matches_column_route(r, p, seed, length):
-    # GF(p) materialises a product on packed rows; the base class's column
-    # route is the reference
-    ctx = PrimeFieldContext(r, p)
+    # GF(p) materialises a product on packed rows and Q(theta) on planes,
+    # also on the l + 1 columns a Weil image is built from; the column route
+    # is the reference
+    ctx = _packed_ctx(r, p)
     rng = random.Random(seed)
-    params = WeilParams(r, rng.choice((1, 2)), ctx)
+    params = WeilParams(r, rng.choice((1, 2)) if r < 7 else 1, ctx)
     op = ProductOp(params, [_random_factor(params, rng) for _ in range(length)])
     rows = op.materialize().rows
-    assert rows == _column_route(op)
-    assert all(0 <= a < p for row in rows for a in row)
+    assert rows == _column_route(ctx, op.factors)
+    columns = _unit_columns(params)
+    assert ctx.product_rows((op,), columns) == _column_route(ctx, (op,), columns)
+    if p is not None:
+        assert all(0 <= a < p for row in rows for a in row)
 
 
-@pytest.mark.parametrize("r,p", PACKED_CTXS + [(3, 2479700473)], ids=str)
+@pytest.mark.parametrize("r,p", PACKED_CTXS + [(3, 2479700473)] + PLANE_CTXS, ids=str)
 def test_packed_long_product_reduces_mid_product(r, p, monkeypatch):
-    # 60 factors grow a lane far past 2^64 unreduced, so the lanes must be
-    # reduced before the end: _lanes runs for more than the n final rows.
-    # The factors are Fourier, scaled monomial, scalar and scale-one slot
+    # 60 factors grow a lane far past 2^64 unreduced, so before the end the
+    # lanes must be reduced, over GF(p), where _lanes then runs for more
+    # than the n final rows, or the entries loaded again, over Q(theta),
+    # where _load then runs at all (the identity is packed without it).  The
+    # factors are Fourier, scaled monomial, scalar and scale-one slot
     # negation factors; at the largest packed prime for r = 3 one scaled
     # factor can carry a reduced lane past 2^64
-    ctx = PrimeFieldContext(r, p)
-    rng = random.Random(r * p)
-    params = WeilParams(r, 2, ctx)
+    ctx = _packed_ctx(r, p)
+    rng = random.Random(r * (p or 1))
+    params = WeilParams(r, 2 if r < 13 else 1, ctx)
     factors = [f for t in (1, 2) * 6 for f in (
-        FourierOp(params, 1, rng.randrange(1, p)), FourierOp(params, 2),
-        _random_monomial(params, rng, rng.randrange(1, p)), ScalarOp(params, p - 1),
-        negation_monomial(params, t))]
+        FourierOp(params, 1, _random_scale(ctx, rng)), FourierOp(params, params.ell),
+        _random_monomial(params, rng, _random_scale(ctx, rng)), ScalarOp(params, ctx.neg(ctx.one)),
+        negation_monomial(params, min(t, params.ell)))]
     op = ProductOp(params, factors)
     calls = []
-    lanes = PackedRows._lanes
-    monkeypatch.setattr(PackedRows, "_lanes", lambda self, row: calls.append(1) or lanes(self, row))
+    rows_class, method = (PackedRows, "_lanes") if p else (PlaneRows, "_load")
+    original = getattr(rows_class, method)
+    monkeypatch.setattr(rows_class, method,
+                        lambda self, *args: calls.append(1) or original(self, *args))
     rows = op.materialize().rows
-    assert len(calls) > params.n
+    assert len(calls) > (params.n if p else 0)
     monkeypatch.undo()
-    assert rows == _column_route(op)
+    assert rows == _column_route(ctx, op.factors)
+
+
+def test_plane_rows_widen_past_64_bit_lanes(cyc5):
+    # 2^70 times a Fourier kernel and a monomial: no 64-bit lane holds the
+    # canonical entries, so the planes move to 128-bit lanes and still match
+    # the column route; a closure state of the product keeps the wide lanes,
+    # and its square over 2^140 narrows again to 64 bits once divided out
+    params = WeilParams(5, 1, cyc5)
+    ops = [_random_monomial(params, random.Random(5), cyc5.theta), FourierOp(params, 1)]
+    ops += [ScalarOp(params, cyc5.from_int(2))] * 70
+    rows = _column_route(cyc5, ops)
+    assert max(abs(x) for row in rows for nums, _ in row for x in nums) > 2 ** 63
+    packed = PlaneRows.load(cyc5, DenseMatrix.identity(cyc5, 5).rows)
+    for op in reversed(ops):
+        op.mul_packed(packed)
+    assert packed.width == 16
+    assert packed.unpacked() == rows
+    assert ProductOp(params, ops).materialize().rows == rows
+    den, width, _ = packed.state()
+    assert (den, width) == (1, 16)
+    big = ProductOp(params, ops)
+    half = ScalarOp(params, cyc5.inv(cyc5.from_int(2 ** 140)))
+    packed = PlaneRows.load(cyc5, DenseMatrix.identity(cyc5, 5).rows)
+    for op in reversed((half, big, big)):
+        op.mul_packed(packed)
+    assert packed.state()[1] == 8
+    assert packed.unpacked() == _column_route(cyc5, (half, big, big))
 
 
 def test_packed_product_reduces_at_exactly_two_to_the_64():
@@ -410,7 +474,7 @@ def test_packed_route_at_the_lane_limit(monkeypatch):
         rng = random.Random(p)
         op = ProductOp(params, [_random_factor(params, rng) for _ in range(30)]
                        + [ScalarOp(params, p - 1), FourierOp(params, 2, p - 1)] * 3)
-        want = _column_route(op)
+        want = _column_route(ctx, op.factors)
         if p == above:
             monkeypatch.setattr(PackedRows, "__init__", None)
         assert op.materialize().rows == want
@@ -481,7 +545,7 @@ def test_products_flatten_and_inverse_is_unchanged(gf11):
         nested = f.inverse().apply(nested)
     assert inv.apply(vec) == nested
     assert inv.materialize() == op.materialize().inverse()
-    assert inv.materialize().rows == _column_route(inv)
+    assert inv.materialize().rows == _column_route(inv.ctx, inv.factors)
     a, b, c = gens.lamC[0], gens.U[1], gens.D[(1, 2)]
     assert ((a * b) * (c * a)).factors == (a, b, c, a)
 
@@ -613,4 +677,4 @@ def test_packed_fourier_rows_match_column_route(monkeypatch):
             for scale in (1, p - 1, rng.randrange(2, p)):
                 op = FourierOp(params, t, scale)
                 got = ctx.product_rows((op,), rows)
-                assert got == FieldContext.product_rows(ctx, (op,), rows)
+                assert got == _column_route(ctx, (op,), rows)

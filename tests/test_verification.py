@@ -4,11 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from spweil.fields import (FieldContext, FieldSpec, PackedRows, PrimeFieldContext,
-                           make_field, parse_field_spec)
+from spweil.fields import (CyclotomicContext, FieldSpec, PackedRows, PlaneRows,
+                           PrimeFieldContext, make_field, parse_field_spec)
 from spweil.generators import op_B, weil_generators
 from spweil.linalg import DenseMatrix
-from spweil.operators import DenseOp, FourierOp, MonomialOp, WeilParams
+from spweil.operators import (DenseOp, FourierOp, MonomialOp, ScalarOp, WeilParams,
+                              negation_monomial)
 from spweil.submodules import restrict, submodule_bases
 from spweil.symplectic import group_order
 from spweil.verification import (CapExceeded, VerificationReport,
@@ -437,12 +438,14 @@ def test_pi_generator_images_witness_names_the_generator(gf7):
 
 
 # ---------------------------------------------------------------------------
-# the packed GF(p) closure route against the tuple route
+# the packed GF(p) and Q(theta) closure routes against the tuple route
 
 
 def _tuple_route(monkeypatch):
-    """Make every GF(p) closure take the base class's tuple rows."""
-    monkeypatch.setattr(PrimeFieldContext, "closure_steps", FieldContext.closure_steps)
+    """Make every GF(p) and Q(theta) closure take the base class's tuple
+    rows."""
+    for cls in (PrimeFieldContext, CyclotomicContext):
+        monkeypatch.setattr(cls, "row_class", None)
 
 
 def _sp_mats(spec, r, ell):
@@ -450,15 +453,18 @@ def _sp_mats(spec, r, ell):
     return _closure_mats(weil_generators(WeilParams(r, ell, ctx)))
 
 
-@pytest.mark.parametrize("r", [3, 5, 7, 11])
-def test_closure_packed_route_matches_tuple_route(r, monkeypatch):
-    # GF(7), GF(11), GF(29), GF(23); lam*C_1 * U_1, materialised, is neither
-    # monomial nor Fourier and takes the unpacked mul_rows inside a step
-    mats = _sp_mats("auto-prime", r, 1)
+@pytest.mark.parametrize("spec,r", [("auto-prime", 3), ("auto-prime", 5), ("auto-prime", 7),
+                                    ("auto-prime", 11), ("cyclotomic", 3), ("cyclotomic", 5),
+                                    ("cyclotomic", 7)])
+def test_closure_packed_route_matches_tuple_route(spec, r, monkeypatch):
+    # GF(7), GF(11), GF(29), GF(23) and Q(theta_r); lam*C_1 * U_1,
+    # materialised, is neither monomial nor Fourier and takes the unpacked
+    # mul_rows inside a step
+    mats = _sp_mats(spec, r, 1)
     mixed = mats + [mats[0] * mats[-1]]
     assert structured_generator(mixed[-1]) is mixed[-1]
     start, _ = mats[0].ctx.closure_steps(r, mats)
-    assert all(isinstance(row, int) for row in start)
+    assert isinstance(start[0], int)
     packed = [closure_order(mats, 10 ** 6), closure_order(mixed, 10 ** 6)]
     _tuple_route(monkeypatch)
     assert isinstance(mats[0].ctx.closure_steps(r, mats)[0][0], tuple)
@@ -466,13 +472,14 @@ def test_closure_packed_route_matches_tuple_route(r, monkeypatch):
     assert packed == [group_order(1, r)] * 2
 
 
-@pytest.mark.parametrize("kind,packed", [("cyclotomic", False), ("auto-char2", False),
-                                         ("auto-prime", True), ("auto-prime", False)])
+@pytest.mark.parametrize("kind,packed", [("cyclotomic", True), ("cyclotomic", False),
+                                         ("auto-char2", False), ("auto-prime", True),
+                                         ("auto-prime", False)])
 def test_closure_step_multiplies_on_the_left(kind, packed, monkeypatch):
     # a count cannot tell g from its transpose (<g^T> has the order of
     # <g>), so one step from the identity must give g's own state, and a
     # step by h after one by g that of h * g: M's column tuples on the tuple
-    # route, its packed rows over GF(p)
+    # route, its packed rows over GF(p), its canonical planes over Q(theta)
     ctx = make_field(FieldSpec(kind, 3))
     if not packed:
         _tuple_route(monkeypatch)
@@ -486,7 +493,11 @@ def test_closure_step_multiplies_on_the_left(kind, packed, monkeypatch):
     assert all(m.rows != tuple(zip(*m.rows)) for m in mats[:2])
 
     def state(m):
-        return tuple(map(PackedRows.pack, m.rows)) if packed else tuple(zip(*m.rows))
+        if not packed:
+            return tuple(zip(*m.rows))
+        if kind == "cyclotomic":
+            return PlaneRows.load(ctx, m.rows).state()
+        return tuple(map(PackedRows.pack, m.rows))
     start, steps = ctx.closure_steps(params.n, ops)
     assert start == state(DenseMatrix.identity(ctx, params.n))
     for step, m in zip(steps, mats):
@@ -497,11 +508,64 @@ def test_closure_step_multiplies_on_the_left(kind, packed, monkeypatch):
     assert steps[0](steps[1](start)) == state(g * h)
 
 
+@pytest.mark.parametrize("r", [3, 5, 7, 13])
+def test_plane_closure_states_are_canonical(r):
+    # a Q(theta) state is (den, width, rows): the planes reduced mod the
+    # cyclotomic polynomial and gcd(den, every lane) = 1, so equal matrices
+    # reached by different products give equal states.  lam = +-G/r with
+    # G^2 = (-1|r) * r, so (lam*C_1)^2 = (-1|r) * N_1 (den r^2 divided out)
+    # and (lam*C_1)^4 = I.  C_1 * C_1 = r * N_1: off its support each entry
+    # is a plane of ones, 1 + theta + ... + theta^(r-1), which reduces to 0
+    ctx = CyclotomicContext(r)
+    params = WeilParams(r, 1, ctx)
+    neg = negation_monomial(params, 1)
+    ops = [weil_generators(params).lamC[0], FourierOp(params, 1),
+           MonomialOp(params, neg.perm, neg.expo, ctx.from_int(r)),
+           MonomialOp(params, neg.perm, neg.expo, ctx.from_int(1 if r % 4 == 1 else -1))]
+    start, (lam_c, c, r_neg, signed_neg) = ctx.closure_steps(r, ops)
+    assert start == (1, 8, tuple((PackedRows.pack([int(i == j) for j in range(r)]),)
+                                 + (0,) * (r - 1) for i in range(r)))
+    states = [start]
+    for _ in range(4):
+        states.append(lam_c(states[-1]))
+    assert [den for den, _, _ in states] == [1, r, 1, r, 1]
+    assert states[4] == start
+    assert states[2] == signed_neg(start)
+    assert c(c(start)) == r_neg(start) != c(start)
+    assert all(row[1:] == (0,) * (r - 1) for row in r_neg(start)[2])
+
+
+def test_plane_closure_steps_past_half_a_lane():
+    # a state with lanes of 2^62 is loaded again before the next step, so
+    # C_1 * 2^62 * C_1 = 2^62 * 3 * N_1 is computed, and kept, in 128-bit
+    # lanes, as 2^62 * C_1 * C_1 is; a step that took the state's lanes to
+    # be small would keep 64-bit lanes and overflow them
+    ctx = CyclotomicContext(3)
+    params = WeilParams(3, 1, ctx)
+    big = ScalarOp(params, ctx.from_int(2 ** 62))
+    start, (scale, c) = ctx.closure_steps(3, [big, FourierOp(params, 1)])
+    want = PlaneRows.load(ctx, big.compose(negation_monomial(params, 1))
+                          .materialize().scale(ctx.from_int(3)).rows).state()
+    assert want[:2] == (1, 16)
+    assert c(scale(c(start))) == scale(c(c(start))) == want
+
+
 def test_closure_cap_sp43_on_both_routes(monkeypatch):
     # the capped Sp(4,3) search with D_12 * C_1 mixed in as a dense generator
     mats = _sp_mats("auto-prime", 3, 2)
     mats.append(mats[-1] * mats[0])
     assert structured_generator(mats[-1]) is mats[-1]
+    with pytest.raises(CapExceeded):
+        closure_order(mats, 12_000)
+    _tuple_route(monkeypatch)
+    with pytest.raises(CapExceeded):
+        closure_order(mats, 12_000)
+
+
+def test_closure_cap_sp43_over_q_theta_on_both_routes(monkeypatch):
+    # the capped Sp(4,3) search over Q(theta_3): canonical planes on the
+    # packed route, column tuples on the tuple route, the same cap
+    mats = _sp_mats("cyclotomic", 3, 2)
     with pytest.raises(CapExceeded):
         closure_order(mats, 12_000)
     _tuple_route(monkeypatch)

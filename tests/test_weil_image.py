@@ -3,10 +3,13 @@
 The reference is the word route, weil_image_op(g, gens).materialize(),
 which pushes every basis vector through the word; pi_map(image) == g is
 no reference, as the image is built from g's columns.  The trace identity
-Tr rho(g) * Tr rho(g^-1) = r^dim ker(g - 1) shares no route with either.
+Tr rho(g) * Tr rho(g^-1) = r^dim ker(g - 1) shares no route with either,
+nor does reduction mod p: the Q(theta) image, mapped by theta -> theta_p,
+is the GF(p) image.
 """
 
 import functools
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -160,3 +163,38 @@ def test_trace_identity(family, case):
         [[a - (i == j) for j, a in enumerate(row)] for i, row in enumerate(g.rows)], r)
     product = ctx.mul(weil_image(g, gens).trace(), weil_image(g.inverse(), gens).trace())
     assert product == ctx.from_int(r ** kernel_dim)
+
+
+# the cells of the reduction oracle; the prime field is auto-prime's GF(p)
+REDUCTION_CELLS = [(3, 2), (5, 2), (3, 3), (7, 2)]
+
+
+@st.composite
+def reduction_cases(draw):
+    r, ell = draw(st.sampled_from(REDUCTION_CELLS))
+    return r, ell, draw(elements(r, ell))
+
+
+def reduced_mod_p(a, ctx):
+    """The Q(theta) value a = (nums, den) under theta -> ctx.theta, over
+    ctx = GF(p): sum_k nums[k] * theta_p^k times den^-1 mod p."""
+    nums, den = a
+    return sum(map(operator.mul, nums, ctx.theta_pow)) * pow(den, -1, ctx.p) % ctx.p
+
+
+@given(case=reduction_cases())
+@settings(max_examples=24, deadline=None)
+def test_reduction_mod_p_is_the_prime_image(case):
+    # theta -> theta_p, with every denominator (a divisor of a power of
+    # 2r) inverted mod p, is a ring map from the Q(theta) entries onto
+    # GF(p), p = 1 (mod r), so it carries the Q(theta) image, lambda and
+    # all, to the GF(p) image; pi_map cannot see a wrong scalar, this can.
+    # The Q(theta) side is the plane product route, the GF(p) side the
+    # column fill over packed rows, and the map shares no code with either
+    r, ell, g = case
+    cyc = generator_set("cyclotomic", r, ell)
+    prime = generator_set("auto-prime", r, ell)
+    ctx = prime.params.ctx
+    rows = weil_image_op(g, cyc).materialize().rows
+    assert tuple(tuple(reduced_mod_p(a, ctx) for a in row) for row in rows) == \
+        weil_image(g, prime).rows
