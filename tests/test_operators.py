@@ -385,7 +385,7 @@ def test_packed_product_matches_column_route(r, p, seed, length):
     # is the reference
     ctx = _packed_ctx(r, p)
     rng = random.Random(seed)
-    params = WeilParams(r, rng.choice((1, 2)) if r < 7 else 1, ctx)
+    params = WeilParams(r, rng.choice((1, 2)) if r < 7 or p is not None else 1, ctx)
     op = ProductOp(params, [_random_factor(params, rng) for _ in range(length)])
     rows = op.materialize().rows
     assert rows == _column_route(ctx, op.factors)
@@ -400,10 +400,10 @@ def test_packed_long_product_reduces_mid_product(r, p, monkeypatch):
     # 60 factors grow a lane far past 2^64 unreduced, so before the end the
     # lanes must be reduced, over GF(p), where _lanes then runs for more
     # than the n final rows, or the entries loaded again, over Q(theta),
-    # where _load then runs at all (the identity is packed without it).  The
-    # factors are Fourier, scaled monomial, scalar and scale-one slot
-    # negation factors; at the largest packed prime for r = 3 one scaled
-    # factor can carry a reduced lane past 2^64
+    # where unpacked then runs for more than the final read.  The factors
+    # are Fourier, scaled monomial, scalar and scale-one slot negation
+    # factors; at the largest packed prime for r = 3 one scaled factor can
+    # carry a reduced lane past 2^64
     ctx = _packed_ctx(r, p)
     rng = random.Random(r * (p or 1))
     params = WeilParams(r, 2 if r < 13 else 1, ctx)
@@ -413,12 +413,12 @@ def test_packed_long_product_reduces_mid_product(r, p, monkeypatch):
         negation_monomial(params, min(t, params.ell)))]
     op = ProductOp(params, factors)
     calls = []
-    rows_class, method = (PackedRows, "_lanes") if p else (PlaneRows, "_load")
+    rows_class, method = (PackedRows, "_lanes") if p else (PlaneRows, "unpacked")
     original = getattr(rows_class, method)
     monkeypatch.setattr(rows_class, method,
                         lambda self, *args: calls.append(1) or original(self, *args))
     rows = op.materialize().rows
-    assert len(calls) > (params.n if p else 0)
+    assert len(calls) > (params.n if p else 1)
     monkeypatch.undo()
     assert rows == _column_route(ctx, op.factors)
 
