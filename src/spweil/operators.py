@@ -23,9 +23,10 @@ Operator variants:
 
 apply() costs O(n) for a monomial and O(n*r) for a Fourier factor; only
 apply(), mul_packed() and materialize() make field values.  materialize()
-returns the DenseMatrix whose column xi is apply(e_xi), and det() and
-trace() are those of materialize() unless the operator's structure gives
-them directly (a monomial's do).
+returns the DenseMatrix whose column xi is apply(e_xi), written from the
+operator's structure (a Fourier factor places its r x r slot_block as
+I (x) K (x) I); det() and trace() are those of materialize() unless the
+structure gives them directly (a monomial's do).
 
 Each operator multiplies by two kernels and nothing else: apply on a
 column, over every field, and mul_packed on the rows of its context's
@@ -108,16 +109,7 @@ class Operator:
         return ProductOp(self.params, (self, other))
 
     def materialize(self):
-        cols = []
-        zero = self.ctx.zero
-        one = self.ctx.one
-        n = self.n
-        basis = [zero] * n
-        for j in range(n):
-            basis[j] = one
-            cols.append(self.apply(basis))
-            basis[j] = zero
-        return DenseMatrix.from_columns(self.ctx, cols)
+        raise NotImplementedError
 
     def det(self):
         return self.materialize().det()
@@ -231,14 +223,11 @@ class MonomialOp(Operator):
         return self.ctx.mul_theta_power(self.scale, k) == other.scale
 
     def materialize(self):
-        ctx = self.ctx
-        zero = ctx.zero
-        n = self.n
-        table = self.table
-        rows = [[zero] * n for _ in range(n)]
+        n, table = self.n, self.table
+        rows = [[self.ctx.zero] * n for _ in range(n)]
         for j, (p, e) in enumerate(zip(self.perm, self.expo)):
             rows[p][j] = table[e]
-        return DenseMatrix(ctx, rows)
+        return DenseMatrix(self.ctx, rows)
 
     def det(self):
         """Determinant: permutation sign times scale^n times theta^(sum of
@@ -282,7 +271,8 @@ def identity_op(params):
 
 
 class FourierOp(Operator):
-    """scale * C_t, where C_t v_xi = sum_i theta^(i*xi_t) v_(xi with slot t = i)."""
+    """scale * C_t, where C_t v_xi = sum_i theta^(i*xi_t) v_(xi with slot t = i):
+    I (x) K (x) I with K the r x r kernel scale * theta^(i*x) in slot t."""
 
     __slots__ = ("t", "scale", "_table", "_stride")
 
@@ -305,6 +295,17 @@ class FourierOp(Operator):
     def mul_packed(self, packed):
         packed.fourier(self._stride, self._table)
 
+    def materialize(self):
+        """Row xi holds row xi_t of K = slot_block(self, t) at the r columns
+        that agree with xi outside slot t."""
+        r, stride, n = self.params.r, self._stride, self.n
+        kernel = slot_block(self, self.t).rows
+        rows = [[self.ctx.zero] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            x = i // stride % r
+            row[i - x * stride:i + (r - x) * stride:stride] = kernel[x]
+        return DenseMatrix(self.ctx, rows)
+
     def inverse(self):
         # C_t^2 = r * N_t with N_t negating slot t, so C_t^-1 = r^-1 * N_t * C_t
         params = self.params
@@ -312,6 +313,20 @@ class FourierOp(Operator):
         scale = ctx.mul(ctx.inv(self.scale), ctx.inv(ctx.from_int(params.r)))
         neg_slot = negation_monomial(params, self.t)
         return ProductOp(params, (neg_slot, FourierOp(params, self.t, scale)))
+
+
+def slot_block(op, t):
+    """The r x r block of op at rows and columns j * r^(ell-t), j in [0, r):
+    K when op = I (x) K (x) I acts on slot t alone.  Built from op applied
+    to r basis vectors, so a corrupted operator shows its own block."""
+    ctx, r = op.ctx, op.params.r
+    stride = r ** (op.params.ell - t)
+    cols = []
+    for j in range(r):
+        basis = [ctx.zero] * op.n
+        basis[j * stride] = ctx.one
+        cols.append(op.apply(basis)[:r * stride:stride])
+    return DenseMatrix.from_columns(ctx, cols)
 
 
 def negation_monomial(params, t=None):

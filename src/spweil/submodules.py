@@ -172,24 +172,25 @@ def spin(seeds, ops, ctx):
     """Dimension of the smallest subspace containing the seeds and closed
     under the given operators (span closure; generators of a finite group,
     so closure under the generators alone suffices)."""
+    zero, sub, mul = ctx.zero, ctx.sub, ctx.mul
     echelon = {}  # pivot index -> normalised vector
 
     def reduce(vec):
+        # pair-basis vectors are mostly zero: no field work on zero entries
         vec = list(vec)
-        zero = ctx.zero
         for piv, row in sorted(echelon.items()):
             c = vec[piv]
             if c != zero:
-                vec = [ctx.sub(a, ctx.mul(c, b)) for a, b in zip(vec, row)]
+                vec = [a if b == zero else sub(a, mul(c, b)) for a, b in zip(vec, row)]
         for i, x in enumerate(vec):
             if x != zero:
                 inv = ctx.inv(x)
-                return i, [ctx.mul(inv, a) for a in vec]
+                return i, [a if a == zero else mul(inv, a) for a in vec]
         return None, None
 
     queue = []
     for seed in seeds:
-        if all(x == ctx.zero for x in seed):
+        if all(x == zero for x in seed):
             raise ValueError("zero seed vector")
         piv, vec = reduce(seed)
         if piv is not None:

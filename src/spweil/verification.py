@@ -27,7 +27,7 @@ from .heisenberg import (DoesNotNormalize, ExtraspecialElement, RecognitionError
 from .linalg import DenseMatrix
 from .operators import (DenseOp, FourierOp, ProductOp, ScalarOp, WeilParams,
                         first_difference as _first_difference, identity_op,
-                        negation_monomial)
+                        negation_monomial, slot_block)
 from .submodules import (NotInvariant, restrict, restrict_quotient, spin,
                          submodule_bases)
 from .symplectic import GenToken, SpMatrix, gen_images, sp_form
@@ -192,7 +192,7 @@ def _generator_checks(report, params, gens):
                   for t, c in enumerate(rawC, 1)])
 
     # determinant identities on the ell = 1 slice
-    detc = _slot1_slice(rawC[0], params).det()
+    detc = slot_block(rawC[0], 1).det()
     sign = _sign_exponent(ctx, (r - 1) // 2)
     _check_value(report, "detC-squared", pstr, ctx.mul(detc, detc),
                  ctx.mul(sign, ctx.pow(r_elem, r)), "det(C)^2 vs (-1)^((r-1)/2) r^r", ctx)
@@ -232,7 +232,7 @@ def _generator_checks(report, params, gens):
                         for t, lc in enumerate(lamC, 1)])
 
     # Tr(U)^2 = (-1)^((r-1)/2) * r  (ell = 1 slice)
-    tr_u = _slot1_slice(U[0], params).trace()
+    tr_u = slot_block(U[0], 1).trace()
     _check_value(report, "traceU-squared", pstr, ctx.mul(tr_u, tr_u),
                  ctx.mul(sign, r_elem), "Tr(U)^2", ctx)
 
@@ -278,23 +278,6 @@ def _generator_checks(report, params, gens):
 
     if r == 3 and ell == 1:
         check_words(_sl23_rows(gens))
-
-
-def _slot1_slice(op, params):
-    """The r x r block of op at rows and columns i * r^(ell-1), i in [0, r):
-    M when op = M (x) I acts on slot 1 alone.  Built from op applied to r
-    basis vectors, so a corrupted operator shows its own slice."""
-    ctx = params.ctx
-    r = params.r
-    stride = r ** (params.ell - 1)
-    basis = [ctx.zero] * params.n
-    cols = []
-    for j in range(r):
-        basis[j * stride] = ctx.one
-        img = op.apply(basis)
-        basis[j * stride] = ctx.zero
-        cols.append([img[i * stride] for i in range(r)])
-    return DenseMatrix.from_columns(ctx, cols)
 
 
 def _centralizer_check(report, params, gens, pstr, sample=200, seed=1):

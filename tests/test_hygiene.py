@@ -5,7 +5,9 @@ imports are the package's public names.  Only fields.py and serialize.py,
 which define and spell the field encodings, branch on the field family.
 Every attribute a module stores on self is read, and every top-level
 function and every method of a class other than a dunder is referenced,
-somewhere in src, tests, scripts or perfbench."""
+somewhere in src, tests, scripts or perfbench.  Every Operator subclass in
+operators.py defines materialize or inherits it from another subclass, as
+the base method raises."""
 
 import ast
 import functools
@@ -169,3 +171,49 @@ def test_scan_finds_unread_attributes_and_functions():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unread_attributes_or_functions(path):
     assert unread_names(path.read_text(), [p.read_text() for p in READERS]) == []
+
+
+def inherited_materialize(source, base="Operator"):
+    """The classes of source that derive from base, directly or through
+    other classes of source, and take materialize from base: neither they
+    nor a class of source between them and base defines it."""
+    classes = {node.name: node for node in ast.parse(source).body
+               if isinstance(node, ast.ClassDef)}
+
+    def owner(name):
+        # the class whose materialize name resolves to, along first bases
+        while name in classes and name != base:
+            node = classes[name]
+            if any(isinstance(f, ast.FunctionDef) and f.name == "materialize"
+                   for f in node.body):
+                return name
+            name = getattr(node.bases[0], "id", None) if node.bases else None
+        return name
+
+    return [name for name in classes if name != base and owner(name) == base]
+
+
+def test_scan_finds_an_operator_without_materialize():
+    source = (
+        "class Operator:\n"
+        "    def materialize(self):\n"
+        "        raise NotImplementedError\n"
+        "class Walked(Operator):\n"
+        "    def apply(self, vec):\n"
+        "        return vec\n"
+        "class Own(Operator):\n"
+        "    def materialize(self):\n"
+        "        return None\n"
+        "class Heir(Own):\n"
+        "    pass\n"
+        "class HeirOfWalked(Walked):\n"
+        "    pass\n"
+        "class Unrelated:\n"
+        "    pass\n")
+    assert inherited_materialize(source) == ["Walked", "HeirOfWalked"]
+
+
+def test_every_operator_defines_materialize():
+    # the base Operator.materialize raises, so a new operator class must
+    # build its matrix from its own structure
+    assert inherited_materialize((SRC / "operators.py").read_text()) == []

@@ -11,10 +11,11 @@ from spweil.operators import (DenseOp, FourierOp, MonomialOp, ProductOp,
                               ScalarOp, WeilParams, first_difference, flat_index,
                               identity_op, index_vectors, negation_monomial,
                               operators_equal)
-from spweil.generators import (op_A, op_B, op_C, op_D, op_E, op_U, sigma_involution,
-                               weil_generators)
+from spweil.generators import (lambda_scalar, op_A, op_B, op_C, op_D, op_E, op_U,
+                               sigma_involution, weil_generators)
 from spweil.heisenberg import pi_map
 from spweil.symplectic import SpMatrix, random_element, weil_image_op
+from spweil.verification import structured_generator
 
 
 def _random_vec(ctx, n, rng):
@@ -209,6 +210,52 @@ def test_fourier_apply_matches_dense_kernel(spec, ell, seed):
                 if dropped.setdefault(fibre, rng.random() < 0.4):
                     vec[j] = ctx.zero
             assert FourierOp(params, t, scale).apply(vec) == dense.apply(vec)
+
+
+def _column_walk(op):
+    """op's matrix from op.apply on every basis vector e_j, column j the
+    image of e_j: the reference for FourierOp.materialize."""
+    ctx, n = op.ctx, op.n
+    basis = [ctx.zero] * n
+    cols = []
+    for j in range(n):
+        basis[j] = ctx.one
+        cols.append(op.apply(basis))
+        basis[j] = ctx.zero
+    return DenseMatrix.from_columns(ctx, cols)
+
+
+class _ShiftedFourier(FourierOp):
+    """B_t * scale * C_t: still I (x) K (x) I in slot t, with K the kernel's
+    rows shifted down by one, so K is not symmetric and a transposed
+    placement of it shows."""
+
+    __slots__ = ()
+
+    def apply(self, vec):
+        return op_B(self.params, self.t).apply(super().apply(vec))
+
+
+@pytest.mark.parametrize("spec", FAST_PATH_CTXS, ids=str)
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_fourier_materialize_matches_column_walk(spec, ell):
+    # the slot block placed as I (x) K (x) I, in every slot, with scale one,
+    # lambda and a random nonzero scale; det, trace and the recognition of
+    # the matrix are those of the walk's matrix
+    ctx = make_field(spec)
+    params = WeilParams(ctx.r, ell, ctx)
+    rng = random.Random(ell)
+    for t in range(1, ell + 1):
+        for scale in (ctx.one, lambda_scalar(ctx.r, ctx), _nonzero_element(ctx, rng)):
+            op = FourierOp(params, t, scale)
+            walk = _column_walk(op)
+            assert op.materialize() == walk
+            shifted = _ShiftedFourier(params, t, scale)
+            assert shifted.materialize() == _column_walk(shifted)
+            found = structured_generator(walk)
+            assert isinstance(found, FourierOp) and (found.t, found.scale) == (t, scale)
+            if params.n <= 25:
+                assert (op.det(), op.trace()) == (walk.det(), walk.trace())
 
 
 def _random_monomial(params, rng, scale):

@@ -198,3 +198,33 @@ def test_reduction_mod_p_is_the_prime_image(case):
     rows = weil_image_op(g, cyc).materialize().rows
     assert tuple(tuple(reduced_mod_p(a, ctx) for a in row) for row in rows) == \
         weil_image(g, prime).rows
+
+
+def reduced_mod_2(a, ctx):
+    """The Q(theta) value a = (nums, den) under theta -> ctx.theta, over
+    ctx = GF(2^k): the sum of the theta_F^k with nums[k] odd, the image of
+    the numerator, over the image of den.  den must be odd: an even one has
+    no inverse in characteristic 2."""
+    nums, den = a
+    assert den % 2, f"denominator {den} is zero in characteristic 2"
+    acc = ctx.zero
+    for c, power in zip(nums, ctx.theta_pow):
+        if c % 2:
+            acc = ctx.add(acc, power)
+    return ctx.mul(acc, ctx.inv(ctx.from_int(den)))
+
+
+@given(case=reduction_cases())
+@settings(max_examples=20, deadline=None)
+def test_reduction_mod_2_is_the_char2_image(case):
+    # the same oracle in characteristic 2: the denominators are powers of r,
+    # hence odd, so theta -> theta_F is a ring map from the Q(theta)
+    # entries onto GF(2^k), r | 2^k - 1, and carries the Q(theta) image to
+    # the GF(2^k) image
+    r, ell, g = case
+    cyc = generator_set("cyclotomic", r, ell)
+    char2 = generator_set("gf2-auto", r, ell)
+    ctx = char2.params.ctx
+    rows = weil_image_op(g, cyc).materialize().rows
+    assert tuple(tuple(reduced_mod_2(a, ctx) for a in row) for row in rows) == \
+        weil_image(g, char2).rows
