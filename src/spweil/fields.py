@@ -92,6 +92,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import DenseMatrix
+
 
 class InvalidFieldSpec(ValueError):
     """The field specification violates a divisibility or irreducibility requirement."""
@@ -183,10 +185,6 @@ def smallest_primitive_root(p):
 def _every_lane(value, lanes, width=8):
     """The int with value in each of its lanes of width bytes."""
     return int.from_bytes(value.to_bytes(width, sys.byteorder) * lanes, sys.byteorder)
-
-
-def _identity_rows(n, zero, one):
-    return [[zero] * j + [one] + [zero] * (n - 1 - j) for j in range(n)]
 
 
 # polynomials over GF(p): lists/tuples of ascending coefficients
@@ -389,8 +387,7 @@ class FieldContext:
         if packer is None:
             def step(op):
                 return lambda cols: tuple(tuple(op.apply(c)) for c in cols)
-            return (tuple(map(tuple, _identity_rows(n, self.zero, self.one))),
-                    [step(op) for op in ops])
+            return DenseMatrix.identity(self, n).rows, [step(op) for op in ops]
 
         def packed_step(mul_packed):
             def run(state):
@@ -931,7 +928,7 @@ class PackedRows:
 
     @classmethod
     def identity(cls, ctx, n):
-        return cls.load(ctx, _identity_rows(n, 0, 1))
+        return cls.load(ctx, DenseMatrix.identity(ctx, n).rows)
 
     @classmethod
     def from_state(cls, ctx, state, lanes):

@@ -47,6 +47,19 @@ def _eliminate(ctx, rows, m):
     return ctx.neg(det) if sign else det
 
 
+def sparse_rows(zero, n, blocks, starts, stride=1):
+    """Row tuples of n entries, one per (b, c) in starts, zero but for
+    blocks[b] at columns c, c + stride, ...: slices [n - c, 2n - c) of one
+    2n-long window per block, zero but for the block at n, n + stride, ...."""
+    pad = [zero] * n
+    windows = []
+    for block in blocks:
+        window = pad + pad
+        window[n:n + len(block) * stride:stride] = block
+        windows.append(tuple(window))
+    return tuple(windows[b][n - c:2 * n - c] for b, c in starts)
+
+
 def solve_in_span(ctx, basis_vectors, images):
     """Coordinates of each image in the span of the basis vectors.
 
@@ -81,12 +94,11 @@ class DenseMatrix:
 
     def __init__(self, ctx, rows):
         self.ctx = ctx
-        self.rows = tuple(tuple(row) for row in rows)
+        self.rows = tuple(map(tuple, rows))
 
     @classmethod
     def identity(cls, ctx, n):
-        one, zero = ctx.one, ctx.zero
-        return cls(ctx, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return cls(ctx, sparse_rows(ctx.zero, n, [(ctx.one,)], ((0, i) for i in range(n))))
 
     @classmethod
     def from_columns(cls, ctx, cols):

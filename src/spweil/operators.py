@@ -23,10 +23,11 @@ Operator variants:
 
 apply() costs O(n) for a monomial and O(n*r) for a Fourier factor; only
 apply(), mul_packed() and materialize() make field values.  materialize()
-returns the DenseMatrix whose column xi is apply(e_xi), written from the
-operator's structure (a Fourier factor places its r x r slot_block as
-I (x) K (x) I); det() and trace() are those of materialize() unless the
-structure gives them directly (a monomial's do).
+returns the DenseMatrix whose column xi is apply(e_xi): a monomial's r entry
+values, or a Fourier factor's r slot_block rows, are each written once into
+a zero-padded window, and every row is a tuple sliced from one of them
+(linalg.sparse_rows).  det() and trace() are those of materialize() unless
+the structure gives them directly (a monomial's do).
 
 Each operator multiplies by two kernels and nothing else: apply on a
 column, over every field, and mul_packed on the rows of its context's
@@ -44,7 +45,7 @@ import itertools
 from dataclasses import dataclass
 
 from .fields import FieldContext
-from .linalg import DenseMatrix
+from .linalg import DenseMatrix, sparse_rows
 
 
 @dataclass(frozen=True)
@@ -223,11 +224,12 @@ class MonomialOp(Operator):
         return self.ctx.mul_theta_power(self.scale, k) == other.scale
 
     def materialize(self):
-        n, table = self.n, self.table
-        rows = [[self.ctx.zero] * n for _ in range(n)]
+        """Row perm[j] is table[expo[j]] in column j and zero elsewhere."""
+        starts = [None] * self.n
         for j, (p, e) in enumerate(zip(self.perm, self.expo)):
-            rows[p][j] = table[e]
-        return DenseMatrix(self.ctx, rows)
+            starts[p] = (e, j)
+        blocks = [(v,) for v in self.table]
+        return DenseMatrix(self.ctx, sparse_rows(self.ctx.zero, self.n, blocks, starts))
 
     def det(self):
         """Determinant: permutation sign times scale^n times theta^(sum of
@@ -296,15 +298,13 @@ class FourierOp(Operator):
         packed.fourier(self._stride, self._table)
 
     def materialize(self):
-        """Row xi holds row xi_t of K = slot_block(self, t) at the r columns
-        that agree with xi outside slot t."""
-        r, stride, n = self.params.r, self._stride, self.n
+        """I (x) K (x) I for K = slot_block(self, t): row i is row x = i_t of K
+        at columns i - x * stride + k * stride, k in [0, r), sliced from the
+        window of K's row x (linalg.sparse_rows)."""
+        r, stride = self.params.r, self._stride
+        starts = ((i // stride % r, i - i // stride % r * stride) for i in range(self.n))
         kernel = slot_block(self, self.t).rows
-        rows = [[self.ctx.zero] * n for _ in range(n)]
-        for i, row in enumerate(rows):
-            x = i // stride % r
-            row[i - x * stride:i + (r - x) * stride:stride] = kernel[x]
-        return DenseMatrix(self.ctx, rows)
+        return DenseMatrix(self.ctx, sparse_rows(self.ctx.zero, self.n, kernel, starts, stride))
 
     def inverse(self):
         # C_t^2 = r * N_t with N_t negating slot t, so C_t^-1 = r^-1 * N_t * C_t
@@ -321,22 +321,15 @@ def slot_block(op, t):
     to r basis vectors, so a corrupted operator shows its own block."""
     ctx, r = op.ctx, op.params.r
     stride = r ** (op.params.ell - t)
-    cols = []
-    for j in range(r):
-        basis = [ctx.zero] * op.n
-        basis[j * stride] = ctx.one
-        cols.append(op.apply(basis)[:r * stride:stride])
-    return DenseMatrix.from_columns(ctx, cols)
+    units = sparse_rows(ctx.zero, op.n, [(ctx.one,)], ((0, j * stride) for j in range(r)))
+    return DenseMatrix.from_columns(ctx, [op.apply(e)[:r * stride:stride] for e in units])
 
 
 def negation_monomial(params, t=None):
     """xi -> -xi in slot t (all slots when t is None), trivial diagonal."""
-    r, ell = params.r, params.ell
-    perm = []
-    for xi in itertools.product(range(r), repeat=ell):
-        target = tuple(-x % r if (t is None or i == t - 1) else x
-                       for i, x in enumerate(xi))
-        perm.append(flat_index(target, r))
+    r = params.r
+    perm = [flat_index([-x % r if t in (None, m + 1) else x for m, x in enumerate(xi)], r)
+            for xi in itertools.product(range(r), repeat=params.ell)]
     return MonomialOp(params, perm, (0,) * params.n)
 
 

@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass
 
 from .generators import lam_C_squared
+from .linalg import sparse_rows
 from .operators import identity_op
 
 
@@ -72,8 +73,7 @@ class SpMatrix:
 
     @classmethod
     def identity(cls, ell, r):
-        n = 2 * ell
-        return cls(r, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(r, sparse_rows(0, 2 * ell, [(1,)], ((0, i) for i in range(2 * ell))))
 
     @property
     def n(self):
@@ -122,13 +122,10 @@ class SpMatrix:
 
 
 def sp_form(ell, r):
-    """The Gram matrix J of the alternating form in the interleaved basis."""
-    n = 2 * ell
-    rows = [[0] * n for _ in range(n)]
-    for i in range(ell):
-        rows[2 * i][2 * i + 1] = 1
-        rows[2 * i + 1][2 * i] = r - 1
-    return SpMatrix(r, rows)
+    """The Gram matrix J of the alternating form in the interleaved basis:
+    row k is 1 (k even) or -1 (k odd) in column k ^ 1."""
+    return SpMatrix(r, sparse_rows(0, 2 * ell, [(1,), (r - 1,)],
+                                   ((k % 2, k ^ 1) for k in range(2 * ell))))
 
 
 def symplectic_pairing(u, v, r):

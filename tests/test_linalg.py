@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spweil.fields import FieldSpec, make_field
-from spweil.linalg import DenseMatrix, SingularMatrix
+from spweil.linalg import DenseMatrix, SingularMatrix, sparse_rows
 from spweil.operators import WeilParams
 from spweil.generators import op_A, op_C, op_D
 
@@ -24,6 +24,27 @@ def test_identity_and_trace(gf7):
     eye = DenseMatrix.identity(gf7, 4)
     assert eye.det() == gf7.one
     assert eye.trace() == gf7.from_int(4)
+
+
+@given(n=st.integers(1, 30), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_rows_place_each_block(n, data):
+    # the row for (b, c) is zero but for blocks[b] at c, c + stride, ...,
+    # built here entry by entry
+    stride = data.draw(st.integers(1, n))
+    width = data.draw(st.integers(1, (n - 1) // stride + 1))
+    blocks = data.draw(st.lists(st.lists(st.integers(1, 9), min_size=width, max_size=width)
+                                .map(tuple), min_size=1, max_size=4))
+    starts = data.draw(st.lists(st.tuples(st.integers(0, len(blocks) - 1),
+                                          st.integers(0, n - 1 - (width - 1) * stride)),
+                                max_size=8))
+    want = []
+    for b, c in starts:
+        row = [0] * n
+        for k, v in enumerate(blocks[b]):
+            row[c + k * stride] = v
+        want.append(tuple(row))
+    assert sparse_rows(0, n, blocks, starts, stride) == tuple(want)
 
 
 def test_det_of_C_over_gf7(gf7):

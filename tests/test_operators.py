@@ -214,7 +214,8 @@ def test_fourier_apply_matches_dense_kernel(spec, ell, seed):
 
 def _column_walk(op):
     """op's matrix from op.apply on every basis vector e_j, column j the
-    image of e_j: the reference for FourierOp.materialize."""
+    image of e_j: the reference for MonomialOp.materialize and
+    FourierOp.materialize."""
     ctx, n = op.ctx, op.n
     basis = [ctx.zero] * n
     cols = []
@@ -256,6 +257,62 @@ def test_fourier_materialize_matches_column_walk(spec, ell):
             assert isinstance(found, FourierOp) and (found.t, found.scale) == (t, scale)
             if params.n <= 25:
                 assert (op.det(), op.trace()) == (walk.det(), walk.trace())
+
+
+@pytest.mark.parametrize("spec", FAST_PATH_CTXS, ids=str)
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_monomial_materialize_matches_column_walk(spec, ell):
+    # every monomial generator in every slot (D_st for every s < t), sigma,
+    # each slot negation, and for each slot a scaled compose of a shift
+    # with another generator: scaled entries off the diagonal
+    ctx = make_field(spec)
+    params = WeilParams(ctx.r, ell, ctx)
+    rng = random.Random(ell)
+    ops = [sigma_involution(params), negation_monomial(params)]
+    for t in range(1, ell + 1):
+        ops += [op_A(params, t), op_B(params, t), op_E(params, t), op_U(params, t),
+                negation_monomial(params, t)]
+        ops += [op_D(params, s, t) for s in range(1, t)]
+    for t in range(1, ell + 1):
+        scale = _nonzero_element(ctx, rng)
+        while scale == ctx.one:
+            scale = _nonzero_element(ctx, rng)
+        shift = ScalarOp(params, scale).compose(op_B(params, t))
+        ops.append(shift.compose(rng.choice(ops)))
+    assert any(op.scale != ctx.one and op.perm != tuple(range(params.n)) for op in ops)
+    for op in ops:
+        assert op.materialize() == _column_walk(op)
+
+
+class _TupleRowsOnly(DenseMatrix):
+    """A DenseMatrix that takes tuple rows only, so a materialisation that
+    builds list rows for DenseMatrix to copy fails."""
+
+    __slots__ = ()
+
+    def __init__(self, ctx, rows):
+        rows = tuple(rows)
+        assert all(type(row) is tuple for row in rows)
+        super().__init__(ctx, rows)
+
+
+@pytest.mark.parametrize("spec", FAST_PATH_CTXS, ids=str)
+def test_materialized_rows_are_built_as_tuples(spec, monkeypatch):
+    # monomial, Fourier, identity and product materialisations hand
+    # DenseMatrix tuple rows, and DenseMatrix keeps them as they are
+    ctx = make_field(spec)
+    params = WeilParams(ctx.r, 2, ctx)
+    lam = lambda_scalar(ctx.r, ctx)
+    ops = [op_U(params, 1), op_B(params, 2).compose(ScalarOp(params, lam)),
+           FourierOp(params, 1), FourierOp(params, 2, lam), identity_op(params),
+           ProductOp(params, (op_C(params, 1), op_D(params, 1, 2), op_C(params, 2))),
+           ProductOp(params, ())]
+    monkeypatch.setattr("spweil.operators.DenseMatrix", _TupleRowsOnly)
+    mats = [op.materialize() for op in ops] + [_TupleRowsOnly.identity(ctx, params.n)]
+    for mat in mats:
+        assert type(mat) is _TupleRowsOnly
+        assert all(type(row) is tuple for row in mat.rows)
+        assert all(DenseMatrix(ctx, mat.rows).rows[i] is row for i, row in enumerate(mat.rows))
 
 
 def _random_monomial(params, rng, scale):

@@ -61,6 +61,13 @@ def test_gen_images_D():
     assert cols[2] == (0, 0, 1, 0)
 
 
+def test_form_and_identity_entries():
+    assert sp_form(2, 5).rows == ((0, 1, 0, 0), (4, 0, 0, 0), (0, 0, 0, 1), (0, 0, 4, 0))
+    assert SpMatrix.identity(2, 3).rows == tuple(
+        tuple(int(i == j) for j in range(4)) for i in range(4))
+    assert sp_form(1, 3) * sp_form(1, 3) == SpMatrix(3, [[2, 0], [0, 2]])
+
+
 @pytest.mark.parametrize("ell,r", [(1, 3), (1, 5), (2, 3), (2, 5), (3, 3)])
 def test_gen_images_are_symplectic(ell, r):
     J = sp_form(ell, r)
