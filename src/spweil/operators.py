@@ -16,8 +16,8 @@ Operator variants:
                   zero exponents and scale c;
 * FourierOp    -- the discrete Fourier kernel theta^(i*xi) in one tensor
                   slot, times a scalar; apply is ctx.fourier_apply;
-* DenseOp      -- arbitrary invertible DenseMatrix; a vector of 0 and +-1
-                  entries is applied as a signed sum of columns;
+* DenseOp      -- arbitrary invertible DenseMatrix, applied by
+                  DenseMatrix.apply and materialised as itself;
 * ProductOp    -- composition, factors applied right to left; nested
                   products are flattened, so no factor is a ProductOp.
 
@@ -325,12 +325,15 @@ def slot_block(op, t):
     return DenseMatrix.from_columns(ctx, [op.apply(e)[:r * stride:stride] for e in units])
 
 
+def negation_perm(r, ell, t=None):
+    """Flat table of xi -> -xi in slot t (all slots when t is None)."""
+    return [flat_index([-x % r if t in (None, m + 1) else x for m, x in enumerate(xi)], r)
+            for xi in itertools.product(range(r), repeat=ell)]
+
+
 def negation_monomial(params, t=None):
     """xi -> -xi in slot t (all slots when t is None), trivial diagonal."""
-    r = params.r
-    perm = [flat_index([-x % r if t in (None, m + 1) else x for m, x in enumerate(xi)], r)
-            for xi in itertools.product(range(r), repeat=params.ell)]
-    return MonomialOp(params, perm, (0,) * params.n)
+    return MonomialOp(params, negation_perm(params.r, params.ell, t), (0,) * params.n)
 
 
 class DenseOp(Operator):
@@ -341,19 +344,7 @@ class DenseOp(Operator):
         self.mat = mat
 
     def apply(self, vec):
-        """mat applied to vec.  When every entry of vec is 0, 1 or -1 (the
-        vectors of submodules' pair bases are), the image is a signed sum of
-        columns, made by add and sub with no multiply."""
-        ctx = self.ctx
-        zero, one = ctx.zero, ctx.one
-        units = {one: ctx.add, ctx.neg(one): ctx.sub}
-        if len(vec) != self.n or any(v != zero and v not in units for v in vec):
-            return self.mat.apply(vec)
-        out = [zero] * self.n
-        for j, v in enumerate(vec):
-            if v != zero:
-                out = list(map(units[v], out, (row[j] for row in self.mat.rows)))
-        return out
+        return self.mat.apply(vec)
 
     def inverse(self):
         return DenseOp(self.params, self.mat.inverse())

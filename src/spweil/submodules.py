@@ -11,6 +11,8 @@ invariant.  With y_xi := v_xi + v_(-xi) over the representative indices
 
 Bases list v_0 first for W+ (matching the natural reading of the spanning
 set) and last for B (so the B/A coordinate is the final one).
+Restrictions to these bases and to W/B are read off the operator's matrix
+by one pair reader, _read_pairs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 
 from .linalg import DenseMatrix, NotInvariant, solve_in_span
-from .operators import DenseOp, flat_index, index_vectors
+from .operators import DenseOp, index_vectors, negation_perm
 
 
 class WrongCharacteristic(ValueError):
@@ -52,9 +54,9 @@ def representative_indices(r, ell):
 
 @functools.lru_cache(maxsize=32)
 def _flat_pairs(r, ell):
-    """The flat positions (xi, -xi) of each representative index xi."""
-    return tuple((flat_index(xi, r), flat_index(tuple(-x % r for x in xi), r))
-                 for xi in representative_indices(r, ell))
+    """The flat positions (xi, -xi) of each representative index xi, in
+    its order: xi < -xi lexicographically exactly when flat(xi) < flat(-xi)."""
+    return tuple((j, k) for j, k in enumerate(negation_perm(r, ell)) if j < k)
 
 
 def _vector(ctx, n, entries):
@@ -90,60 +92,64 @@ def restrict(op, basis, ctx, r=None, ell=None):
     """The matrix of op in the submodule basis (columns = coordinates of the
     images of the basis vectors).
 
-    Given r (ell defaults to the one with r^ell = n), the pair-structured
-    bases built by submodule_bases take coefficient-symmetry conditions, O(n)
-    per image, in place of the exact solve; other bases use solve_in_span.
+    Given r (ell defaults to the one with r^ell = n), a basis built by
+    submodule_bases is read off op's matrix by _read_pairs.  Without r,
+    every basis goes through the exact solve, solve_in_span: an independent
+    reference for the reader, which shares none of its code.
     """
     if basis.label in ("W+", "W-", "A", "B") and r is not None:
         n = len(basis.vectors[0])
         ell = ell or next(e for e in itertools.count(1) if r ** e >= n)
-        return _restrict_paired(op, basis, ctx, r, ell)
+        return _read_pairs(op, basis.label, ctx, _flat_pairs(r, ell))
     images = [op.apply(list(v)) for v in basis.vectors]
     coords = solve_in_span(ctx, basis.vectors, images)
     return DenseMatrix.from_columns(ctx, coords)
 
 
-def _restrict_paired(op, basis, ctx, r, ell):
-    flat_pairs = _flat_pairs(r, ell)
-    label = basis.label
-    minus = label == "W-"
-    cols = []
-    for v in basis.vectors:
-        img = op.apply(list(v))
-        zero_coeff = img[0]
-        for fl, fn in flat_pairs:
-            want = ctx.neg(img[fl]) if minus else img[fl]
-            if img[fn] != want:
-                raise NotInvariant(
-                    f"{label}: image coefficient at -xi breaks the pair symmetry")
-        if label in ("W-", "A") and zero_coeff != ctx.zero:
-            raise NotInvariant(f"{label}: image has a v_0 component")
-        pair_coords = [img[fl] for fl, _ in flat_pairs]
-        if label == "W+":
-            cols.append([zero_coeff] + pair_coords)
-        elif label == "B":
-            cols.append(pair_coords + [zero_coeff])
-        else:
-            cols.append(pair_coords)
-    return DenseMatrix.from_columns(ctx, cols)
-
-
 def restrict_quotient(op, params):
-    """The matrix of op on W/B in char 2, in the basis {v_xi + B}.
-
-    Since v_(-xi) = (v_xi + v_(-xi)) - v_xi = v_xi mod B, the class of an
-    image is read off as coefficient(xi) + coefficient(-xi) over the
-    representative indices.
-    """
+    """The matrix of op on W/B in char 2, in the basis {v_xi + B}: since
+    v_(-xi) = v_xi mod B, an image's class is read off (_read_pairs) as
+    coefficient(xi) + coefficient(-xi) over the representative indices."""
     ctx = params.ctx
     if ctx.char != 2:
         raise WrongCharacteristic("quotient restriction needs characteristic 2")
-    flat_pairs = _flat_pairs(params.r, params.ell)
-    cols = []
-    for v in quotient_representatives(params).vectors:
-        img = op.apply(list(v))
-        cols.append([ctx.add(img[a], img[b]) for a, b in flat_pairs])
-    return DenseMatrix.from_columns(ctx, cols)
+    return _read_pairs(op, "W/B", ctx, _flat_pairs(params.r, params.ell))
+
+
+def _read_pairs(op, label, ctx, pairs):
+    """The matrix of op on the basis labelled W+, W-, A or B, or on W/B,
+    read off op.materialize(), whose column j is the image of v_j.
+
+    The image of y_xi = v_xi +- v_(-xi) is column xi +- column -xi, by add
+    or sub alone, skipping zeros.  Its coordinates are its entries at 0
+    (W+, B) and at the representatives; NotInvariant unless the entries at
+    -xi repeat them (negated on W-) and, on W- and A, the entry at 0 is 0.
+    On W/B the coordinates of column xi are entry xi + entry -xi."""
+    zero, neg = ctx.zero, ctx.neg
+    minus = label == "W-"
+    combine = ctx.sub if minus else ctx.add
+    reps, negs = zip(*pairs)
+
+    def pair_sum(xs, ys):
+        return [x if y == zero else combine(x, y) for x, y in zip(xs, ys)]
+
+    cols = list(zip(*op.materialize().rows))
+    if label == "W/B":
+        return DenseMatrix.from_columns(ctx, [
+            pair_sum([cols[a][j] for j in reps], [cols[a][j] for j in negs]) for a in reps])
+    images, at = [pair_sum(cols[a], cols[b]) for a, b in pairs], reps
+    if label in ("W+", "B"):  # v_0 is first in W+ and last in B
+        k = 0 if label == "W+" else len(reps)
+        images.insert(k, cols[0])
+        at = reps[:k] + (0,) + reps[k:]
+    for img in images:
+        at_xi = [img[j] for j in reps]
+        mirror = [x if x == zero else neg(x) for x in at_xi] if minus else at_xi
+        if [img[j] for j in negs] != mirror:
+            raise NotInvariant(f"{label}: image coefficient at -xi breaks the pair symmetry")
+        if label in ("W-", "A") and img[0] != zero:
+            raise NotInvariant(f"{label}: image has a v_0 component")
+    return DenseMatrix.from_columns(ctx, [[img[j] for j in at] for img in images])
 
 
 def weil_image_irreducible(g, gens, which, word=None):

@@ -1,14 +1,19 @@
+import itertools
+
 import pytest
 
-from spweil.fields import CyclotomicContext, FieldSpec, make_field
+from spweil import submodules, symplectic
+from spweil.fields import (CyclotomicContext, ExtensionFieldContext, FieldSpec,
+                           PrimeFieldContext, make_field)
 from spweil.generators import weil_generators
 from spweil.linalg import DenseMatrix, SingularMatrix
 from spweil.operators import DenseOp, WeilParams, flat_index
 from spweil.submodules import (NotInvariant, SubmoduleBasis, WrongCharacteristic,
-                               quotient_representatives, representative_indices,
-                               restrict, restrict_quotient, solve_in_span, spin,
-                               submodule_bases, weil_image_irreducible)
-from spweil.symplectic import SpMatrix, random_element, weil_image
+                               _flat_pairs, quotient_representatives,
+                               representative_indices, restrict, restrict_quotient,
+                               solve_in_span, spin, submodule_bases,
+                               weil_image_irreducible)
+from spweil.symplectic import SpMatrix, random_element, weil_image, weil_image_op
 
 
 def test_representative_indices():
@@ -22,6 +27,16 @@ def test_representative_indices():
         assert xi < neg
     reps = representative_indices(5, 2)
     assert len(reps) == 12
+
+
+def test_pair_table_lists_the_representatives_in_order():
+    # the (xi, -xi) table read off the negation permutation lists the flat
+    # pairs of representative_indices in its order, the W+- coordinate order
+    for r in (3, 5, 7, 11):
+        for ell in itertools.takewhile(lambda e: r ** e <= 1331, itertools.count(1)):
+            want = tuple((flat_index(xi, r), flat_index(tuple(-x % r for x in xi), r))
+                         for xi in representative_indices(r, ell))
+            assert _flat_pairs(r, ell) == want
 
 
 def test_dims_char0(cyc3, cyc5):
@@ -77,16 +92,47 @@ def test_restrict_not_invariant(cyc3):
         restrict(gens.A[0], wm, cyc3, 3, 1)
 
 
-def test_fast_path_matches_generic_solve(cyc3, gf4):
-    # the pair-structure shortcut agrees with the RREF solve
-    for ctx, ell in ((cyc3, 1), (cyc3, 2), (gf4, 1)):
-        params = WeilParams(3, ell, ctx)
+def _generators_and_word_images(params, gens, seeds=(0, 1)):
+    """The generating operators, then the word-route images of random
+    elements as DenseOps."""
+    r, ell = params.r, params.ell
+    ops = [op for _, _, _, op in gens.sp_generating_ops()]
+    return ops + [DenseOp(params, weil_image_op(random_element(ell, r, seed), gens).materialize())
+                  for seed in seeds]
+
+
+def test_fast_path_matches_generic_solve(cyc3, gf4, cyc5, gf11, gf16):
+    # the pair reader agrees with the RREF solve on every pair label, for
+    # the generators and for word-route images
+    cases = [(3, 1, cyc3), (3, 2, cyc3), (3, 1, gf4)]
+    cases += [(5, ell, ctx) for ctx in (cyc5, gf11, gf16) for ell in (1, 2)]
+    for r, ell, ctx in cases:
+        params = WeilParams(r, ell, ctx)
         gens = weil_generators(params)
+        ops = _generators_and_word_images(params, gens)
         for basis in submodule_bases(params):
-            for _, _, _, op in gens.sp_generating_ops():
-                fast = restrict(op, basis, ctx, 3, ell)
+            for op in ops:
+                fast = restrict(op, basis, ctx, r, ell)
                 generic = restrict(op, basis, ctx)
                 assert fast == generic
+
+
+def test_restrict_without_r_is_the_exact_solve(monkeypatch, gf7):
+    # with no r every basis, the pair bases included, goes through
+    # solve_in_span, so it stays a reference independent of the pair reader
+    calls = []
+    solve = submodules.solve_in_span
+    monkeypatch.setattr(submodules, "solve_in_span",
+                        lambda *args: calls.append(1) or solve(*args))
+    params = WeilParams(3, 2, gf7)
+    gens = weil_generators(params)
+    bases = submodule_bases(params)
+    for basis in bases:
+        restrict(gens.lamC[0], basis, gf7)
+    assert len(calls) == len(bases)
+    for basis in bases:
+        restrict(gens.lamC[0], basis, gf7, 3, 2)
+    assert len(calls) == len(bases)
 
 
 def test_restrict_takes_ell_from_the_basis(gf7, gf4):
@@ -176,6 +222,24 @@ def test_char2_chain_and_quotient(gf4):
         assert full == gf4.add(gf4.add(t_a, t_ba), t_q)
 
 
+def test_quotient_matches_solve_in_span_reference():
+    # each image of a representative v_xi, written by the exact solve in
+    # B's basis plus the representatives: its representative coordinates
+    # are its class in W/B
+    for r in (3, 5, 7):
+        ctx = make_field(FieldSpec("auto-char2", r))  # GF(4), GF(16), GF(8)
+        for ell in (1, 2):
+            params = WeilParams(r, ell, ctx)
+            gens = weil_generators(params)
+            heart = next(b for b in submodule_bases(params) if b.label == "B")
+            reps = quotient_representatives(params).vectors
+            for op in _generators_and_word_images(params, gens):
+                images = [op.apply(list(v)) for v in reps]
+                coords = solve_in_span(ctx, heart.vectors + reps, images)
+                want = DenseMatrix.from_columns(ctx, [c[heart.dim:] for c in coords])
+                assert restrict_quotient(op, params) == want
+
+
 def test_quotient_requires_char2(cyc3):
     params = WeilParams(3, 1, cyc3)
     gens = weil_generators(params)
@@ -240,22 +304,46 @@ def test_socle_isomorphic_quotient_dims_and_traces(gf4):
         assert a_mat.trace() == q_mat.trace()
 
 
+def _count_muls(monkeypatch):
+    """A list that gains an entry at each field mul, in every family."""
+    calls = []
+    for cls in (CyclotomicContext, PrimeFieldContext, ExtensionFieldContext):
+        mul = cls.mul
+        monkeypatch.setattr(cls, "mul",
+                            lambda self, a, b, mul=mul: calls.append(1) or mul(self, a, b))
+    return calls
+
+
 def test_restrict_dense_image_on_pair_bases_makes_no_multiply(monkeypatch):
-    # the pair bases' vectors have entries 0, 1 and -1, so a dense image
-    # restricts by adding and subtracting its columns; the generic solve is
-    # the reference
+    # the pair reader restricts a dense image by adding and subtracting its
+    # columns: no field multiply in restrict, restrict_quotient or any of
+    # weil_image_irreducible's four constituents; the generic solve is the
+    # reference
     ctx = make_field(FieldSpec("cyclotomic", 5))
     params = WeilParams(5, 2, ctx)
     gens = weil_generators(params)
-    op = DenseOp(params, weil_image(random_element(2, 5, 7), gens))
-    calls = []
-    mul = CyclotomicContext.mul
-    monkeypatch.setattr(CyclotomicContext, "mul",
-                        lambda self, a, b: calls.append(1) or mul(self, a, b))
+    g = random_element(2, 5, 7)
+    op = DenseOp(params, weil_image(g, gens))
+    ctx2 = make_field(FieldSpec("auto-char2", 5))
+    params2 = WeilParams(5, 2, ctx2)
+    gens2 = weil_generators(params2)
+    op2 = DenseOp(params2, weil_image(g, gens2))
+    images = {id(gens): op.mat, id(gens2): op2.mat}
+    monkeypatch.setattr(symplectic, "weil_image", lambda g, gens, word=None: images[id(gens)])
+    calls = _count_muls(monkeypatch)
     got = {b.label: restrict(op, b, ctx, 5, 2) for b in submodule_bases(params)}
+    got2 = {b.label: restrict(op2, b, ctx2, 5, 2) for b in submodule_bases(params2)}
+    quotient = restrict_quotient(op2, params2)
+    constituents = {which: weil_image_irreducible(g, gens, which) for which in ("plus", "minus")}
+    constituents.update((which, weil_image_irreducible(g, gens2, which))
+                        for which in ("socle", "quotient"))
     assert calls == []
     monkeypatch.undo()
     for basis in submodule_bases(params):
         images = [op.mat.apply(list(v)) for v in basis.vectors]
         want = DenseMatrix.from_columns(ctx, solve_in_span(ctx, basis.vectors, images))
         assert got[basis.label] == want
+    for basis in submodule_bases(params2):
+        assert got2[basis.label] == restrict(op2, basis, ctx2)
+    assert constituents == {"plus": got["W+"], "minus": got["W-"], "socle": got2["A"],
+                            "quotient": quotient}
