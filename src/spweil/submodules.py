@@ -54,8 +54,8 @@ def representative_indices(r, ell):
 
 @functools.lru_cache(maxsize=32)
 def _flat_pairs(r, ell):
-    """The flat positions (xi, -xi) of each representative index xi, in
-    its order: xi < -xi lexicographically exactly when flat(xi) < flat(-xi)."""
+    """The flat positions (xi, -xi) of the representative indices xi, in
+    their order: xi < -xi lexicographically exactly when flat(xi) < flat(-xi)."""
     return tuple((j, k) for j, k in enumerate(negation_perm(r, ell)) if j < k)
 
 
