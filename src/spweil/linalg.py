@@ -47,17 +47,23 @@ def _eliminate(ctx, rows, m):
     return ctx.neg(det) if sign else det
 
 
-def sparse_rows(zero, n, blocks, starts, stride=1):
+def sparse_rows(zero, n, blocks, starts, stride=1, pool=None):
     """Row tuples of n entries, one per (b, c) in starts, zero but for
     blocks[b] at columns c, c + stride, ...: slices [n - c, 2n - c) of one
-    2n-long window per block, zero but for the block at n, n + stride, ...."""
+    2n-long window per block, zero but for the block at n, n + stride, ....
+    pool, a dict a caller keeps for one n and zero, maps (block, stride) to
+    {column: row}: a row made before is returned as that tuple, not sliced."""
     pad = [zero] * n
     windows = []
     for block in blocks:
         window = pad + pad
         window[n:n + len(block) * stride:stride] = block
         windows.append(tuple(window))
-    return tuple(windows[b][n - c:2 * n - c] for b, c in starts)
+    if pool is None:
+        return tuple(windows[b][n - c:2 * n - c] for b, c in starts)
+    made = [pool.setdefault((block, stride), {}) for block in blocks]
+    return tuple(made[b].get(c) or made[b].setdefault(c, windows[b][n - c:2 * n - c])
+                 for b, c in starts)
 
 
 def solve_in_span(ctx, basis_vectors, images):
@@ -181,31 +187,21 @@ class DenseMatrix:
         return DenseMatrix.from_columns(
             self.ctx, solve_in_span(self.ctx, self.columns(), ident.columns()))
 
-    def kron(self, other):
-        """Kronecker product; the left factor carries the more significant index."""
-        ctx = self.ctx
-        if other.ctx is not ctx:
-            raise ValueError("mixed field contexts")
-        mul, zero = ctx.mul, ctx.zero
-        rows = []
-        for arow in self.rows:
-            for brow in other.rows:
-                out = []
-                for a in arow:
-                    if a == zero:
-                        out.extend([zero] * len(brow))
-                    else:
-                        out.extend(mul(a, b) for b in brow)
-                rows.append(tuple(out))
-        return DenseMatrix(ctx, rows)
+    def render_rows(self, spell, render, memo):
+        """render(row's entries as spell writes them) for each row, kept in
+        memo by id(row) while the caller holds the rows, so a row shared
+        with a matrix rendered before is not rendered again.  spell runs
+        once per distinct entry of the new rows: a Weil generator has at
+        most r + 1, not n^2."""
+        new = [row for row in self.rows if id(row) not in memo]
+        if new:
+            get = {a: spell(a) for a in set(chain.from_iterable(new))}.__getitem__
+            for row in new:
+                memo[id(row)] = render(map(get, row))
+        return list(map(memo.__getitem__, map(id, self.rows)))
 
-    def entry_texts(self, spell):
-        """{entry: spell(entry)} over the distinct entries: a Weil generator
-        has at most r + 1 of them, so spell runs a few times, not n^2."""
-        return {a: spell(a) for a in set(chain.from_iterable(self.rows))}
-
-    def serialize(self):
+    def serialize(self, forms=None):
         """The rows as lists of ctx.serialize_elem forms; equal entries share
-        one form object, so the JSON writer encodes each once."""
-        get = self.entry_texts(self.ctx.serialize_elem).__getitem__
-        return [list(map(get, row)) for row in self.rows]
+        one form object, so the JSON writer encodes each once, and a row
+        already in forms (render_rows) shares its list."""
+        return self.render_rows(self.ctx.serialize_elem, list, {} if forms is None else forms)

@@ -26,7 +26,8 @@ apply(), mul_packed() and materialize() make field values.  materialize()
 returns the DenseMatrix whose column xi is apply(e_xi): a monomial's r entry
 values, or a Fourier factor's r slot_block rows, are each written once into
 a zero-padded window, and every row is a tuple sliced from one of them
-(linalg.sparse_rows).  det() and trace() are those of materialize() unless
+(linalg.sparse_rows), which shares equal rows through a caller's row pool
+(the others ignore it).  det() and trace() are those of materialize() unless
 the structure gives them directly (a monomial's do).
 
 Each operator multiplies by two kernels and nothing else: apply on a
@@ -109,7 +110,7 @@ class Operator:
             return NotImplemented
         return ProductOp(self.params, (self, other))
 
-    def materialize(self):
+    def materialize(self, pool=None):
         raise NotImplementedError
 
     def det(self):
@@ -223,13 +224,13 @@ class MonomialOp(Operator):
             return False
         return self.ctx.mul_theta_power(self.scale, k) == other.scale
 
-    def materialize(self):
+    def materialize(self, pool=None):
         """Row perm[j] is table[expo[j]] in column j and zero elsewhere."""
         starts = [None] * self.n
         for j, (p, e) in enumerate(zip(self.perm, self.expo)):
             starts[p] = (e, j)
         blocks = [(v,) for v in self.table]
-        return DenseMatrix(self.ctx, sparse_rows(self.ctx.zero, self.n, blocks, starts))
+        return DenseMatrix(self.ctx, sparse_rows(self.ctx.zero, self.n, blocks, starts, 1, pool))
 
     def det(self):
         """Determinant: permutation sign times scale^n times theta^(sum of
@@ -297,14 +298,15 @@ class FourierOp(Operator):
     def mul_packed(self, packed):
         packed.fourier(self._stride, self._table)
 
-    def materialize(self):
+    def materialize(self, pool=None):
         """I (x) K (x) I for K = slot_block(self, t): row i is row x = i_t of K
         at columns i - x * stride + k * stride, k in [0, r), sliced from the
         window of K's row x (linalg.sparse_rows)."""
         r, stride = self.params.r, self._stride
         starts = ((i // stride % r, i - i // stride % r * stride) for i in range(self.n))
         kernel = slot_block(self, self.t).rows
-        return DenseMatrix(self.ctx, sparse_rows(self.ctx.zero, self.n, kernel, starts, stride))
+        return DenseMatrix(self.ctx, sparse_rows(self.ctx.zero, self.n, kernel, starts, stride,
+                                                 pool))
 
     def inverse(self):
         # C_t^2 = r * N_t with N_t negating slot t, so C_t^-1 = r^-1 * N_t * C_t
@@ -349,7 +351,7 @@ class DenseOp(Operator):
     def inverse(self):
         return DenseOp(self.params, self.mat.inverse())
 
-    def materialize(self):
+    def materialize(self, pool=None):
         return self.mat
 
 
@@ -373,7 +375,7 @@ class ProductOp(Operator):
     def inverse(self):
         return ProductOp(self.params, tuple(f.inverse() for f in reversed(self.factors)))
 
-    def materialize(self):
+    def materialize(self, pool=None):
         if not self.factors:
             return DenseMatrix.identity(self.ctx, self.n)
         return DenseMatrix(self.ctx, self.ctx.product_rows(self.factors))

@@ -14,10 +14,13 @@ Matrix keys: "C1".."Cl" are the determinant-one lam*C_t; "D12"... and
 "U1".."Ul" the other group generators; with extras enabled also "rawC1"...,
 "A1"..., "B1"..., "E1"..., "sigma".
 
-All three writers work per distinct entry and per row, not per entry.  A
-Weil generator matrix has at most r + 1 distinct entries, so each matrix
-gets a table from entry to its text (DenseMatrix.entry_texts) and every row
-is a C-level join over it.  dumps_document writes the bytes of
+All three writers work per distinct entry and per distinct row.  Equal rows
+of a generator set are one tuple (generator_matrices' row pool lives for
+one call), and a writer keeps each row's text, or its form list in
+build_document, by id(row) for one document: documents may share row lists
+as they share entry forms.  A matrix's new rows get one table from entry to
+text (DenseMatrix.render_rows; at most r + 1 entries in a Weil generator)
+and each is a C-level join over it.  dumps_document writes the bytes of
 json.dumps(doc, indent=2) + "\n" itself, since the standard library
 encodes with its pure-Python encoder whenever indent is set; the tests
 keep json.dumps as the reference.
@@ -34,15 +37,17 @@ from .symplectic import GenToken
 
 
 def generator_matrices(gens, full=False):
-    """Named, materialised generator matrices in emission order."""
-    out = {GenToken(kind, t, s).name: op.materialize()
+    """Named, materialised generator matrices in emission order; equal rows
+    are one tuple, through one row pool (linalg.sparse_rows) for the call."""
+    pool = {}
+    out = {GenToken(kind, t, s).name: op.materialize(pool)
            for kind, t, s, op in gens.sp_generating_ops()}
     if full:
         for name, ops in (("rawC", gens.rawC), ("A", gens.A),
                           ("B", gens.B), ("E", gens.E)):
             for t in range(1, gens.ell + 1):
-                out[f"{name}{t}"] = ops[t - 1].materialize()
-        out["sigma"] = gens.sigma.materialize()
+                out[f"{name}{t}"] = ops[t - 1].materialize(pool)
+        out["sigma"] = gens.sigma.materialize(pool)
     return out
 
 
@@ -57,13 +62,8 @@ def serialize_word(word):
     return out
 
 
-def parse_word(records):
-    return [GenToken(rec["gen"], rec["t"], rec.get("s"), rec["exp"])
-            for rec in records]
-
-
 def build_document(gens, matrices, word=None):
-    ctx = gens.ctx
+    ctx, forms = gens.ctx, {}
     doc = {
         "r": gens.r,
         "l": gens.ell,
@@ -71,7 +71,7 @@ def build_document(gens, matrices, word=None):
         "theta": ctx.serialize_elem(ctx.theta),
         "lambda": ctx.serialize_elem(gens.lam),
         "version": __version__,
-        "matrices": {name: mat.serialize() for name, mat in matrices.items()},
+        "matrices": {name: mat.serialize(forms) for name, mat in matrices.items()},
     }
     if word is not None:
         doc["word"] = serialize_word(word)
@@ -195,18 +195,18 @@ def emit_magma(gens, matrices, out):
         out.write(f"K<x> := ext<GF({ctx.p}) | {_modulus(ctx.modulus, 'X')}>;\n")
         out.write(f"theta := {_magma_elem(ctx, ctx.theta)};\n")
     out.write(f"lambda := {_magma_elem(ctx, gens.lam)};\n")
-    spell = functools.partial(_magma_elem, ctx)
+    spell, lines = functools.partial(_magma_elem, ctx), {}
     for name, mat in matrices.items():
         out.write(f"{name} := Matrix(K, {mat.nrows}, {mat.ncols}, [\n"
-                  f"{_rows_text(mat, spell, '', '')}\n]);\n")
+                  f"{_rows_text(mat, spell, '', '', lines)}\n]);\n")
 
 
-def _rows_text(mat, spell, left, right):
+def _rows_text(mat, spell, left, right, lines):
     """One line per row: two spaces, left, the entries as spell writes them
-    joined by ", ", then right; the lines joined by ",\n".  spell runs once
-    per distinct entry."""
-    get = mat.entry_texts(spell).__getitem__
-    return ",\n".join([f"  {left}{', '.join(map(get, row))}{right}" for row in mat.rows])
+    joined by ", ", then right; the lines joined by ",\n".  lines keeps the
+    document's lines (DenseMatrix.render_rows)."""
+    return ",\n".join(mat.render_rows(
+        spell, lambda entries: f"  {left}{', '.join(entries)}{right}", lines))
 
 
 def _gap_elem(ctx, value, r):
@@ -235,9 +235,9 @@ def emit_gap(gens, matrices, out):
         out.write("a := RootOfDefiningPolynomial(K);;\n")
         out.write(f"theta := {_gap_elem(ctx, ctx.theta, r)};;\n")
     out.write(f"lambda_ := {_gap_elem(ctx, gens.lam, r)};;\n")
-    spell = functools.partial(_gap_elem, ctx, r=r)
+    spell, lines = functools.partial(_gap_elem, ctx, r=r), {}
     for name, mat in matrices.items():
-        out.write(f"{name} := [\n{_rows_text(mat, spell, '[ ', ' ]')}\n];;\n")
+        out.write(f"{name} := [\n{_rows_text(mat, spell, '[ ', ' ]', lines)}\n];;\n")
 
 
 def parse_matrix_text(text, ell, r):

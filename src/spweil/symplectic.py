@@ -128,14 +128,6 @@ def sp_form(ell, r):
                                    ((k % 2, k ^ 1) for k in range(2 * ell))))
 
 
-def symplectic_pairing(u, v, r):
-    """b(u, v) for coordinate vectors in the interleaved basis."""
-    acc = 0
-    for i in range(0, len(u), 2):
-        acc += u[i] * v[i + 1] - u[i + 1] * v[i]
-    return acc % r
-
-
 def gen_images(ell, r):
     """Images of the base tokens (exponent 1) in Sp(2l, r)."""
     out = {}

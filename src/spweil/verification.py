@@ -419,23 +419,29 @@ def _submodule_checks(report, params, gens):
                       heart.dim - socle.dim),
                      (True, True, True, 1), "0 < A < B < W with dim B/A = 1")
 
-    restricted = {}  # (basis label, generator name) -> matrix
+    restricted = {}  # (basis label or "W/B", generator name) -> matrix
 
     def invariance_failures():
+        # every restriction of an operator reads one matrix, dropped after;
+        # spin and trace keep the structured operators
         for name, op in named:
+            mat = DenseOp(params, op.materialize())
             for basis in bases:
                 try:
-                    restricted[(basis.label, name)] = restrict(op, basis, ctx, r, ell)
+                    restricted[(basis.label, name)] = restrict(mat, basis, ctx, r, ell)
                 except NotInvariant as exc:
                     yield f"{name} on {basis.label}: {exc}"
+            if char2:
+                restricted[("W/B", name)] = restrict_quotient(mat, params)
 
     if not report.record("submodule-invariance", pstr, invariance_failures()):
         return
+    sigma = DenseOp(params, gens.sigma.materialize())
 
     if not char2:
         w_plus, w_minus = bases
-        sig_plus = restrict(gens.sigma, w_plus, ctx, r, ell)
-        sig_minus = restrict(gens.sigma, w_minus, ctx, r, ell)
+        sig_plus = restrict(sigma, w_plus, ctx, r, ell)
+        sig_minus = restrict(sigma, w_minus, ctx, r, ell)
         eye_p = DenseMatrix.identity(ctx, w_plus.dim)
         eye_m = DenseMatrix.identity(ctx, w_minus.dim)
         _check_value(report, "sigma-eigenspaces", pstr,
@@ -443,7 +449,7 @@ def _submodule_checks(report, params, gens):
                      "sigma is +1 on W+ and -1 on W-", ctx)
     else:
         socle, heart = bases
-        sig_b = restrict(gens.sigma, heart, ctx, r, ell)
+        sig_b = restrict(sigma, heart, ctx, r, ell)
         _check_value(report, "sigma-eigenspaces", pstr, sig_b,
                      DenseMatrix.identity(ctx, heart.dim),
                      "sigma is trivial on B", ctx)
@@ -458,7 +464,7 @@ def _submodule_checks(report, params, gens):
             for name, op in named:
                 t_a = restricted[("A", name)].trace()
                 t_ba = restricted[("B", name)].rows[-1][-1]
-                t_q = restrict_quotient(op, params).trace()
+                t_q = restricted[("W/B", name)].trace()
                 if op.trace() != ctx.add(ctx.add(t_a, t_ba), t_q):
                     yield f"trace additivity fails for {name}"
 

@@ -1,6 +1,22 @@
 import pytest
 
 from spweil.fields import FieldSpec, make_field
+from spweil.linalg import DenseMatrix
+
+
+def _kron(a, b):
+    """Kronecker product of DenseMatrix a and b; a carries the more
+    significant index."""
+    ctx = a.ctx
+    if b.ctx is not ctx:
+        raise ValueError("mixed field contexts")
+    return DenseMatrix(ctx, [[ctx.mul(x, y) for x in arow for y in brow]
+                             for arow in a.rows for brow in b.rows])
+
+
+@pytest.fixture(scope="session")
+def kron():
+    return _kron
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -45,6 +46,14 @@ def test_sparse_rows_place_each_block(n, data):
             row[c + k * stride] = v
         want.append(tuple(row))
     assert sparse_rows(0, n, blocks, starts, stride) == tuple(want)
+    # through a pool the rows are the same, and a second call returns the
+    # first call's row objects, one per distinct row
+    pool = {}
+    first = sparse_rows(0, n, blocks, starts, stride, pool)
+    again = sparse_rows(0, n, blocks[::-1], [(len(blocks) - 1 - b, c) for b, c in starts],
+                        stride, pool)
+    assert first == tuple(want) and all(map(operator.is_, first, again))
+    assert len({id(row) for row in first}) == len(set(want))
 
 
 def test_det_of_C_over_gf7(gf7):
@@ -135,42 +144,42 @@ def test_singular_matrix_raises(gf7):
         m.inverse()
 
 
-def test_kron_identity(gf7):
+def test_kron_identity(gf7, kron):
     m = DenseMatrix(gf7, [[1, 2], [3, 4]])
     eye1 = DenseMatrix.identity(gf7, 1)
-    assert eye1.kron(m) == m
-    assert m.kron(eye1) == m
+    assert kron(eye1, m) == m
+    assert kron(m, eye1) == m
 
 
-def test_kron_matches_tensor_slots(gf7):
+def test_kron_matches_tensor_slots(gf7, kron):
     # kron(A, I_3) = materialize(A_1) and kron(I_3, A) = materialize(A_2) at l=2
     p1 = WeilParams(3, 1, gf7)
     p2 = WeilParams(3, 2, gf7)
     A = op_A(p1, 1).materialize()
     eye3 = DenseMatrix.identity(gf7, 3)
-    assert A.kron(eye3) == op_A(p2, 1).materialize()
-    assert eye3.kron(A) == op_A(p2, 2).materialize()
+    assert kron(A, eye3) == op_A(p2, 1).materialize()
+    assert kron(eye3, A) == op_A(p2, 2).materialize()
     C = op_C(p1, 1).materialize()
-    assert C.kron(eye3) == op_C(p2, 1).materialize()
-    assert eye3.kron(C) == op_C(p2, 2).materialize()
+    assert kron(C, eye3) == op_C(p2, 1).materialize()
+    assert kron(eye3, C) == op_C(p2, 2).materialize()
 
 
 @given(seed=st.integers(0, 10 ** 6))
 @settings(max_examples=25, deadline=None)
-def test_kron_associative(seed):
+def test_kron_associative(seed, kron):
     ctx = make_field(FieldSpec("auto-prime", 3))
     rng = random.Random(seed)
     a = _random_matrix(ctx, 2, rng)
     b = _random_matrix(ctx, 2, rng)
     c = _random_matrix(ctx, 2, rng)
-    assert a.kron(b).kron(c) == a.kron(b.kron(c))
+    assert kron(kron(a, b), c) == kron(a, kron(b, c))
 
 
-def test_kron_mixed_context_rejected(gf7, gf11):
+def test_kron_mixed_context_rejected(gf7, gf11, kron):
     a = DenseMatrix.identity(gf7, 2)
     b = DenseMatrix.identity(gf11, 2)
     with pytest.raises(ValueError):
-        a.kron(b)
+        kron(a, b)
     with pytest.raises(ValueError):
         a * b
 

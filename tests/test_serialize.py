@@ -1,6 +1,9 @@
 """serialize.dumps_document writes json.dumps(doc, indent=2) + "\\n" itself;
-these tests keep the standard library's writer as the reference."""
+these tests keep the standard library's writer as the reference.  The last
+ones check generator_matrices' row pool and the writers' per-row memos
+against each operator's own matrix and against unshared rows."""
 
+import io
 import json
 
 import pytest
@@ -8,7 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spweil import cli, serialize
+from spweil.fields import FieldSpec, make_field
+from spweil.generators import weil_generators
 from spweil.linalg import DenseMatrix
+from spweil.operators import WeilParams
+from spweil.symplectic import GenToken
 
 
 def reference_dumps(doc):
@@ -87,3 +94,72 @@ DOCUMENTS = st.recursive(SCALARS, _containers, max_leaves=30)
 @given(DOCUMENTS)
 def test_writer_matches_the_reference_on_nested_values(doc):
     assert serialize.dumps_document(doc) == reference_dumps(doc)
+
+
+FAMILIES = ["cyclotomic", "auto-prime", "auto-char2"]
+
+
+def _generator_set(kind, r, ell):
+    return weil_generators(WeilParams(r, ell, make_field(FieldSpec(kind, r))))
+
+
+def _named_operators(gens, full):
+    """The operator behind each name of generator_matrices(gens, full)."""
+    ops = {GenToken(kind, t, s).name: op for kind, t, s, op in gens.sp_generating_ops()}
+    if full:
+        for name, group in (("rawC", gens.rawC), ("A", gens.A), ("B", gens.B), ("E", gens.E)):
+            ops.update((f"{name}{t}", op) for t, op in enumerate(group, 1))
+        ops["sigma"] = gens.sigma
+    return ops
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_pooled_matrices_are_each_operators_own(kind, ell, full):
+    gens = _generator_set(kind, 3, ell)
+    mats = serialize.generator_matrices(gens, full)
+    ops = _named_operators(gens, full)
+    assert list(mats) == list(ops)
+    for name, op in ops.items():
+        assert mats[name] == op.materialize(), name
+
+
+def _rows(mats):
+    return [row for mat in mats.values() for row in mat.rows]
+
+
+@pytest.mark.parametrize("kind,r,ell", [(kind, 3, 2) for kind in FAMILIES]
+                         + [("auto-prime", 5, 2), ("cyclotomic", 3, 3)], ids=str)
+def test_equal_rows_of_a_generator_set_are_one_object(kind, r, ell):
+    rows = _rows(serialize.generator_matrices(_generator_set(kind, r, ell), full=True))
+    assert len({id(row) for row in rows}) == len(set(rows)) < len(rows)
+
+
+def test_two_calls_share_no_row():
+    gens = _generator_set("auto-prime", 3, 2)
+    first = serialize.generator_matrices(gens, full=True)
+    second = serialize.generator_matrices(gens, full=True)
+    assert first == second
+    assert not {id(row) for row in _rows(first)} & {id(row) for row in _rows(second)}
+
+
+def _texts(gens, mats):
+    """The JSON, Magma and GAP text of mats."""
+    out = [serialize.dumps_document(serialize.build_document(gens, mats))]
+    for emit in (serialize.emit_magma, serialize.emit_gap):
+        text = io.StringIO()
+        emit(gens, mats, text)
+        out.append(text.getvalue())
+    return out
+
+
+@pytest.mark.parametrize("kind,r,ell", [(kind, 3, 2) for kind in FAMILIES]
+                         + [("auto-char2", 5, 2), ("cyclotomic", 5, 1)], ids=str)
+def test_shared_rows_write_the_text_of_unshared_rows(kind, r, ell):
+    gens = _generator_set(kind, r, ell)
+    pooled = serialize.generator_matrices(gens, full=True)
+    unshared = {name: DenseMatrix(mat.ctx, [tuple(list(row)) for row in mat.rows])
+                for name, mat in pooled.items()}
+    assert len({id(row) for row in _rows(unshared)}) == len(_rows(unshared))
+    assert _texts(gens, pooled) == _texts(gens, unshared)

@@ -1,9 +1,11 @@
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from spweil import verification
 from spweil.fields import (CyclotomicContext, FieldSpec, PackedRows, PlaneRows,
                            PrimeFieldContext, make_field, parse_field_spec)
 from spweil.generators import op_B, weil_generators
@@ -587,3 +589,25 @@ def test_closure_at_and_past_the_lane_budget(spec, lane_by_lane, monkeypatch):
     monkeypatch.setattr(PackedRows, "_lanes", lambda self, row: calls.append(1) or lanes(self, row))
     assert closure_order(mats, 10 ** 6) == 24
     assert bool(calls) == lane_by_lane
+
+
+@pytest.mark.parametrize("kind,r,ell", [("cyclotomic", 3, 2), ("auto-prime", 5, 2),
+                                        ("auto-char2", 3, 2)], ids=str)
+def test_submodule_checks_materialise_each_operator_once(kind, r, ell, monkeypatch):
+    # the restrictions read one matrix per generator and sigma; in char 2,
+    # trace additivity also takes the trace of each lam*C_t, which a
+    # FourierOp reads off its matrix
+    params = WeilParams(r, ell, make_field(FieldSpec(kind, r)))
+    gens = weil_generators(params)
+    calls = Counter()
+    for cls in (MonomialOp, FourierOp):
+        def counted(self, pool=None, materialize=cls.materialize):
+            calls[id(self)] += 1
+            return materialize(self, pool)
+        monkeypatch.setattr(cls, "materialize", counted)
+    report = VerificationReport()
+    verification._submodule_checks(report, params, gens)
+    assert report.ok, report.summary()
+    ops = [op for *_, op in gens.sp_generating_ops()] + [gens.sigma]
+    char2 = kind == "auto-char2"
+    assert calls == Counter({id(op): 1 + (char2 and isinstance(op, FourierOp)) for op in ops})
