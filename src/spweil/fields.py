@@ -21,29 +21,32 @@ theta times one scalar.  mul_theta_power(a, e) is a * theta^e: one modular
 multiply over GF(p), a rotation of the coefficient vector over Q(theta),
 which keeps the denominator and needs no gcd, and a table lookup over
 GF(p^k) (a mul above the table bound).  fourier_apply(vec, stride,
-table) applies the Fourier kernel theta^(i*x) in one tensor slot, times the
-scale table[0][0]; over Q(theta) it sums integer rotations over one common
-denominator and normalises each output once.  pi_map reads a matrix
-through mul_theta_power alone: r calls per theta class of its entries
-register their codes, and rows are matched on those integers.
+table), one method for every family, applies the Fourier kernel
+table[i][x] = scale * theta^(i*x) in one tensor slot, one dot per output
+entry.  pi_map reads a matrix through mul_theta_power alone: r calls per
+theta class of its entries register their codes, and rows are matched on
+those integers.
 
 FieldContext.product_rows(factors, rows) is the bulk route for
 left-multiplying rows by operators: the rows of the product of the factors
 times M, with M the identity when rows is left out.  It materialises a
-product and applies an operator to a few columns.  A context names a
+product and applies an operator to a few columns.  Every context names a
 row_class, which holds M's rows as whole Python ints: M is loaded into it,
 every factor's mul_packed left-multiplies it, right to left, and the rows
-are read back.  A context without one (GF(p^k), and GF(p) with
-r * p^2 >= 2^64) sends the columns of M, or of the last factor's matrix,
-through every other factor's apply instead.
+are read back.
 
-* PackedRows (GF(p) with r * p^2 < 2^64) packs each row into one int of n
-  unsigned 64-bit lanes and reduces mod p lane by lane only when a lane
-  could reach 2^64, and once at the end.  Adding rows and multiplying them
-  by small integers never carries from one lane into the next while every
-  lane stays below 2^64.  After a reduction every lane is below p, and no
-  factor grows a lane by more than a Fourier row sum, at most r * (p - 1),
-  so r * p^2 < 2^64 is the whole condition.  Delayed reduction over
+* PackedRows (GF(p^k), GF(p) being k = 1) holds row j as k planes: plane c
+  packs the x^c coefficients of the row's entries in the modulus basis,
+  one lane per entry.  A value acts on the planes by its k x k
+  multiplication matrix over GF(p), the regular representation (Lidl and
+  Niederreiter, Finite Fields); a table's values are all scale * theta^e,
+  so their r matrices are cached per scale.  Lanes are reduced mod p only
+  when one could overflow, and once at the end: adding planes and
+  multiplying them by small integers never carries from one lane into the
+  next while every lane stays below 2^(8 * width - 1).  After a reduction
+  every lane is below p, and no factor grows a lane by more than a Fourier
+  row sum, at most r * k * (p - 1), so the lanes are the least multiple of
+  8 bytes that holds r * k * p^2 below that limit.  Delayed reduction over
   word-size primes follows Dumas, Giorgi and Pernet 2008 (FFLAS-FFPACK).
 * PlaneRows (Q(theta)) holds one positive denominator for the matrix and,
   per row, r ints, its planes: plane k packs the theta^k coefficients of
@@ -62,23 +65,22 @@ byte order (lane j is entry j on a little-endian host), shared by packing
 and unpacking.
 
 FieldContext.closure_steps(n, ops) gives a breadth-first group count its
-start state and one step per generator.  With a row_class a step loads a
-state, runs the op's mul_packed and returns the canonical state() of the
-result.  Over GF(p) that is the tuple of packed rows with every lane in
-[0, p): a step reduces every row int at once, x - (((x * m) >> s) & mask)
-* p, with m, s and the lane mask fixed per prime (lane_division; Granlund
-and Montgomery 1994), exact for lanes below 2^N, N = (64 - bits(p)) // 2
-- 1; a step whose lanes may reach 2^N (at r = 3 a Fourier step can from
-about p = 3,300 on) reduces lane by lane instead.  Over Q(theta) it is
-(den, width, rows) with the planes reduced mod the cyclotomic polynomial,
-gcd(den, every lane) = 1 and the narrowest lanes, the matrix's canonical
-form.  Without a row_class a state is M's tuple of column tuples and a step
-applies the op to every column.
+start state and one step per generator: a step loads a state, runs the
+op's mul_packed and returns the canonical state() of the result.  Over
+GF(p^k) that is the tuple of planes with every lane in [0, p), the
+entries' coefficients: a step reduces every int at once, x - (((x * m) >>
+s) & mask) * p, with m, s and the lane mask fixed per prime and lane width
+(lane_division; Granlund and Montgomery 1994), exact for lanes below 2^N,
+N = (8 * width - bits(p)) // 2 - 1; a step whose lanes may reach 2^N (in
+8-byte lanes at r = 3 a Fourier step can from about p = 3,300 on) reduces
+lane by lane instead.  Over Q(theta) it is (den, width, rows) with the
+planes reduced mod the cyclotomic polynomial, gcd(den, every lane) = 1 and
+the narrowest lanes, the matrix's canonical form.
 
-GF(p^k) with q <= MAX_TABLE_ORDER = 2^16 multiplies, adds and inverts by
-Zech-log tables (Huber 1990; Lidl and Niederreiter, Finite Fields, ch. 10).
-At the bound they hold about 17 MB and take about 0.5 s to build (2 vCPUs,
-Python 3.11); at q = 2^12, 1 MB and 0.06 s.  Larger fields use convolution.
+GF(p^k) with q <= MAX_TABLE_ORDER = 2^16 multiplies and inverts by log and
+exp tables (Lidl and Niederreiter, Finite Fields, ch. 10), built by half
+lookups, and adds coefficient by coefficient.  Larger fields multiply by
+convolution.
 """
 
 from __future__ import annotations
@@ -92,8 +94,6 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import DenseMatrix
-
 
 class InvalidFieldSpec(ValueError):
     """The field specification violates a divisibility or irreducibility requirement."""
@@ -104,12 +104,8 @@ class InvalidFieldSpec(ValueError):
 # polynomial of degree k; up to 2^40 both take about a second at most.
 MAX_FIELD_ORDER = 2 ** 40
 
-# Largest q = p^k for which an extension field builds Zech-log tables.
+# Largest q = p^k for which an extension field builds log and exp tables.
 MAX_TABLE_ORDER = 2 ** 16
-
-# A packed GF(p) row holds each entry in one unsigned 64-bit lane, so every
-# lane must stay below LANE_LIMIT.
-LANE_LIMIT = 2 ** 64
 
 
 def check_field_order(p, k):
@@ -347,47 +343,26 @@ class FieldContext:
                     out[off + i * stride] = dot(row, vals)
         return out
 
-    # the class that holds a matrix's rows for product_rows and
-    # closure_steps, or None for the column route
-    row_class = None
-
     def product_rows(self, factors, rows=None):
         """The rows of the product of the operators factors (applied right
         to left, at least one) times M, for M given as a tuple of row tuples
-        or the identity when rows is None.  With a row_class, M is loaded
-        into it, each factor's mul_packed multiplies it, right to left, and
-        the rows are read back; without one, the columns of M, or of the last
-        factor's matrix, go through each other factor's apply."""
+        or the identity when rows is None: M is loaded into the context's
+        row_class, each factor's mul_packed multiplies it, right to left,
+        and the rows are read back."""
         packer = self.row_class
-        if packer is not None:
-            packed = (packer.identity(self, factors[0].n) if rows is None
-                      else packer.load(self, rows))
-            for f in reversed(factors):
-                f.mul_packed(packed)
-            return packed.unpacked()
-        if rows is None:
-            cols = factors[-1].materialize().columns()
-            factors = factors[:-1]
-        else:
-            cols = zip(*rows)
+        packed = packer.identity(self, factors[0].n) if rows is None else packer.load(self, rows)
         for f in reversed(factors):
-            cols = [f.apply(col) for col in cols]
-        return tuple(zip(*cols))
+            f.mul_packed(packed)
+        return packed.unpacked()
 
     def closure_steps(self, n, ops):
         """(start, steps) for a breadth-first count of the group generated
-        by ops, n x n operators or matrices over this field with apply and
-        mul_packed: start is the identity as a hashable state, steps[i]
-        maps the state of M to that of ops[i] * M, and two states are equal
-        exactly when their matrices are.  With a row_class a state is its
-        canonical state() and a step runs the op's mul_packed on it; without
-        one, a state is M's tuple of column tuples and a step applies the op
-        to every column."""
+        by ops, n x n operators or matrices over this field with
+        mul_packed: start is the identity's canonical state() in the
+        context's row_class, steps[i] maps the state of M to that of
+        ops[i] * M by the op's mul_packed, and two states are equal exactly
+        when their matrices are."""
         packer = self.row_class
-        if packer is None:
-            def step(op):
-                return lambda cols: tuple(tuple(op.apply(c)) for c in cols)
-            return DenseMatrix.identity(self, n).rows, [step(op) for op in ops]
 
         def packed_step(mul_packed):
             def run(state):
@@ -714,6 +689,8 @@ class CyclotomicContext(FieldContext):
         return (tuple(-x for x in nums), den)
 
     def mul(self, a, b):
+        if a == self.one or b == self.one:  # a unit vector or a scale-one table
+            return b if a == self.one else a
         (na, da), (nb, db) = a, b
         d = self._d
         conv = [0] * (2 * d - 1)
@@ -741,36 +718,6 @@ class CyclotomicContext(FieldContext):
         if high:
             return (tuple(x - high for x in rot[:-1]), den)
         return (rot[:-1], den)
-
-    def fourier_apply(self, vec, stride, table):
-        r = self.r
-        n = len(vec)
-        block = stride * r
-        zero = self.zero
-        out = [zero] * n
-        scale = table[0][0]
-        unit = scale == self.one
-        for base in range(0, n, block):
-            for off in range(base, base + stride):
-                vals = vec[off:off + block:stride]
-                if vals.count(zero) == r:
-                    continue  # a zero fibre maps to zero
-                terms = [(x, v) for x, v in enumerate(vals) if v != zero]
-                den = math.lcm(*(d for _, (_, d) in terms))
-                # v_x over the common denominator, as theta^0 .. theta^(r-1)
-                full = [(x, tuple(c * (den // d) for c in nums) + (0,))
-                        for x, (nums, d) in terms]
-                for i in range(r):
-                    rotated = []
-                    for x, f in full:
-                        s = i * x % r
-                        rotated.append(f[-s:] + f[:-s] if s else f)
-                    acc = [sum(col) for col in zip(*rotated)]
-                    high = acc[-1]
-                    value = ([c - high for c in acc[:-1]], den)
-                    out[off + i * stride] = (self._norm(*value) if unit
-                                             else self.mul(value, scale))
-        return out
 
     def _conjugate(self, a, j):
         # the field automorphism theta -> theta^j
@@ -818,10 +765,175 @@ class CyclotomicContext(FieldContext):
         return f"Q(theta_{self.r})"
 
 
+def lane_division(p, width):
+    """(budget, m, s, mask) for reducing lanes of width bytes mod p all at
+    once: for every lane value x below budget = 2^N, N = (8 * width -
+    bits(p)) // 2 - 1, the lane of ((X * m) >> s) & M is x // p, where X is
+    a packed row and M repeats mask in each lane.  m = ceil(2^s / p) with
+    s = N + bits(p) makes x * m / 2^s fall short of x // p + 1 (x * (m * p
+    - 2^s) < 2^N * p <= 2^s), so the quotient is exact (Granlund and
+    Montgomery 1994, "Division by invariant integers using
+    multiplication").  x * m < 2^(2N + 1) < 2^(8 * width) keeps each lane's
+    product in its lane; the shift moves the low s bits of the next lane's
+    product into bits 8 * width - s and up, and mask keeps the 8 * width -
+    s bits below them, where the quotient, below 2^(N + 1 - bits(p)),
+    lies."""
+    bits, lane_bits = p.bit_length(), 8 * width
+    budget_bits = (lane_bits - bits) // 2 - 1
+    s = budget_bits + bits
+    return 1 << budget_bits, -(-(1 << s) // p), s, (1 << (lane_bits - s)) - 1
+
+
+def _lane_plan(r, p, k):
+    """(width, lane_division(p, width)) for PackedRows over GF(p^k): width
+    the least multiple of 8 bytes whose signed lanes hold r * k * p^2."""
+    width = 8
+    while r * k * p * p >> (8 * width - 1):
+        width += 8
+    return width, lane_division(p, width)
+
+
+@functools.lru_cache(maxsize=256)
+def _plane_kernels(ctx, scale):
+    """What PackedRows multiplies planes by for the tables of one scale,
+    whose values are v_e = scale * theta^e with matrices R_e =
+    ctx.mul_matrix(v_e): monomial[c][d][e] = R_e[c][d], the coefficient of
+    plane d in plane c of v_e times a row; fourier, for output plane c of
+    fibre row i, in the order (c, i), the coefficients R_(i*x mod r)[c][d]
+    of plane d of fibre row x, in the order (d, x); and after each the
+    largest row sum, the most it grows a lane by."""
+    r, k = ctx.r, ctx.k
+    mats = [ctx.mul_matrix(ctx.mul_theta_power(scale, e)) for e in range(r)]
+    fourier = [[mats[i * x % r][c][d] for d in range(k) for x in range(r)]
+               for c in range(k) for i in range(r)]
+    return ([[[m[c][d] for m in mats] for d in range(k)] for c in range(k)],
+            max(sum(row) for m in mats for row in m), fourier, max(map(sum, fourier)))
+
+
+@functools.lru_cache(maxsize=256)
+def _fibres(n, stride, r, k):
+    """For each fibre of r rows stride apart in n rows of k planes, held
+    plane-major (plane c of row j at c * n + j): the indices of its planes
+    in the order (c, i), plane c of fibre row i, and their itemgetter."""
+    block = stride * r
+    places = [[c * n + base + off + i * stride for c in range(k) for i in range(r)]
+              for base in range(0, n, block) for off in range(stride)]
+    return [(operator.itemgetter(*p), p) for p in places]
+
+
+class PackedRows:
+    """The n rows of a matrix over GF(p^k) (GF(p) is k = 1) as k * n ints,
+    plane-major: int c * n + j packs the x^c coefficients of row j's
+    entries, one signed lane of width bytes per entry (ctx._lane_plan),
+    every lane in [0, bound].  monomial, fourier and mul_rows replace the
+    rows by op * rows for one operator, a value acting on a row's planes by
+    its multiplication matrix (_plane_kernels); each first reduces the lanes
+    mod p (reduce) if the operator could carry one to 2^(8 * width - 1)."""
+
+    __slots__ = ("ctx", "lanes", "rows", "bound")
+
+    def __init__(self, ctx, rows, lanes, bound):
+        self.ctx, self.rows, self.lanes, self.bound = ctx, rows, lanes, bound
+
+    @classmethod
+    def load(cls, ctx, rows):
+        """rows of field values, packed."""
+        chain = itertools.chain.from_iterable
+        planes = chain(chain(zip(*map(ctx.coordinates, rows))))
+        return cls(ctx, _pack_signed(planes, len(rows[0]), ctx._lane_plan[0]), len(rows[0]),
+                   ctx.p - 1)
+
+    @classmethod
+    def identity(cls, ctx, n):
+        """The n x n identity: plane 0 of row j is the unit vector e_j, the
+        int 2^(8 * width * j), and the other planes are 0."""
+        shift = 8 * ctx._lane_plan[0]
+        return cls(ctx, [1 << shift * j for j in range(n)] + [0] * (n * ctx.k - n), n, 1)
+
+    @classmethod
+    def from_state(cls, ctx, state, lanes):
+        return cls(ctx, list(state), lanes, ctx.p - 1)
+
+    def state(self):
+        """The planes with every lane in [0, p), the entries' coefficients,
+        so two states are equal exactly when their matrices are."""
+        self.reduce()
+        return tuple(self.rows)
+
+    def reduce(self):
+        """Bring every lane into [0, p), so bound becomes p - 1.  Below the
+        budget of lane_division each int takes one multiply, shift, mask,
+        multiply and subtract; above it the lanes are unpacked, reduced one
+        by one and packed again."""
+        p = self.ctx.p
+        if self.bound < p:
+            return
+        width, (budget, m, s, mask) = self.ctx._lane_plan
+        if self.bound < budget:
+            mask = _every_lane(mask, self.lanes, width)
+            self.rows = [x - ((x * m >> s) & mask) * p for x in self.rows]
+        else:
+            lanes = _unpack_signed(self.rows, self.lanes, width)
+            self.rows = _pack_signed(map(operator.mod, lanes, itertools.repeat(p)),
+                                     self.lanes, width)
+        self.bound = p - 1
+
+    def _grow(self, growth):
+        """Make room for lanes multiplied by at most growth."""
+        if self.bound * growth >> (8 * self.ctx._lane_plan[0] - 1):
+            self.reduce()
+        self.bound *= growth
+
+    def monomial(self, perm, expo, table):
+        """Row j, times table[expo[j]], becomes row perm[j]: plane c of the
+        new row sums R[c][d] * plane d over d, R table[expo[j]]'s matrix."""
+        kernel, growth, _, _ = _plane_kernels(self.ctx, table[0])
+        self._grow(growth)
+        rows, n, out = self.rows, len(perm), []
+        for coefs in kernel:
+            acc = [0] * n
+            for p, e, x in zip(perm, expo, rows):   # plane 0 sets each entry
+                acc[p] = coefs[0][e] * x
+            for by_expo, start in zip(coefs[1:], range(n, len(rows), n)):
+                for p, e, x in zip(perm, expo, rows[start:start + n]):
+                    acc[p] += by_expo[e] * x
+            out += acc
+        self.rows = out
+
+    def fourier(self, stride, table):
+        """On each fibre of r rows stride apart, output row i is
+        sum_x table[i][x] * row x, plane by plane."""
+        _, _, kernel, growth = _plane_kernels(self.ctx, table[0][0])
+        self._grow(growth)
+        rows, mul = self.rows, operator.mul
+        out = [None] * len(rows)
+        for pick, places in _fibres(len(rows) // self.ctx.k, stride, len(table), self.ctx.k):
+            fibre = pick(rows)
+            for place, coefs in zip(places, kernel):
+                out[place] = sum(map(mul, coefs, fibre))
+        self.rows = out
+
+    def mul_rows(self, mul_rows):
+        """Any other operator: its mul_rows on the unpacked rows."""
+        self.rows = self.load(self.ctx, mul_rows(self.unpacked())).rows
+        self.bound = self.ctx.p - 1
+
+    def unpacked(self):
+        """The rows as tuples of field values, read off the lanes mod p."""
+        k, lanes = self.ctx.k, _unpack_signed(self.rows, self.lanes, self.ctx._lane_plan[0])
+        lanes = list(map(operator.mod, lanes, itertools.repeat(self.ctx.p)))
+        size = len(lanes) // k
+        values = self.ctx.from_coordinates([lanes[c * size:c * size + size] for c in range(k)])
+        return tuple(zip(*[iter(values)] * self.lanes))
+
+
 class PrimeFieldContext(FieldContext):
-    """GF(p) with r | p - 1; elements are residues in [0, p)."""
+    """GF(p) with r | p - 1; elements are residues in [0, p), each its own
+    single coordinate over GF(p)."""
 
     kind = "prime"
+    k = 1
+    row_class = PackedRows
 
     def __init__(self, r, p):
         if not is_prime(r) or r == 2:
@@ -837,12 +949,7 @@ class PrimeFieldContext(FieldContext):
         self.zero = 0
         self.one = 1
         self._set_theta(pow(smallest_primitive_root(p), (p - 1) // r, p))
-        self._lane_division = lane_division(p)
-
-    @property
-    def row_class(self):
-        """PackedRows when r * p^2 < 2^64, else None: the column route."""
-        return PackedRows if self.r * self.p ** 2 < LANE_LIMIT else None
+        self._lane_plan = _lane_plan(r, p, 1)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -855,6 +962,19 @@ class PrimeFieldContext(FieldContext):
 
     def mul(self, a, b):
         return a * b % self.p
+
+    def mul_matrix(self, a):
+        """Multiplication by a as a 1 x 1 matrix over GF(p)."""
+        return ((a,),)
+
+    @staticmethod
+    def coordinates(values):
+        """The k = 1 sequences of coordinates of values: values itself."""
+        return (values,)
+
+    @staticmethod
+    def from_coordinates(planes):
+        return planes[0]
 
     def inv(self, a):
         if a == 0:
@@ -888,131 +1008,16 @@ class PrimeFieldContext(FieldContext):
         return f"GF({self.p})"
 
 
-def lane_division(p):
-    """(budget, m, s, mask) for reducing 64-bit lanes mod p all at once:
-    for every lane value x below budget = 2^N, N = (64 - bits(p)) // 2 - 1,
-    the lane of ((X * m) >> s) & M is x // p, where X is a packed row and M
-    repeats mask in each lane.  m = ceil(2^s / p) with s = N + bits(p) makes
-    x * m / 2^s fall short of x // p + 1 (x * (m * p - 2^s) < 2^N * p <= 2^s),
-    so the quotient is exact (Granlund and Montgomery 1994, "Division by
-    invariant integers using multiplication").  x * m < 2^(2N + 1) < 2^64
-    keeps each lane's product in its lane; the shift moves the low s bits of
-    the next lane's product into bits 64 - s and up, and mask keeps the
-    64 - s bits below them, where the quotient, below 2^(N + 1 - bits(p)),
-    lies."""
-    bits = p.bit_length()
-    budget_bits = (64 - bits) // 2 - 1
-    s = budget_bits + bits
-    return 1 << budget_bits, -(-(1 << s) // p), s, (1 << (64 - s)) - 1
-
-
-class PackedRows:
-    """The rows of a matrix over GF(p), each one int (pack) whose lanes,
-    lanes of 64 bits, hold the entries as integers congruent to them mod p,
-    every lane at most bound.  monomial, fourier and mul_rows replace the rows by
-    op * rows for one operator; each first reduces the lanes (reduce) if the
-    operator could carry a lane to LANE_LIMIT."""
-
-    __slots__ = ("ctx", "row_bytes", "rows", "bound")
-
-    def __init__(self, ctx, rows, lanes, bound):
-        self.ctx = ctx
-        self.row_bytes = 8 * lanes
-        self.rows = rows
-        self.bound = bound
-
-    @classmethod
-    def load(cls, ctx, rows):
-        """rows of residues, packed."""
-        return cls(ctx, list(map(cls.pack, rows)), len(rows[0]), max(map(max, rows)))
-
-    @classmethod
-    def identity(cls, ctx, n):
-        return cls.load(ctx, DenseMatrix.identity(ctx, n).rows)
-
-    @classmethod
-    def from_state(cls, ctx, state, lanes):
-        return cls(ctx, state, lanes, ctx.p - 1)
-
-    def state(self):
-        """The rows with every lane in [0, p), as canonical as the tuples:
-        a tuple of packed rows."""
-        self.reduce()
-        return tuple(self.rows)
-
-    @staticmethod
-    def pack(row):
-        """One int whose lanes are row's entries, each in [0, 2^64)."""
-        return int.from_bytes(array("Q", row).tobytes(), sys.byteorder)
-
-    def _lanes(self, row):
-        """row's lanes reduced mod p, as an iterator of ints."""
-        lanes = array("Q", row.to_bytes(self.row_bytes, sys.byteorder))
-        return map(operator.mod, lanes, itertools.repeat(self.ctx.p))
-
-    def reduce(self):
-        """Bring every lane into [0, p), so bound becomes p - 1.  Below the
-        budget of lane_division each row takes one multiply, shift, mask,
-        multiply and subtract on the whole int; above it the lanes are
-        unpacked, reduced one by one and packed again."""
-        p = self.ctx.p
-        if self.bound < p:
-            return
-        budget, m, s, mask = self.ctx._lane_division
-        if self.bound < budget:
-            mask = _every_lane(mask, self.row_bytes // 8)
-            self.rows = [x - ((x * m >> s) & mask) * p for x in self.rows]
-        else:
-            pack, lanes = self.pack, self._lanes
-            self.rows = [pack(lanes(row)) for row in self.rows]
-        self.bound = p - 1
-
-    def _grow(self, growth):
-        """Make room for lanes multiplied by at most growth."""
-        if self.bound * growth >= LANE_LIMIT:
-            self.reduce()
-        self.bound *= growth
-
-    def monomial(self, perm, expo, table):
-        """Row j, times table[expo[j]], becomes row perm[j]."""
-        self._grow(max(table))
-        out = [None] * len(perm)
-        for p, e, row in zip(perm, expo, self.rows):
-            out[p] = row * table[e]
-        self.rows = out
-
-    def fourier(self, stride, table):
-        """On each fibre of r rows stride apart, output row i is
-        sum_x table[i][x] * row x."""
-        self._grow(max(map(sum, table)))
-        rows, block, mul = self.rows, stride * len(table), operator.mul
-        out = [None] * len(rows)
-        for base in range(0, len(rows), block):
-            for off in range(base, base + stride):
-                fibre = rows[off:off + block:stride]
-                for i, krow in enumerate(table):
-                    out[off + i * stride] = sum(map(mul, krow, fibre))
-        self.rows = out
-
-    def mul_rows(self, mul_rows):
-        """Any other operator: its mul_rows on the reduced, unpacked rows."""
-        self.rows = [self.pack(row) for row in mul_rows(self.unpacked())]
-        self.bound = self.ctx.p - 1
-
-    def unpacked(self):
-        """The rows as tuples of residues in [0, p)."""
-        return tuple(tuple(self._lanes(row)) for row in self.rows)
-
-
 class ExtensionFieldContext(FieldContext):
     """GF(p^k) defined by a monic irreducible modulus; elements are
-    coefficient tuples of length k, constant term first.  g, the first
-    primitive element in encoding order, gives theta = g^((q-1)/r).  With q
-    at most MAX_TABLE_ORDER, _exp[i] = g^i (listed twice, so two logs add
-    without reduction), _log is its inverse and _zech[i] = log(1 + g^i),
-    None where 1 + g^i = 0; above the bound _log is None."""
+    coefficient tuples of length k, constant term first, their coordinates
+    in the modulus basis 1, x, ..., x^(k-1).  g, the first primitive element
+    in encoding order, gives theta = g^((q-1)/r).  With q at most
+    MAX_TABLE_ORDER, _exp[i] = g^i (listed twice, so two logs add without
+    reduction) and _log is its inverse; above the bound _log is None."""
 
     kind = "extension"
+    row_class = PackedRows
 
     def __init__(self, r, p, k, modulus=None):
         if not is_prime(r) or r == 2:
@@ -1047,6 +1052,7 @@ class ExtensionFieldContext(FieldContext):
         g = next(g for g in map(self._encode, range(2, q))
                  if all(self.pow(g, (q - 1) // f) != self.one for f in facs))
         self._set_theta(self.pow(g, (q - 1) // r))
+        self._lane_plan = _lane_plan(r, p, k)
         if q > MAX_TABLE_ORDER:
             return
         # a * g is (low half of a) * g + (high half of a) * g, both looked up
@@ -1059,24 +1065,13 @@ class ExtensionFieldContext(FieldContext):
         for _ in range(q - 2):
             a = exp[-1]
             exp.append(tuple((u + v) % p for u, v in zip(lows[a[:h]], highs[a[h:]])))
-        log = {a: i for i, a in enumerate(exp)}
-        self._zech = [log.get(((a[0] + 1) % p,) + a[1:]) for a in exp]
         self._exp = exp + exp
         self._theta_log = (q - 1) // r
-        self._log = log
+        self._log = {a: i for i, a in enumerate(exp)}
 
     def add(self, a, b):
-        log, zero = self._log, self.zero
-        if log is None:
-            p = self.p
-            return tuple((x + y) % p for x, y in zip(a, b))
-        if a == zero or b == zero:
-            return b if a == zero else a
-        # a + b = g^log(a) * (1 + g^(log(b) - log(a))); a negative index into
-        # the q - 1 entries of _zech is the residue mod q - 1
-        la = log[a]
-        z = self._zech[log[b] - la]
-        return zero if z is None else self._exp[la + z]
+        p = self.p
+        return tuple((x + y) % p for x, y in zip(a, b))
 
     def sub(self, a, b):
         p = self.p
@@ -1091,6 +1086,19 @@ class ExtensionFieldContext(FieldContext):
         if log is not None:
             return zero if a == zero or b == zero else self._exp[log[a] + log[b]]
         return _poly_mulmod(a, b, self.modulus, self.p)
+
+    def mul_matrix(self, a):
+        """The k x k matrix over GF(p) of multiplication by a: column d
+        holds the coordinates of a * x^d."""
+        return tuple(zip(*(self.mul(a, self._encode(self.p ** d)) for d in range(self.k))))
+
+    @staticmethod
+    def coordinates(values):
+        """The k sequences of coordinates of values, one per power x^c; on
+        k such sequences, the values again."""
+        return zip(*values)
+
+    from_coordinates = coordinates
 
     def mul_theta_power(self, a, e):
         if self._log is None:

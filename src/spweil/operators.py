@@ -15,26 +15,30 @@ Operator variants:
 * ScalarOp     -- c * I, the MonomialOp with the identity permutation,
                   zero exponents and scale c;
 * FourierOp    -- the discrete Fourier kernel theta^(i*xi) in one tensor
-                  slot, times a scalar; apply is ctx.fourier_apply;
+                  slot, times a scalar, held as its r x r table; apply is
+                  ctx.fourier_apply, one method for every field;
 * DenseOp      -- arbitrary invertible DenseMatrix, applied by
                   DenseMatrix.apply and materialised as itself;
 * ProductOp    -- composition, factors applied right to left; nested
                   products are flattened, so no factor is a ProductOp.
 
-apply() costs O(n) for a monomial and O(n*r) for a Fourier factor; only
-apply(), mul_packed() and materialize() make field values.  materialize()
-returns the DenseMatrix whose column xi is apply(e_xi): a monomial's r entry
-values, or a Fourier factor's r slot_block rows, are each written once into
-a zero-padded window, and every row is a tuple sliced from one of them
-(linalg.sparse_rows), which shares equal rows through a caller's row pool
-(the others ignore it).  det() and trace() are those of materialize() unless
-the structure gives them directly (a monomial's do).
+apply() costs O(n) for a monomial, one mul(table[e], v) per entry, and
+O(n*r) for a Fourier factor; only apply(), mul_packed() and materialize()
+make field values.  materialize() returns the DenseMatrix whose column xi
+is apply(e_xi): a monomial's r entry values, or a Fourier factor's r
+slot_block rows, are each written once into a zero-padded window, and every
+row is a tuple sliced from one of them (linalg.sparse_rows), which shares
+equal rows through a caller's row pool (the others ignore it).  det() and
+trace() are those of materialize() unless the structure gives them
+directly: a monomial's from its permutation and exponents, a Fourier
+factor's trace as r^(l-1) times its kernel's.
 
 Each operator multiplies by two kernels and nothing else: apply on a
-column, over every field, and mul_packed on the rows of its context's
-row_class, packed GF(p) rows (fields.PackedRows) or Q(theta) planes
-(fields.PlaneRows).  Products and closure steps are built from them by
-ctx.product_rows and ctx.closure_steps; fields.py describes both routes.
+column, and mul_packed on the rows of its context's row_class, GF(p^k)
+coefficient planes (fields.PackedRows, GF(p) being k = 1) or Q(theta)
+planes (fields.PlaneRows).  Every field names a row class, so products
+and closure steps have one route each, ctx.product_rows and
+ctx.closure_steps, which fields.py describes.
 
 first_difference compares two operators on their materialised matrices,
 so a product is compared through ctx.product_rows.
@@ -42,6 +46,7 @@ so a product is compared through ctx.product_rows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -157,16 +162,10 @@ class MonomialOp(Operator):
         return self._table
 
     def apply(self, vec):
-        ctx = self.ctx
-        out = [ctx.zero] * self.n
-        if self.scale == ctx.one:
-            mtp = ctx.mul_theta_power
-            for p, e, v in zip(self.perm, self.expo, vec):
-                out[p] = mtp(v, e) if e else v
-        else:
-            mul, table = ctx.mul, self.table
-            for p, e, v in zip(self.perm, self.expo, vec):
-                out[p] = mul(table[e], v)
+        mul, table = self.ctx.mul, self.table
+        out = [self.ctx.zero] * self.n
+        for p, e, v in zip(self.perm, self.expo, vec):
+            out[p] = mul(table[e], v)
         return out
 
     def mul_packed(self, packed):
@@ -297,6 +296,13 @@ class FourierOp(Operator):
 
     def mul_packed(self, packed):
         packed.fourier(self._stride, self._table)
+
+    def trace(self):
+        """r^(l-1) times the kernel's trace: the diagonal of I (x) K (x) I
+        holds r^(l-1) copies of K's."""
+        ctx = self.ctx
+        diagonal = functools.reduce(ctx.add, (row[i] for i, row in enumerate(self._table)))
+        return ctx.mul(ctx.from_int(self.params.r ** (self.params.ell - 1)), diagonal)
 
     def materialize(self, pool=None):
         """I (x) K (x) I for K = slot_block(self, t): row i is row x = i_t of K

@@ -102,7 +102,7 @@ TABLED_FIELDS = {
 
 
 def _table_and_convolution(r, p, k):
-    """The same field twice: with Zech-log tables, and built with the table
+    """The same field twice: with log and exp tables, and built with the table
     bound at 0, so that it multiplies by convolution."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fields, "MAX_TABLE_ORDER", 0)

@@ -7,7 +7,9 @@ Every attribute a module stores on self is read, and every top-level
 function and every method of a class other than a dunder is referenced,
 somewhere in src, tests, scripts or perfbench.  Every Operator subclass in
 operators.py defines materialize or inherits it from another subclass, as
-the base method raises."""
+the base method raises.  Every FieldContext subclass in fields.py names a
+row_class that is a class of fields.py, and fields.py defines
+fourier_apply once."""
 
 import ast
 import functools
@@ -217,3 +219,67 @@ def test_every_operator_defines_materialize():
     # the base Operator.materialize raises, so a new operator class must
     # build its matrix from its own structure
     assert inherited_materialize((SRC / "operators.py").read_text()) == []
+
+
+def field_context_rows(source, base="FieldContext"):
+    """(missing, kernels): the classes of source that derive from base,
+    directly or through other classes of source, whose row_class, assigned
+    in their own body or the nearest such class's along first bases, is not
+    the name of a class of source; and kernels, the number of functions
+    named fourier_apply that source defines."""
+    tree = ast.parse(source)
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def row_class(name):
+        # the value row_class resolves to, along first bases, or None
+        while name in classes and name != base:
+            node = classes[name]
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and any(
+                        getattr(t, "id", None) == "row_class" for t in stmt.targets):
+                    return stmt.value
+            name = getattr(node.bases[0], "id", None) if node.bases else None
+        return None
+
+    def derives(name):
+        while name in classes and name != base:
+            node = classes[name]
+            name = getattr(node.bases[0], "id", None) if node.bases else None
+        return name == base
+
+    missing = [name for name in classes if name != base and derives(name)
+               and getattr(row_class(name), "id", None) not in classes]
+    kernels = sum(isinstance(node, ast.FunctionDef) and node.name == "fourier_apply"
+                  for node in ast.walk(tree))
+    return missing, kernels
+
+
+def test_scan_finds_a_context_without_a_row_class():
+    source = (
+        "class Rows:\n"
+        "    pass\n"
+        "class FieldContext:\n"
+        "    def fourier_apply(self):\n"
+        "        pass\n"
+        "class Named(FieldContext):\n"
+        "    row_class = Rows\n"
+        "class Heir(Named):\n"
+        "    pass\n"
+        "class Unnamed(FieldContext):\n"
+        "    def fourier_apply(self):\n"
+        "        pass\n"
+        "class NoneRows(FieldContext):\n"
+        "    row_class = None\n"
+        "class ByProperty(FieldContext):\n"
+        "    @property\n"
+        "    def row_class(self):\n"
+        "        return Rows\n"
+        "class Unrelated:\n"
+        "    pass\n")
+    assert field_context_rows(source) == (["Unnamed", "NoneRows", "ByProperty"], 2)
+
+
+def test_every_field_context_names_a_row_class():
+    # product_rows and closure_steps have one route, through the context's
+    # row class, and one Fourier kernel serves every family
+    assert field_context_rows((SRC / "fields.py").read_text()) == ([], 1)

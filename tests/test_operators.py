@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spweil.fields import (LANE_LIMIT, CyclotomicContext, FieldSpec, PackedRows, PlaneRows,
-                           PrimeFieldContext, lane_division, make_field)
+from spweil import fields
+from spweil.fields import (CyclotomicContext, ExtensionFieldContext, FieldSpec, PackedRows,
+                           PlaneRows, PrimeFieldContext, lane_division, make_field)
 from spweil.linalg import DenseMatrix
 from spweil.operators import (DenseOp, FourierOp, MonomialOp, ProductOp,
                               ScalarOp, WeilParams, first_difference, flat_index,
@@ -435,18 +436,25 @@ def _packed_ctx(r, p):
 
 def _random_scale(ctx, rng, low=1):
     """A random nonzero value: a residue in [low, p) over GF(p); over
-    Q(theta) a _nonzero_element over a denominator 2, 6 or 10, never a power
-    of r."""
+    GF(p^k) any coefficient tuple but 0 (and 1 when low is 2), so also
+    values outside F_p(theta); over Q(theta) a _nonzero_element over a
+    denominator 2, 6 or 10, never a power of r."""
     if ctx.kind == "prime":
         return rng.randrange(low, ctx.p)
+    if ctx.kind == "extension":
+        while True:
+            a = tuple(rng.randrange(ctx.p) for _ in range(ctx.k))
+            if a != ctx.zero and (low < 2 or a != ctx.one):
+                return a
     return ctx.mul(_nonzero_element(ctx, rng), ctx.inv(ctx.from_int(rng.choice((2, 6, 10)))))
 
 
-def _random_factor(params, rng):
+def _random_factor(params, rng, kind=None):
     """A monomial (scale 1 or random), a scaled Fourier factor in a random
-    slot, a scalar, a dense operator or an inverted product."""
+    slot, a scalar, a dense operator or an inverted product: kind, in
+    [0, 6), or a random one."""
     ctx = params.ctx
-    kind = rng.randrange(6)
+    kind = rng.randrange(6) if kind is None else kind
     if kind == 0:
         return _random_monomial(params, rng, ctx.one)
     if kind == 1:
@@ -457,18 +465,25 @@ def _random_factor(params, rng):
         return ScalarOp(params, _random_scale(ctx, rng, 2))
     if kind == 4:
         mixed = ProductOp(params, (FourierOp(params, 1),
-                                   _random_monomial(params, rng, ctx.from_int(2))))
+                                   _random_monomial(params, rng, _random_scale(ctx, rng))))
         return DenseOp(params, mixed.materialize())
-    return ProductOp(params, (FourierOp(params, params.ell, ctx.from_int(3)),
+    return ProductOp(params, (FourierOp(params, params.ell, _random_scale(ctx, rng)),
                               _random_monomial(params, rng, ctx.one))).inverse()
 
 
 def _column_route(ctx, factors, rows=None):
-    """ctx.product_rows on the column route, the reference for the packed
-    routes."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(type(ctx), "row_class", None)
-        return ctx.product_rows(factors, rows)
+    """The rows of the product of factors times M, with the columns of M, or
+    of the last factor's matrix when rows is None, sent through every other
+    factor's apply, right to left: the reference for ctx.product_rows, whose
+    row classes share none of its kernels."""
+    if rows is None:
+        cols = factors[-1].materialize().columns()
+        factors = factors[:-1]
+    else:
+        cols = zip(*rows)
+    for f in reversed(factors):
+        cols = [f.apply(col) for col in cols]
+    return tuple(zip(*cols))
 
 
 def _unit_columns(params):
@@ -499,15 +514,41 @@ def test_packed_product_matches_column_route(r, p, seed, length):
         assert all(0 <= a < p for row in rows for a in row)
 
 
-@pytest.mark.parametrize("r,p", PACKED_CTXS + [(3, 2479700473)] + PLANE_CTXS, ids=str)
+# GF(4), GF(8), GF(16), GF(13^2) and GF(3^4) as (r, p, k)
+EXTENSION_CTXS = [(3, 2, 2), (7, 2, 3), (5, 2, 4), (3, 13, 2), (5, 3, 4)]
+
+
+@pytest.mark.parametrize("r,p,k", EXTENSION_CTXS, ids=str)
+@given(seed=st.integers(0, 2 ** 32), length=st.integers(0, 20))
+@settings(max_examples=6, deadline=None)
+def test_plane_product_matches_column_route(r, p, k, seed, length):
+    # GF(p^k) materialises a product on k planes per row, also on the l + 1
+    # columns a Weil image is built from; every _random_factor kind is in
+    # the product, with scales outside F_p(theta) where theta has degree
+    # below k (GF(13^2)), and the column route is the reference
+    ctx = ExtensionFieldContext(r, p, k)
+    rng = random.Random(seed)
+    params = WeilParams(r, rng.choice((1, 2)) if r < 7 else 1, ctx)
+    factors = [_random_factor(params, rng, kind) for kind in range(6)]
+    factors += [_random_factor(params, rng) for _ in range(length)]
+    rng.shuffle(factors)
+    op = ProductOp(params, factors)
+    rows = op.materialize().rows
+    assert rows == _column_route(ctx, op.factors)
+    columns = _unit_columns(params)
+    assert ctx.product_rows((op,), columns) == _column_route(ctx, (op,), columns)
+    assert all(len(a) == k and all(0 <= c < p for c in a) for row in rows for a in row)
+
+
+@pytest.mark.parametrize("r,p", PACKED_CTXS + [(3, 1753413037)] + PLANE_CTXS, ids=str)
 def test_packed_long_product_reduces_mid_product(r, p, monkeypatch):
     # 60 factors grow a lane far past 2^64 unreduced, so before the end the
-    # lanes must be reduced, over GF(p), where _lanes then runs for more
-    # than the n final rows, or the entries loaded again, over Q(theta),
-    # where unpacked then runs for more than the final read.  The factors
-    # are Fourier, scaled monomial, scalar and scale-one slot negation
-    # factors; at the largest packed prime for r = 3 one scaled factor can
-    # carry a reduced lane past 2^64
+    # lanes must be reduced, over GF(p), where the lanes are then unpacked
+    # more than once, for the final read, or the entries loaded again, over
+    # Q(theta), where unpacked then runs for more than the final read.  The
+    # factors are Fourier, scaled monomial, scalar and scale-one slot
+    # negation factors; at the largest prime for r = 3 in 8-byte lanes one
+    # scaled factor can carry a reduced lane past 2^63
     ctx = _packed_ctx(r, p)
     rng = random.Random(r * (p or 1))
     params = WeilParams(r, 2 if r < 13 else 1, ctx)
@@ -517,12 +558,11 @@ def test_packed_long_product_reduces_mid_product(r, p, monkeypatch):
         negation_monomial(params, min(t, params.ell)))]
     op = ProductOp(params, factors)
     calls = []
-    rows_class, method = (PackedRows, "_lanes") if p else (PlaneRows, "unpacked")
-    original = getattr(rows_class, method)
-    monkeypatch.setattr(rows_class, method,
-                        lambda self, *args: calls.append(1) or original(self, *args))
+    owner, name = (fields, "_unpack_signed") if p else (PlaneRows, "unpacked")
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(1) or original(*args))
     rows = op.materialize().rows
-    assert len(calls) > (params.n if p else 1)
+    assert len(calls) > 1
     monkeypatch.undo()
     assert rows == _column_route(ctx, op.factors)
 
@@ -567,70 +607,111 @@ def test_packed_product_reduces_at_exactly_two_to_the_64():
         DenseMatrix.identity(ctx, 5).scale(pow(16, 17, 31)).rows
 
 
-def test_packed_route_at_the_lane_limit(monkeypatch):
-    # r * p^2 < 2^64 packs, with every lane near its bound; the next prime
-    # p = 1 (mod 3) above 2^32 keeps the column route
-    below, above = 2479700473, 4294967311
-    assert 3 * below ** 2 < LANE_LIMIT <= 3 * above ** 2
-    for p in (below, above):
-        ctx = PrimeFieldContext(3, p)
-        params = WeilParams(3, 2, ctx)
-        rng = random.Random(p)
-        op = ProductOp(params, [_random_factor(params, rng) for _ in range(30)]
-                       + [ScalarOp(params, p - 1), FourierOp(params, 2, p - 1)] * 3)
-        want = _column_route(ctx, op.factors)
-        if p == above:
-            monkeypatch.setattr(PackedRows, "__init__", None)
-        assert op.materialize().rows == want
+def test_packed_product_keeps_lanes_below_two_to_the_63():
+    # lanes are signed: 30^13 = 2^63.8 sets the top bit of a lane, though it
+    # fits 64 unsigned bits, so over GF(31) at r = 5 (30 * theta^e is at
+    # most 30) the thirteenth factor of 30 must reduce first
+    ctx = PrimeFieldContext(5, 31)
+    params = WeilParams(5, 1, ctx)
+    assert 2 ** 63 <= 30 ** 13 < 2 ** 64
+    for count in (12, 13, 14):
+        want = DenseMatrix.identity(ctx, 5).scale(pow(30, count, 31)).rows
+        assert ProductOp(params, [ScalarOp(params, 30)] * count).materialize().rows == want
 
 
-# (r, p) with r | p - 1, for the lane reduction
+def test_lane_width_holds_r_k_p_squared():
+    # lanes are the least multiple of 8 bytes whose signed lanes hold
+    # r * k * p^2: at r = 3, 1753413037 is the largest prime p = 1 (mod 3)
+    # in 8-byte lanes, the next one and 2^32 + 15 take 16; GF(p^k) counts k
+    below, above, big = 1753413037, 1753413121, 4294967311
+    assert 3 * below ** 2 < 2 ** 63 <= 3 * above ** 2 < 3 * big ** 2 < 2 ** 127
+    widths = [PrimeFieldContext(3, p)._lane_plan for p in (7, below, above, big)]
+    assert [w for w, _ in widths] == [8, 8, 16, 16]
+    assert widths[3][1] == lane_division(big, 16)
+    assert ExtensionFieldContext(3, 2, 2)._lane_plan[0] == 8
+
+
+@pytest.mark.parametrize("r", [3, 5])
+def test_sixteen_byte_lanes_match_column_route(r):
+    # GF(2^32 + 15) packs in 16-byte lanes: long products and Fourier
+    # factors whose entries are near p - 1, on rows of entries near p - 1
+    p = 4294967311
+    ctx = PrimeFieldContext(r, p)
+    params = WeilParams(r, 2 if r == 3 else 1, ctx)
+    rng = random.Random(p * r)
+    op = ProductOp(params, [_random_factor(params, rng) for _ in range(30)]
+                   + [ScalarOp(params, p - 1), FourierOp(params, params.ell, p - 1)] * 3)
+    assert op.materialize().rows == _column_route(ctx, op.factors)
+    n = params.n
+    rows = tuple(tuple(rng.choice((0, p - 1, rng.randrange(p))) for _ in range(n))
+                 for _ in range(n - 1)) + ((p - 1,) * n,)
+    for t in range(params.ell, 0, -1):   # fibre strides 1 and 3
+        for scale in (1, p - 1, rng.randrange(2, p)):
+            op = FourierOp(params, t, scale)
+            assert ctx.product_rows((op,), rows) == _column_route(ctx, (op,), rows)
+
+
+# (r, p) with r | p - 1, for the lane reduction, in lanes of 8 and 16 bytes
 DIVISION_CTXS = [(3, 7), (5, 11), (7, 29), (13, 53), (3, 1009)]
+DIVISION_CASES = [(r, p, width) for r, p in DIVISION_CTXS for width in (8, 16)]
 
 
-def _lane_specials(p):
+def _lane_specials(p, width):
     """0, p - 1, p, the budget's last value and the largest value below the
     budget that is p - 1 mod p, where a quotient x // p is closest to
     rounding up."""
-    budget = lane_division(p)[0]
+    budget = lane_division(p, width)[0]
     top = budget - budget % p - 1
     return [0, p - 1, p, budget - 1, top]
 
 
-@pytest.mark.parametrize("r,p", DIVISION_CTXS, ids=str)
+def _division_ctx(r, p, width):
+    """GF(p) with its lanes set to width bytes."""
+    ctx = PrimeFieldContext(r, p)
+    ctx._lane_plan = (width, lane_division(p, width))
+    return ctx
+
+
+def _pack(rows, width):
+    """Each row of lane values as one int, in lanes of width bytes."""
+    return fields._pack_signed([x for row in rows for x in row], len(rows[0]), width)
+
+
+@pytest.mark.parametrize("r,p,width", DIVISION_CASES, ids=str)
 @given(data=st.data(), lanes=st.integers(1, 30))
-@settings(max_examples=40, deadline=None)
-def test_lane_reduction_is_lane_by_lane_mod_p(r, p, data, lanes):
+@settings(max_examples=30, deadline=None)
+def test_lane_reduction_is_lane_by_lane_mod_p(r, p, width, data, lanes):
     # every lane below the budget reduces to x % p in one multiply and shift
     # per row; rows of several lanes show a carry or a shifted-in bit
-    ctx = PrimeFieldContext(r, p)
-    budget = lane_division(p)[0]
-    lane = st.one_of(st.sampled_from(_lane_specials(p)), st.integers(0, budget - 1))
+    ctx = _division_ctx(r, p, width)
+    budget = lane_division(p, width)[0]
+    lane = st.one_of(st.sampled_from(_lane_specials(p, width)), st.integers(0, budget - 1))
     rows = data.draw(st.lists(st.lists(lane, min_size=lanes, max_size=lanes),
                               min_size=1, max_size=3))
-    packed = PackedRows(ctx, list(map(PackedRows.pack, rows)), lanes, budget - 1)
+    packed = PackedRows(ctx, _pack(rows, width), lanes, budget - 1)
     packed.reduce()
-    assert packed.rows == [PackedRows.pack([x % p for x in row]) for row in rows]
+    assert packed.rows == _pack([[x % p for x in row] for row in rows], width)
     assert packed.bound == p - 1
 
 
-@pytest.mark.parametrize("r,p", DIVISION_CTXS, ids=str)
-def test_lane_reduction_route_switches_at_the_budget(r, p, monkeypatch):
+@pytest.mark.parametrize("r,p,width", DIVISION_CASES, ids=str)
+def test_lane_reduction_route_switches_at_the_budget(r, p, width, monkeypatch):
     # a bound below the budget takes the multiply and shift, a bound at it
-    # the lane-by-lane route; both give the same residues
-    ctx = PrimeFieldContext(r, p)
-    budget = lane_division(p)[0]
-    assert budget == 2 ** ((64 - p.bit_length()) // 2 - 1)
-    rows = [_lane_specials(p), _lane_specials(p)[::-1]]
-    want = [PackedRows.pack([x % p for x in row]) for row in rows]
+    # the lane-by-lane route, which unpacks the lanes; both give the same
+    # residues
+    ctx = _division_ctx(r, p, width)
+    budget = lane_division(p, width)[0]
+    assert budget == 2 ** ((8 * width - p.bit_length()) // 2 - 1)
+    rows = [_lane_specials(p, width), _lane_specials(p, width)[::-1]]
+    want = _pack([[x % p for x in row] for row in rows], width)
     calls = []
-    lanes = PackedRows._lanes
-    monkeypatch.setattr(PackedRows, "_lanes", lambda self, row: calls.append(1) or lanes(self, row))
-    for bound, lane_calls in ((budget - 1, 0), (budget, len(rows))):
+    unpack = fields._unpack_signed
+    monkeypatch.setattr(fields, "_unpack_signed", lambda *args: calls.append(1) or unpack(*args))
+    for bound, unpacks in ((budget - 1, 0), (budget, 1)):
         calls.clear()
-        packed = PackedRows(ctx, list(map(PackedRows.pack, rows)), 5, bound)
+        packed = PackedRows(ctx, _pack(rows, width), 5, bound)
         packed.reduce()
-        assert (packed.rows, len(calls)) == (want, lane_calls)
+        assert (packed.rows, len(calls)) == (want, unpacks)
 
 
 def test_products_flatten_and_inverse_is_unchanged(gf11):
@@ -765,20 +846,19 @@ def test_scalar_is_the_monomial_with_identity_perm(spec):
     assert pi_map(ScalarOp(params, ctx.theta), params) == SpMatrix.identity(2, r)
 
 
-def test_packed_fourier_rows_match_column_route(monkeypatch):
-    # r * p^2 < 2^64 maps fibres on PackedRows, with rows of entries up to
-    # p - 1; the next prime p = 1 (mod 3) above 2^32 keeps the column route
-    below, above = 2479700473, 4294967311
-    for p in (below, above):
-        ctx = PrimeFieldContext(3, p)
-        params = WeilParams(3, 2, ctx)
-        rng = random.Random(p)
-        rows = tuple(tuple(rng.choice((0, p - 1, rng.randrange(p))) for _ in range(9))
-                     for _ in range(8)) + ((p - 1,) * 9,)
-        if p == above:
-            monkeypatch.setattr(PackedRows, "__init__", None)
-        for t in (2, 1):   # fibre strides 1 and 3
-            for scale in (1, p - 1, rng.randrange(2, p)):
-                op = FourierOp(params, t, scale)
-                got = ctx.product_rows((op,), rows)
-                assert got == _column_route(ctx, (op,), rows)
+# Q(theta_3), Q(theta_5), GF(7), GF(11), GF(4) and GF(16)
+TRACE_CTXS = [FieldSpec(kind, r) for kind in ("cyclotomic", "auto-prime", "auto-char2")
+              for r in (3, 5)]
+
+
+@pytest.mark.parametrize("spec", TRACE_CTXS, ids=str)
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_fourier_trace_matches_materialize(spec, ell):
+    # r^(l-1) times the kernel's trace, at every slot, scale 1 and not
+    ctx = make_field(spec)
+    params = WeilParams(ctx.r, ell, ctx)
+    scale = _nonzero_element(ctx, random.Random(ctx.r * ell))
+    for t in range(1, ell + 1):
+        for s in (ctx.one, scale):
+            op = FourierOp(params, t, s)
+            assert op.trace() == op.materialize().trace()

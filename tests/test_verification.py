@@ -5,9 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from spweil import verification
-from spweil.fields import (CyclotomicContext, FieldSpec, PackedRows, PlaneRows,
-                           PrimeFieldContext, make_field, parse_field_spec)
+from spweil import fields, verification
+from spweil.fields import (CyclotomicContext, FieldContext, FieldSpec, PlaneRows, make_field,
+                           parse_field_spec)
 from spweil.generators import op_B, weil_generators
 from spweil.linalg import DenseMatrix
 from spweil.operators import (DenseOp, FourierOp, MonomialOp, ScalarOp, WeilParams,
@@ -440,14 +440,21 @@ def test_pi_generator_images_witness_names_the_generator(gf7):
 
 
 # ---------------------------------------------------------------------------
-# the packed GF(p) and Q(theta) closure routes against the tuple route
+# the packed GF(p^k) and Q(theta) closure routes against the tuple route
 
 
-def _tuple_route(monkeypatch):
-    """Make every GF(p) and Q(theta) closure take the base class's tuple
-    rows."""
-    for cls in (PrimeFieldContext, CyclotomicContext):
-        monkeypatch.setattr(cls, "row_class", None)
+def _tuple_route(ctx, n, ops):
+    """ctx.closure_steps on column tuples: a state is M's tuple of column
+    tuples and a step applies the op to every column.  The reference for
+    the row classes' states, which shares none of their kernels."""
+    def step(op):
+        return lambda cols: tuple(tuple(op.apply(c)) for c in cols)
+    return DenseMatrix.identity(ctx, n).rows, [step(op) for op in ops]
+
+
+def _use_tuple_route(monkeypatch):
+    """Make every closure take _tuple_route."""
+    monkeypatch.setattr(FieldContext, "closure_steps", _tuple_route)
 
 
 def _sp_mats(spec, r, ell):
@@ -457,11 +464,11 @@ def _sp_mats(spec, r, ell):
 
 @pytest.mark.parametrize("spec,r", [("auto-prime", 3), ("auto-prime", 5), ("auto-prime", 7),
                                     ("auto-prime", 11), ("cyclotomic", 3), ("cyclotomic", 5),
-                                    ("cyclotomic", 7)])
+                                    ("cyclotomic", 7), ("gf2-auto", 3), ("gf2-auto", 7)])
 def test_closure_packed_route_matches_tuple_route(spec, r, monkeypatch):
-    # GF(7), GF(11), GF(29), GF(23) and Q(theta_r); lam*C_1 * U_1,
-    # materialised, is neither monomial nor Fourier and takes the unpacked
-    # mul_rows inside a step
+    # GF(7), GF(11), GF(29), GF(23), Q(theta_r), GF(4) and GF(8); lam*C_1
+    # * U_1, materialised, is neither monomial nor Fourier and takes the
+    # unpacked mul_rows inside a step
     mats = _sp_mats(spec, r, 1)
     mixed = mats + [mats[0] * mats[-1]]
     assert structured_generator(mixed[-1]) is mixed[-1]
@@ -469,23 +476,24 @@ def test_closure_packed_route_matches_tuple_route(spec, r, monkeypatch):
     planes = start[2] if spec == "cyclotomic" else (start,)
     assert all(isinstance(x, int) for row in planes for x in row)
     packed = [closure_order(mats, 10 ** 6), closure_order(mixed, 10 ** 6)]
-    _tuple_route(monkeypatch)
+    _use_tuple_route(monkeypatch)
     assert isinstance(mats[0].ctx.closure_steps(r, mats)[0][0], tuple)
     assert packed == [closure_order(mats, 10 ** 6), closure_order(mixed, 10 ** 6)]
     assert packed == [group_order(1, r)] * 2
 
 
 @pytest.mark.parametrize("kind,packed", [("cyclotomic", True), ("cyclotomic", False),
-                                         ("auto-char2", False), ("auto-prime", True),
-                                         ("auto-prime", False)])
+                                         ("auto-char2", True), ("auto-char2", False),
+                                         ("auto-prime", True), ("auto-prime", False)])
 def test_closure_step_multiplies_on_the_left(kind, packed, monkeypatch):
     # a count cannot tell g from its transpose (<g^T> has the order of
     # <g>), so one step from the identity must give g's own state, and a
     # step by h after one by g that of h * g: M's column tuples on the tuple
-    # route, its packed rows over GF(p), its canonical planes over Q(theta)
+    # route, its packed planes over GF(p^k), its canonical planes over
+    # Q(theta)
     ctx = make_field(FieldSpec(kind, 3))
     if not packed:
-        _tuple_route(monkeypatch)
+        _use_tuple_route(monkeypatch)
     params = WeilParams(3, 2, ctx)
     gens = weil_generators(params)
     lam_c, u = gens.lamC[0].materialize(), gens.U[0].materialize()
@@ -498,9 +506,7 @@ def test_closure_step_multiplies_on_the_left(kind, packed, monkeypatch):
     def state(m):
         if not packed:
             return tuple(zip(*m.rows))
-        if kind == "cyclotomic":
-            return PlaneRows.load(ctx, m.rows).state()
-        return tuple(map(PackedRows.pack, m.rows))
+        return ctx.row_class.load(ctx, m.rows).state()
     start, steps = ctx.closure_steps(params.n, ops)
     assert start == state(DenseMatrix.identity(ctx, params.n))
     for step, m in zip(steps, mats):
@@ -526,8 +532,7 @@ def test_plane_closure_states_are_canonical(r):
            MonomialOp(params, neg.perm, neg.expo, ctx.from_int(r)),
            MonomialOp(params, neg.perm, neg.expo, ctx.from_int(1 if r % 4 == 1 else -1))]
     start, (lam_c, c, r_neg, signed_neg) = ctx.closure_steps(r, ops)
-    assert start == (1, 8, tuple((PackedRows.pack([int(i == j) for j in range(r)]),)
-                                 + (0,) * (r - 1) for i in range(r)))
+    assert start == (1, 8, tuple((1 << 64 * i,) + (0,) * (r - 1) for i in range(r)))
     states = [start]
     for _ in range(4):
         states.append(lam_c(states[-1]))
@@ -560,7 +565,7 @@ def test_closure_cap_sp43_on_both_routes(monkeypatch):
     assert structured_generator(mats[-1]) is mats[-1]
     with pytest.raises(CapExceeded):
         closure_order(mats, 12_000)
-    _tuple_route(monkeypatch)
+    _use_tuple_route(monkeypatch)
     with pytest.raises(CapExceeded):
         closure_order(mats, 12_000)
 
@@ -571,9 +576,25 @@ def test_closure_cap_sp43_over_q_theta_on_both_routes(monkeypatch):
     mats = _sp_mats("cyclotomic", 3, 2)
     with pytest.raises(CapExceeded):
         closure_order(mats, 12_000)
-    _tuple_route(monkeypatch)
+    _use_tuple_route(monkeypatch)
     with pytest.raises(CapExceeded):
         closure_order(mats, 12_000)
+
+
+def test_closure_cap_sp43_over_gf4_on_both_routes(monkeypatch):
+    # the capped Sp(4,3) search over GF(4), two planes per row, with a cap
+    # low enough for the tuple route to reach it in well under a second, and
+    # the full count of the subgroup without lam*C_1 (one Fourier and three
+    # monomial generators)
+    mats = _sp_mats("gf2-auto", 3, 2)
+    counts = [closure_order(mats[1:], 10 ** 6)]
+    with pytest.raises(CapExceeded):
+        closure_order(mats, 1_500)
+    _use_tuple_route(monkeypatch)
+    with pytest.raises(CapExceeded):
+        closure_order(mats, 1_500)
+    counts.append(closure_order(mats[1:], 10 ** 6))
+    assert counts == [648, 648]
 
 
 @pytest.mark.parametrize("spec,lane_by_lane", [("gf:4093", False), ("gf:6007", True),
@@ -585,8 +606,8 @@ def test_closure_at_and_past_the_lane_budget(spec, lane_by_lane, monkeypatch):
     # GF(2^31 - 1) the Fourier steps are past it and reduce lane by lane
     mats = _sp_mats(spec, 3, 1)
     calls = []
-    lanes = PackedRows._lanes
-    monkeypatch.setattr(PackedRows, "_lanes", lambda self, row: calls.append(1) or lanes(self, row))
+    unpack = fields._unpack_signed
+    monkeypatch.setattr(fields, "_unpack_signed", lambda *args: calls.append(1) or unpack(*args))
     assert closure_order(mats, 10 ** 6) == 24
     assert bool(calls) == lane_by_lane
 
@@ -596,7 +617,7 @@ def test_closure_at_and_past_the_lane_budget(spec, lane_by_lane, monkeypatch):
 def test_submodule_checks_materialise_each_operator_once(kind, r, ell, monkeypatch):
     # the restrictions read one matrix per generator and sigma; in char 2,
     # trace additivity also takes the trace of each lam*C_t, which a
-    # FourierOp reads off its matrix
+    # FourierOp reads off its kernel without a matrix
     params = WeilParams(r, ell, make_field(FieldSpec(kind, r)))
     gens = weil_generators(params)
     calls = Counter()
@@ -609,5 +630,4 @@ def test_submodule_checks_materialise_each_operator_once(kind, r, ell, monkeypat
     verification._submodule_checks(report, params, gens)
     assert report.ok, report.summary()
     ops = [op for *_, op in gens.sp_generating_ops()] + [gens.sigma]
-    char2 = kind == "auto-char2"
-    assert calls == Counter({id(op): 1 + (char2 and isinstance(op, FourierOp)) for op in ops})
+    assert calls == Counter({id(op): 1 for op in ops})
