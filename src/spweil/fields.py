@@ -19,11 +19,13 @@ fixes theta and theta_pow = (theta^0, ..., theta^(r-1)) when it is built.
 Two primitives serve the structured operators, whose entries are powers of
 theta times one scalar.  mul_theta_power(a, e) is a * theta^e: one modular
 multiply over GF(p), a rotation of the coefficient vector over Q(theta),
-which keeps the denominator and needs no gcd, and a table lookup over
-GF(p^k) (a mul above the table bound).  fourier_apply(vec, stride,
-table), one method for every family, applies the Fourier kernel
-table[i][x] = scale * theta^(i*x) in one tensor slot, one dot per output
-entry.  pi_map reads a matrix through mul_theta_power alone: r calls per
+and a table lookup over GF(p^k) (a mul above the table bound).  Over
+Q(theta) every product with a power of theta is that rotation (_product),
+and dot sums its products over one denominator and normalises once.
+fourier_apply(vec, stride, scale), one method for every family, applies
+the Fourier kernel scale * theta^(i*x) in one tensor slot: per output entry
+one dot with a row of theta powers (theta_rows) and one mul by the scale.
+pi_map reads a matrix through mul_theta_power alone: r calls per
 theta class of its entries register their codes, and rows are matched on
 those integers.
 
@@ -288,27 +290,13 @@ def find_irreducible_polynomial(p, k):
 
 class FieldContext:
     """Base class: exact field arithmetic plus a distinguished primitive
-    r-th root of unity.  Subclasses fix the element encoding."""
+    r-th root of unity.  Subclasses fix the element encoding, a plain
+    hashable value, and define add, sub, neg, mul, inv, from_int, the
+    serialization methods serialize_elem, parse_elem, spec_json and
+    describe, and row_class; the rest is shared."""
 
     kind = None  # "cyclotomic" | "prime" | "extension"
     char = None
-
-    # -- arithmetic interface (element values are plain hashable objects) --
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
 
     def dot(self, xs, ys):
         """sum(x * y) over paired entries; terms with a zero factor are skipped."""
@@ -323,24 +311,24 @@ class FieldContext:
         """a * theta^e for any integer e."""
         return self.mul(a, self.theta_pow[e % self.r])
 
-    def fourier_apply(self, vec, stride, table):
+    def fourier_apply(self, vec, stride, scale):
         """scale * C applied to vec: on each fibre of r entries stride apart,
-        out_i = scale * sum_x theta^(i*x) v_x.  table[i][x] is
-        scale * theta^(i*x), so table[0][0] is the scale.  All-zero fibres
-        are skipped."""
+        out_i = scale * sum_x theta^(i*x) v_x, one dot with a row of theta
+        powers and one mul by the scale.  All-zero fibres are skipped."""
         r = self.r
         n = len(vec)
         block = stride * r
         zero = self.zero
         out = [zero] * n
         dot = self.dot
+        mul = self.mul
         for base in range(0, n, block):
             for off in range(base, base + stride):
                 vals = vec[off:off + block:stride]
                 if vals.count(zero) == r:
                     continue  # a zero fibre maps to zero
-                for i, row in enumerate(table):
-                    out[off + i * stride] = dot(row, vals)
+                for i, row in enumerate(self.theta_rows):
+                    out[off + i * stride] = mul(scale, dot(row, vals))
         return out
 
     def product_rows(self, factors, rows=None):
@@ -350,7 +338,10 @@ class FieldContext:
         row_class, each factor's mul_packed multiplies it, right to left,
         and the rows are read back."""
         packer = self.row_class
-        packed = packer.identity(self, factors[0].n) if rows is None else packer.load(self, rows)
+        if rows is None:
+            packed = packer.identity(self, factors[0].n)
+        else:
+            packed = packer.load(self, rows)
         for f in reversed(factors):
             f.mul_packed(packed)
         return packed.unpacked()
@@ -373,6 +364,7 @@ class FieldContext:
         return packer.identity(self, n).state(), [packed_step(op.mul_packed) for op in ops]
 
     def pow(self, a, e):
+        """a^e by squaring; a^-e is (a^-1)^e."""
         if e < 0:
             return self.pow(self.inv(a), -e)
         result = self.one
@@ -384,39 +376,26 @@ class FieldContext:
             e >>= 1
         return result
 
-    def from_int(self, n):
-        raise NotImplementedError
-
     # -- the distinguished root of unity --
 
     def _set_theta(self, theta):
         """Fix theta, once, when the context is built: theta_pow is the
-        tuple (theta^0, ..., theta^(r-1)) and _dlog maps each power to its
+        tuple (theta^0, ..., theta^(r-1)), theta_rows the Fourier kernel
+        theta^(i*x) row by row, and _dlog maps each power to its
         exponent."""
+        self._dlog = {}  # mul may look its factors up while the powers are built
         powers = [self.one]
         for _ in range(self.r - 1):
             powers.append(self.mul(powers[-1], theta))
         self.theta = theta
         self.theta_pow = tuple(powers)
+        self.theta_rows = tuple(tuple(powers[i * x % self.r] for x in range(self.r))
+                                for i in range(self.r))
         self._dlog = {v: e for e, v in enumerate(powers)}
 
     def dlog_theta(self, a):
         """Exponent e in [0, r) with a = theta^e, or None."""
         return self._dlog.get(a)
-
-    # -- serialization --
-
-    def serialize_elem(self, a):
-        raise NotImplementedError
-
-    def parse_elem(self, s):
-        raise NotImplementedError
-
-    def spec_json(self):
-        raise NotImplementedError
-
-    def describe(self):
-        raise NotImplementedError
 
 
 def _pack_signed(values, lanes, width):
@@ -688,36 +667,47 @@ class CyclotomicContext(FieldContext):
         nums, den = a
         return (tuple(-x for x in nums), den)
 
-    def mul(self, a, b):
-        if a == self.one or b == self.one:  # a unit vector or a scale-one table
-            return b if a == self.one else a
+    def _product(self, a, b):
+        """a * b, not normalised: its coefficients of theta^0, ..., theta^(r-1)
+        and its denominator.  A factor that is a power of theta rotates the
+        other."""
+        e = self._dlog.get(a)
+        if e is None and b in self._dlog:
+            e, a, b = self._dlog[b], b, a
         (na, da), (nb, db) = a, b
-        d = self._d
-        conv = [0] * (2 * d - 1)
+        if e is not None:
+            full = nb + (0,)
+            return full[-e:] + full[:-e], db
+        conv = [0] * (2 * self._d - 1)
         for i, ai in enumerate(na):
             if ai:
                 for j, bj in enumerate(nb):
                     conv[i + j] += ai * bj
-        # theta^r = 1 folds exponents >= r; theta^(r-1) = -(1 + ... + theta^(r-2))
-        for m in range(self.r, 2 * d - 1):
+        for m in range(self.r, len(conv)):  # theta^r = 1
             conv[m - self.r] += conv[m]
-        high = conv[d]
-        nums = [conv[i] - high for i in range(d)]
-        return self._norm(nums, da * db)
+        return conv[:self.r], da * db
+
+    def _reduced(self, nums, den):
+        """nums over den in normal form; theta^(r-1) = -(1 + ... + theta^(r-2))."""
+        high = nums[-1]
+        return self._norm([x - high for x in nums[:-1]], den)
+
+    def mul(self, a, b):
+        return self._reduced(*self._product(a, b))
+
+    def dot(self, xs, ys):
+        """sum(x * y) normalised once: the products are summed over the lcm
+        of their denominators."""
+        zero = self.zero
+        terms = [self._product(x, y) for x, y in zip(xs, ys) if x != zero and y != zero]
+        if not terms:
+            return zero
+        den = math.lcm(*(d for _, d in terms))
+        return self._reduced([sum(col) for col in zip(*[
+            [x * (den // d) for x in nums] if d != den else nums for nums, d in terms])], den)
 
     def mul_theta_power(self, a, e):
-        # theta is a unit of Z[theta], so the content, and with it the
-        # normal form's denominator, is unchanged
-        e %= self.r
-        if not e:
-            return a
-        nums, den = a
-        full = nums + (0,)  # coefficients of theta^0 .. theta^(r-1)
-        rot = full[-e:] + full[:-e]
-        high = rot[-1]
-        if high:
-            return (tuple(x - high for x in rot[:-1]), den)
-        return (rot[:-1], den)
+        return self._reduced(*self._product(self.theta_pow[e % self.r], a))
 
     def _conjugate(self, a, j):
         # the field automorphism theta -> theta^j
@@ -778,7 +768,8 @@ def lane_division(p, width):
     product into bits 8 * width - s and up, and mask keeps the 8 * width -
     s bits below them, where the quotient, below 2^(N + 1 - bits(p)),
     lies."""
-    bits, lane_bits = p.bit_length(), 8 * width
+    bits = p.bit_length()
+    lane_bits = 8 * width
     budget_bits = (lane_bits - bits) // 2 - 1
     s = budget_bits + bits
     return 1 << budget_bits, -(-(1 << s) // p), s, (1 << (lane_bits - s)) - 1
@@ -793,7 +784,6 @@ def _lane_plan(r, p, k):
     return width, lane_division(p, width)
 
 
-@functools.lru_cache(maxsize=256)
 def _plane_kernels(ctx, scale):
     """What PackedRows multiplies planes by for the tables of one scale,
     whose values are v_e = scale * theta^e with matrices R_e =
@@ -801,8 +791,10 @@ def _plane_kernels(ctx, scale):
     plane d in plane c of v_e times a row; fourier, for output plane c of
     fibre row i, in the order (c, i), the coefficients R_(i*x mod r)[c][d]
     of plane d of fibre row x, in the order (d, x); and after each the
-    largest row sum, the most it grows a lane by."""
-    r, k = ctx.r, ctx.k
+    largest row sum, the most it grows a lane by.  Each field context
+    keeps its own cache of these, ctx._kernels, for up to 256 scales."""
+    r = ctx.r
+    k = ctx.k
     mats = [ctx.mul_matrix(ctx.mul_theta_power(scale, e)) for e in range(r)]
     fourier = [[mats[i * x % r][c][d] for d in range(k) for x in range(r)]
                for c in range(k) for i in range(r)]
@@ -833,7 +825,10 @@ class PackedRows:
     __slots__ = ("ctx", "lanes", "rows", "bound")
 
     def __init__(self, ctx, rows, lanes, bound):
-        self.ctx, self.rows, self.lanes, self.bound = ctx, rows, lanes, bound
+        self.ctx = ctx
+        self.rows = rows
+        self.lanes = lanes
+        self.bound = bound
 
     @classmethod
     def load(cls, ctx, rows):
@@ -887,9 +882,11 @@ class PackedRows:
     def monomial(self, perm, expo, table):
         """Row j, times table[expo[j]], becomes row perm[j]: plane c of the
         new row sums R[c][d] * plane d over d, R table[expo[j]]'s matrix."""
-        kernel, growth, _, _ = _plane_kernels(self.ctx, table[0])
+        kernel, growth, _, _ = self.ctx._kernels(table[0])
         self._grow(growth)
-        rows, n, out = self.rows, len(perm), []
+        rows = self.rows
+        n = len(perm)
+        out = []
         for coefs in kernel:
             acc = [0] * n
             for p, e, x in zip(perm, expo, rows):   # plane 0 sets each entry
@@ -903,9 +900,10 @@ class PackedRows:
     def fourier(self, stride, table):
         """On each fibre of r rows stride apart, output row i is
         sum_x table[i][x] * row x, plane by plane."""
-        _, _, kernel, growth = _plane_kernels(self.ctx, table[0][0])
+        _, _, kernel, growth = self.ctx._kernels(table[0][0])
         self._grow(growth)
-        rows, mul = self.rows, operator.mul
+        rows = self.rows
+        mul = operator.mul
         out = [None] * len(rows)
         for pick, places in _fibres(len(rows) // self.ctx.k, stride, len(table), self.ctx.k):
             fibre = pick(rows)
@@ -920,7 +918,8 @@ class PackedRows:
 
     def unpacked(self):
         """The rows as tuples of field values, read off the lanes mod p."""
-        k, lanes = self.ctx.k, _unpack_signed(self.rows, self.lanes, self.ctx._lane_plan[0])
+        k = self.ctx.k
+        lanes = _unpack_signed(self.rows, self.lanes, self.ctx._lane_plan[0])
         lanes = list(map(operator.mod, lanes, itertools.repeat(self.ctx.p)))
         size = len(lanes) // k
         values = self.ctx.from_coordinates([lanes[c * size:c * size + size] for c in range(k)])
@@ -950,6 +949,7 @@ class PrimeFieldContext(FieldContext):
         self.one = 1
         self._set_theta(pow(smallest_primitive_root(p), (p - 1) // r, p))
         self._lane_plan = _lane_plan(r, p, 1)
+        self._kernels = functools.lru_cache(maxsize=256)(functools.partial(_plane_kernels, self))
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -986,11 +986,6 @@ class PrimeFieldContext(FieldContext):
 
     def mul_theta_power(self, a, e):
         return a * self.theta_pow[e % self.r] % self.p
-
-    def pow(self, a, e):
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a, e, self.p)
 
     def from_int(self, n):
         return n % self.p
@@ -1053,6 +1048,7 @@ class ExtensionFieldContext(FieldContext):
                  if all(self.pow(g, (q - 1) // f) != self.one for f in facs))
         self._set_theta(self.pow(g, (q - 1) // r))
         self._lane_plan = _lane_plan(r, p, k)
+        self._kernels = functools.lru_cache(maxsize=256)(functools.partial(_plane_kernels, self))
         if q > MAX_TABLE_ORDER:
             return
         # a * g is (low half of a) * g + (high half of a) * g, both looked up

@@ -631,12 +631,18 @@ def test_lane_width_holds_r_k_p_squared():
     assert ExtensionFieldContext(3, 2, 2)._lane_plan[0] == 8
 
 
-@pytest.mark.parametrize("r", [3, 5])
-def test_sixteen_byte_lanes_match_column_route(r):
-    # GF(2^32 + 15) packs in 16-byte lanes: long products and Fourier
-    # factors whose entries are near p - 1, on rows of entries near p - 1
-    p = 4294967311
+# (r, p, lane width): the largest primes p = 1 (mod r) whose r * p^2 fits
+# 8-byte signed lanes, and 2^32 + 15, which takes 16-byte lanes
+LIMIT_CTXS = [(3, 1753413037, 8), (5, 1358187871, 8), (3, 4294967311, 16), (5, 4294967311, 16)]
+
+
+@pytest.mark.parametrize("r,p,width", LIMIT_CTXS, ids=str)
+def test_lanes_at_their_limit_match_column_route(r, p, width):
+    # long products and Fourier factors whose entries are near p - 1, on
+    # rows of entries near p - 1, where a Fourier row sum comes closest to
+    # the top of a lane
     ctx = PrimeFieldContext(r, p)
+    assert ctx._lane_plan[0] == width
     params = WeilParams(r, 2 if r == 3 else 1, ctx)
     rng = random.Random(p * r)
     op = ProductOp(params, [_random_factor(params, rng) for _ in range(30)]
@@ -679,7 +685,7 @@ def _pack(rows, width):
 
 @pytest.mark.parametrize("r,p,width", DIVISION_CASES, ids=str)
 @given(data=st.data(), lanes=st.integers(1, 30))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_lane_reduction_is_lane_by_lane_mod_p(r, p, width, data, lanes):
     # every lane below the budget reduces to x % p in one multiply and shift
     # per row; rows of several lanes show a carry or a shifted-in bit
