@@ -22,9 +22,9 @@ multiply over GF(p), a rotation of the coefficient vector over Q(theta),
 and a table lookup over GF(p^k) (a mul above the table bound).  Over
 Q(theta) every product with a power of theta is that rotation (_product),
 and dot sums its products over one denominator and normalises once.
-fourier_apply(vec, stride, scale), one method for every family, applies
-the Fourier kernel scale * theta^(i*x) in one tensor slot: per output entry
-one dot with a row of theta powers (theta_rows) and one mul by the scale.
+fourier_apply(vec, stride, table), one method for every family, applies
+the Fourier kernel table[i][x] = scale * theta^(i*x) in one tensor slot,
+one dot per output entry; at scale 1 its entries are powers of theta.
 pi_map reads a matrix through mul_theta_power alone: r calls per
 theta class of its entries register their codes, and rows are matched on
 those integers.
@@ -311,24 +311,24 @@ class FieldContext:
         """a * theta^e for any integer e."""
         return self.mul(a, self.theta_pow[e % self.r])
 
-    def fourier_apply(self, vec, stride, scale):
+    def fourier_apply(self, vec, stride, table):
         """scale * C applied to vec: on each fibre of r entries stride apart,
-        out_i = scale * sum_x theta^(i*x) v_x, one dot with a row of theta
-        powers and one mul by the scale.  All-zero fibres are skipped."""
+        out_i = scale * sum_x theta^(i*x) v_x, one dot per output entry.
+        table[i][x] is scale * theta^(i*x), so table[0][0] is the scale.
+        All-zero fibres are skipped."""
         r = self.r
         n = len(vec)
         block = stride * r
         zero = self.zero
         out = [zero] * n
         dot = self.dot
-        mul = self.mul
         for base in range(0, n, block):
             for off in range(base, base + stride):
                 vals = vec[off:off + block:stride]
                 if vals.count(zero) == r:
                     continue  # a zero fibre maps to zero
-                for i, row in enumerate(self.theta_rows):
-                    out[off + i * stride] = mul(scale, dot(row, vals))
+                for i, row in enumerate(table):
+                    out[off + i * stride] = dot(row, vals)
         return out
 
     def product_rows(self, factors, rows=None):
@@ -380,8 +380,7 @@ class FieldContext:
 
     def _set_theta(self, theta):
         """Fix theta, once, when the context is built: theta_pow is the
-        tuple (theta^0, ..., theta^(r-1)), theta_rows the Fourier kernel
-        theta^(i*x) row by row, and _dlog maps each power to its
+        tuple (theta^0, ..., theta^(r-1)) and _dlog maps each power to its
         exponent."""
         self._dlog = {}  # mul may look its factors up while the powers are built
         powers = [self.one]
@@ -389,8 +388,6 @@ class FieldContext:
             powers.append(self.mul(powers[-1], theta))
         self.theta = theta
         self.theta_pow = tuple(powers)
-        self.theta_rows = tuple(tuple(powers[i * x % self.r] for x in range(self.r))
-                                for i in range(self.r))
         self._dlog = {v: e for e, v in enumerate(powers)}
 
     def dlog_theta(self, a):
@@ -707,7 +704,18 @@ class CyclotomicContext(FieldContext):
             [x * (den // d) for x in nums] if d != den else nums for nums, d in terms])], den)
 
     def mul_theta_power(self, a, e):
-        return self._reduced(*self._product(self.theta_pow[e % self.r], a))
+        # theta is a unit of Z[theta], so the content, and with it the
+        # normal form's denominator, is unchanged
+        e %= self.r
+        if not e:
+            return a
+        nums, den = a
+        full = nums + (0,)  # coefficients of theta^0 .. theta^(r-1)
+        rot = full[-e:] + full[:-e]
+        high = rot[-1]
+        if high:
+            return (tuple(x - high for x in rot[:-1]), den)
+        return (rot[:-1], den)
 
     def _conjugate(self, a, j):
         # the field automorphism theta -> theta^j

@@ -292,7 +292,7 @@ class FourierOp(Operator):
         self._stride = r ** (params.ell - t)
 
     def apply(self, vec):
-        return self.ctx.fourier_apply(vec, self._stride, self.scale)
+        return self.ctx.fourier_apply(vec, self._stride, self._table)
 
     def mul_packed(self, packed):
         packed.fourier(self._stride, self._table)
