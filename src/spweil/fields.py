@@ -20,11 +20,13 @@ Two primitives serve the structured operators, whose entries are powers of
 theta times one scalar.  mul_theta_power(a, e) is a * theta^e: one modular
 multiply over GF(p), a rotation of the coefficient vector over Q(theta),
 and a table lookup over GF(p^k) (a mul above the table bound).  Over
-Q(theta) every product with a power of theta is that rotation (_product),
-and dot sums its products over one denominator and normalises once.
-fourier_apply(vec, stride, table), one method for every family, applies
-the Fourier kernel table[i][x] = scale * theta^(i*x) in one tensor slot,
-one dot per output entry; at scale 1 its entries are powers of theta.
+Q(theta) every product with a power of theta is that rotation (mul,
+_product).  Each family's dot reduces once: GF(p) takes one residue of the
+sum, GF(p^k) of each coefficient sum, and Q(theta) sums its products over
+one denominator and normalises once.  fourier_apply(vec, stride, table),
+one method for every family, applies the Fourier kernel
+table[i][x] = scale * theta^(i*x) in one tensor slot, one dot per output
+entry; at scale 1 its entries are powers of theta.
 pi_map reads a matrix through mul_theta_power alone: r calls per
 theta class of its entries register their codes, and rows are matched on
 those integers.
@@ -291,21 +293,12 @@ def find_irreducible_polynomial(p, k):
 class FieldContext:
     """Base class: exact field arithmetic plus a distinguished primitive
     r-th root of unity.  Subclasses fix the element encoding, a plain
-    hashable value, and define add, sub, neg, mul, inv, from_int, the
+    hashable value, and define add, sub, neg, mul, dot, inv, from_int, the
     serialization methods serialize_elem, parse_elem, spec_json and
     describe, and row_class; the rest is shared."""
 
     kind = None  # "cyclotomic" | "prime" | "extension"
     char = None
-
-    def dot(self, xs, ys):
-        """sum(x * y) over paired entries; terms with a zero factor are skipped."""
-        add, mul, zero = self.add, self.mul, self.zero
-        acc = zero
-        for a, b in zip(xs, ys):
-            if a != zero and b != zero:
-                acc = add(acc, mul(a, b))
-        return acc
 
     def mul_theta_power(self, a, e):
         """a * theta^e for any integer e."""
@@ -690,6 +683,9 @@ class CyclotomicContext(FieldContext):
         return self._norm([x - high for x in nums[:-1]], den)
 
     def mul(self, a, b):
+        e = self._dlog.get(a)
+        if e is not None:  # a left factor theta^e, as in a monomial table
+            return self._rotate(b, e)
         return self._reduced(*self._product(a, b))
 
     def dot(self, xs, ys):
@@ -716,6 +712,10 @@ class CyclotomicContext(FieldContext):
         if high:
             return (tuple(x - high for x in rot[:-1]), den)
         return (rot[:-1], den)
+
+    # mul's rotation under its own name: pi_map is held to mul_theta_power
+    # calls alone, and a mul must not count as one
+    _rotate = mul_theta_power
 
     def _conjugate(self, a, j):
         # the field automorphism theta -> theta^j
@@ -1090,6 +1090,13 @@ class ExtensionFieldContext(FieldContext):
         if log is not None:
             return zero if a == zero or b == zero else self._exp[log[a] + log[b]]
         return _poly_mulmod(a, b, self.modulus, self.p)
+
+    def dot(self, xs, ys):
+        """sum(x * y): the products' coefficients are summed, then reduced
+        mod p once."""
+        zero, mul, p = self.zero, self.mul, self.p
+        terms = [mul(a, b) for a, b in zip(xs, ys) if a != zero and b != zero]
+        return tuple(sum(col) % p for col in zip(*terms)) if terms else zero
 
     def mul_matrix(self, a):
         """The k x k matrix over GF(p) of multiplication by a: column d
