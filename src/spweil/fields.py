@@ -1094,9 +1094,12 @@ class ExtensionFieldContext(FieldContext):
     def dot(self, xs, ys):
         """sum(x * y): the products' coefficients are summed, then reduced
         mod p once."""
-        zero, mul, p = self.zero, self.mul, self.p
-        terms = [mul(a, b) for a, b in zip(xs, ys) if a != zero and b != zero]
-        return tuple(sum(col) % p for col in zip(*terms)) if terms else zero
+        zero = self.zero
+        terms = [self.mul(a, b) for a, b in zip(xs, ys) if a != zero and b != zero]
+        if not terms:
+            return zero
+        p = self.p
+        return tuple(sum(col) % p for col in zip(*terms))
 
     def mul_matrix(self, a):
         """The k x k matrix over GF(p) of multiplication by a: column d
