@@ -21,10 +21,10 @@ theta times one scalar.  mul_theta_power(a, e) is a * theta^e: one modular
 multiply over GF(p), a rotation of the coefficient vector over Q(theta),
 and a table lookup over GF(p^k) (a mul above the table bound).  Over
 Q(theta) every product with a power of theta is that rotation (mul,
-_product).  Each family's dot reduces once: GF(p) takes one residue of the
-sum, GF(p^k) of each coefficient sum, and Q(theta) sums its products over
-one denominator and normalises once.  fourier_apply(vec, stride, table),
-one method for every family, applies the Fourier kernel
+_product).  dot reduces once over GF(p), one residue of the sum, and over
+Q(theta), which sums its products over one denominator and normalises
+once; GF(p^k) adds its products with add.  fourier_apply(vec, stride,
+table), one method for every family, applies the Fourier kernel
 table[i][x] = scale * theta^(i*x) in one tensor slot, one dot per output
 entry; at scale 1 its entries are powers of theta.
 pi_map reads a matrix through mul_theta_power alone: r calls per
@@ -1092,14 +1092,10 @@ class ExtensionFieldContext(FieldContext):
         return _poly_mulmod(a, b, self.modulus, self.p)
 
     def dot(self, xs, ys):
-        """sum(x * y): the products' coefficients are summed, then reduced
-        mod p once."""
+        """sum(x * y), the nonzero products added one by one."""
         zero = self.zero
         terms = [self.mul(a, b) for a, b in zip(xs, ys) if a != zero and b != zero]
-        if not terms:
-            return zero
-        p = self.p
-        return tuple(sum(col) % p for col in zip(*terms))
+        return functools.reduce(self.add, terms, zero)
 
     def mul_matrix(self, a):
         """The k x k matrix over GF(p) of multiplication by a: column d
