@@ -35,6 +35,12 @@ EXIT_VERIFY = 4
 # each, so this keeps one at no more than 4 * 10^6 entries.
 MAX_DIM = 2000
 
+# Longest --g file read, in characters.  Under MAX_DIM l is at most 6, so
+# a valid matrix is 144 integers, each within Python's 4,300-digit int
+# limit: about 620 KB with signs and separators.  A longer file (or a
+# device or pipe that never ends) is refused after this many characters.
+MAX_MATRIX_TEXT = 2 ** 20
+
 # Largest closure verify starts, in bytes: the group order times the size
 # of one generator matrix, about what a breadth-first search keeps.
 MAX_CLOSURE_BYTES = 2 ** 31
@@ -130,7 +136,9 @@ def _read_matrix(args, params):
     text = args.g
     if os.path.exists(text):
         with open(text) as fh:
-            text = fh.read()
+            text = fh.read(MAX_MATRIX_TEXT + 1)
+        if len(text) > MAX_MATRIX_TEXT:
+            raise ValueError(f"{args.g} is longer than {MAX_MATRIX_TEXT} characters")
     rows = parse_matrix_text(text, params.ell, params.r)
     return SpMatrix(params.r, rows)
 

@@ -28,8 +28,14 @@ table), one method for every family, applies the Fourier kernel
 table[i][x] = scale * theta^(i*x) in one tensor slot, one dot per output
 entry; at scale 1 its entries are powers of theta.
 pi_map reads a matrix through mul_theta_power alone: r calls per
-theta class of its entries register their codes, and rows are matched on
-those integers.
+theta class of its entries register their codes, and each row is packed
+by _pack_signed into one int whose lane j holds entry j's (theta class
++ 1, exponent), 0 for a zero entry, with a carry bit above the exponent.
+Rows are matched on those ints: a row of n * A_t is one add of the slot-t
+digits masked to the row's support and a lane-wise subtraction of r where
+an exponent passed r - 1, and a row of n * B_t is two masks and two
+shifts, lanes with slot-t digit at least 1 moving down stride lanes and
+digit-0 lanes up (r - 1) * stride lanes.
 
 FieldContext.product_rows(factors, rows) is the bulk route for
 left-multiplying rows by operators: the rows of the product of the factors
@@ -388,15 +394,20 @@ class FieldContext:
         return self._dlog.get(a)
 
 
+# array typecode of the signed machine integer of each width in bytes
+_ARRAY_TYPES = {array(code).itemsize: code for code in "hiq"}
+
+
 def _pack_signed(values, lanes, width):
     """Pack the flat sequence values, each in [-2^(8 * width - 1),
     2^(8 * width - 1)), lanes at a time: each int is sum_j v_j * 2^(8 *
     width * j) over its lanes values v_j.  In two's complement with the top
     bit of every lane flipped, a lane holds its value plus 2^(8 * width - 1),
     which is never negative, so the lanes do not borrow from one another
-    until that constant is taken off the whole int."""
-    if width == 8:
-        raw = memoryview(array("q", values).tobytes())
+    until that constant is taken off the whole int.  Lanes of 2, 4 or 8
+    bytes are written by one array of machine integers."""
+    if width in _ARRAY_TYPES:
+        raw = memoryview(array(_ARRAY_TYPES[width], values).tobytes())
     else:
         raw = b"".join(v.to_bytes(width, sys.byteorder, signed=True) for v in values)
     size, order = lanes * width, sys.byteorder

@@ -25,7 +25,14 @@ x_g = n g n^-1 of g = A_t, B_t is z * h with h in R and z a scalar.  Then
 x_g^r = n g^r n^-1 = 1, and h^r = 1 as r is odd, so z^r = 1 and z is a power
 of theta.  Every nonzero entry of x_g is therefore a power of theta, and a
 conjugate is the MonomialOp of its permutation and theta exponents.
-Recognition in R*Z reads those integers; no field value is compared.
+Recognition in R*Z reads those integers; no field value is compared.  A
+dense n is read once into one int per row, lane j holding entry j's
+(theta class + 1, exponent), 0 for a zero entry, with a carry bit above
+the exponent (_theta_codes, _lanes).  A row of n * A_t is then one add of
+the slot-t digits masked to the row's nonzero lanes and a lane-wise
+subtraction of r where an exponent passed r - 1; a row of n * B_t is two
+masks and two shifts, lanes whose slot-t digit is at least 1 moving down
+stride = r^(l-t) lanes and digit-0 lanes up (r - 1) * stride lanes.
 
 Irreducibility also runs the other way, and image_from_columns uses it to
 build a Weil image rho(g) from l + 1 of its columns.  Conjugation by
@@ -49,12 +56,14 @@ normaliser that differs from the word route.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import chain, compress, count, filterfalse, repeat
-from operator import add, getitem, itemgetter, mod
+from itertools import chain, filterfalse, repeat
+from operator import add, itemgetter, mod
 
+from .fields import _every_lane, _pack_signed
 from .linalg import DenseMatrix
-from .operators import MonomialOp, Operator, identity_op
+from .operators import MonomialOp, Operator
 from .symplectic import SpMatrix
 
 
@@ -185,43 +194,85 @@ def _square_rows(mat, params):
 
 
 def _theta_codes(rows, params):
-    """Each row of the matrix rows as (classes, exponents): a nonzero entry
-    rep_o * theta^e is coded o and e, rep_o the first value of its theta
-    class met in row order, and a zero entry -1 and r.  Each class costs
-    the r mul_theta_power calls that register its multiples; no other
-    field operation is made.  A normaliser has one class: it lies in
+    """Each row of the matrix rows as (code, support), two ints of n lanes
+    laid out by _lanes.  A nonzero entry rep_o * theta^e, rep_o the first
+    value of its theta class met in row order, numbered o from 1, is the
+    lane (o, e): e in the low exponent field, o in the class field above it.
+    A zero entry is lane 0, and support has a 1 in each nonzero lane.  Each
+    class costs the r mul_theta_power calls that register its multiples; no
+    other field operation is made.  A normaliser has one class: it lies in
     Z * R * rho(Sp), and each rho(g) is a scalar times theta^(quadratic) on
     a coset (Gerardin 1977; Neuhauser 2002).  A matrix with more than n
     classes is refused before the table passes r * n values, so memory
     stays O(n^2) on any input."""
     ctx, r, n = params.ctx, params.r, params.n
-    code = {ctx.zero: (-1, r)}
-    for o, a in enumerate(filterfalse(code.__contains__, chain.from_iterable(rows))):
-        if o == n:
+    bits, width, _ = _lanes(r, params.ell)
+    code = {ctx.zero: 0}
+    for o, a in enumerate(filterfalse(code.__contains__, chain.from_iterable(rows)), 1):
+        if o > n:
             raise DoesNotNormalize(f"matrix entries lie in more than {n} theta classes")
-        code.update((ctx.mul_theta_power(a, e), (o, e)) for e in range(r))
-    return [tuple(zip(*map(code.__getitem__, row))) for row in rows]
+        code.update((ctx.mul_theta_power(a, e), o << bits + 1 | e) for e in range(r))
+    codes = _pack_signed(map(code.__getitem__, chain.from_iterable(rows)), n, width)
+    # a lane is nonzero exactly when adding 2^top - 1 carries into its top bit
+    top, one = 8 * width - 1, _every_lane(1, n, width)
+    fill = _every_lane((1 << top) - 1, n, width)
+    return [(c, (c + fill) >> top & one) for c in codes]
 
 
-def _theta_keyed(codes, g, shift):
-    """For each row of N * g, with codes = _theta_codes(N) and g a MonomialOp
-    of scale 1: (k, key), key the codes of theta^k times the row, whose
-    first nonzero entry then has exponent 0.  Two rows get the same key
-    exactly when one is a theta power times the other.  Row i of N * g
-    holds N[i][perm[j]] * theta^(expo[j]) in column j: its classes are row
-    i's permuted by perm, its exponents row i's permuted and shifted by
-    expo[j] + k, where shift[s] adds s mod r and keeps the zero code r."""
-    r = len(shift)
-    take, expo = itemgetter(*g.perm), g.expo
-    steps = [[shift[(e + k) % r] for e in expo] for k in range(r)]
-    for classes, expos in codes:
-        moved = take(classes)
-        j = next(compress(count(), map((-1).__ne__, moved)), None)
-        if j is None:
+@functools.lru_cache(maxsize=32)
+def _lanes(r, ell):
+    """(bits, width, steps): the lane layout of _theta_codes at (r, l) and
+    how the identity and each g in (A_1, B_1, ..., A_l, B_l) act on a row.
+    The exponent field is bits + 1 wide, so that a sum of two exponents, at
+    most 2r - 2 < 2^bits, keeps a carry bit; the class field above it holds
+    up to n.  Lanes are the least of 2, 4, 8, ... bytes whose signed lanes
+    hold both.  A step is (move, adds): adds holds the r ints with digit +
+    k mod r in every lane, the digit being 0 but for A_t, whose digit is
+    lane j's slot-t digit, read at stride r^(l-t).  B_t moves the lanes:
+    column xi + delta_t of n is column xi of n * B_t, so lane j moves down
+    stride lanes when its slot-t digit is at least 1 and up (r - 1) *
+    stride lanes when it is 0, two masks and two shifts."""
+    n = r ** ell
+    bits = (2 * r - 2).bit_length()
+    width = 2
+    while bits + n.bit_length() + 2 > 8 * width:
+        width *= 2
+    lane, full = 8 * width, (1 << 8 * width) - 1
+    same = [k * _every_lane(1, n, width) for k in range(r)]
+    steps = [(None, same)]
+    for t in range(ell):
+        stride = r ** (ell - 1 - t)
+        digits = [j // stride % r for j in range(n)]
+        adds = _pack_signed(((d + k) % r for k in range(r) for d in digits), n, width)
+        high, low = (full * _pack_signed(map(test, digits), n, width)[0]
+                     for test in (bool, (0).__eq__))
+        steps += [(None, adds), (_lane_move(high, stride * lane, low, (r - 1) * stride * lane), same)]
+    return bits, width, steps
+
+
+def _lane_move(high, down, low, up):
+    """x -> its bits under the mask high shifted down, those under low up."""
+    return lambda x: (x & high) >> down | (x & low) << up
+
+
+def _theta_keyed(codes, r, bits, move, adds):
+    """For each row of N * g, with codes = _theta_codes(N) and (move, adds)
+    the step of g in _lanes: (k, key), key the code of theta^k times the
+    row, whose lowest nonzero lane then has exponent 0.  Two rows get the
+    same key exactly when one is a theta power times the other.  B_t moves
+    the lanes of code and support; then the digits + k are added, masked to
+    the support, an exponent that passed r - 1 sets the carry bit when
+    2^bits - r is added, and r is subtracted from those lanes."""
+    expo, over = (1 << bits) - 1, (1 << bits) - r
+    for code, support in codes:
+        if move is not None:
+            code, support = move(code), move(support)
+        low = (support & -support).bit_length() - 1
+        if low < 0:
             raise DoesNotNormalize("matrix has a zero row")
-        expos = take(expos)
-        k = -(expos[j] + expo[j]) % r
-        yield k, (moved, tuple(map(getitem, steps[k], expos)))
+        k = -((code >> low) + (adds[0] >> low) & expo) % r
+        code += adds[k] & support * expo
+        yield k, code - (code + support * over >> bits & support) * r
 
 
 def _conjugates_of_basis(n, params):
@@ -231,14 +282,18 @@ def _conjugates_of_basis(n, params):
     A MonomialOp n is conjugated by integer compose and inverse; its scale
     is dropped, as a scalar commutes with g.  Any other n (a product or
     Fourier operator, or a DenseMatrix) is materialised once, as a whole,
-    and read once into integer theta codes; x_g is read off
+    and read once into one int per row (_theta_codes); x_g is read off
     x_g * n = n * g, one route for every field family.  Each n * g is a
     column permute-and-scale of n.  As the module docstring shows, a
     normaliser gives conjugates whose entries are theta powers, so row i of
     n * g must be theta^s times some row c of n, and then x_g has theta^s
     at (i, c).  Rows are matched on integer keys (_theta_keyed): with keys
     theta^k_i * (row i of n * g) = theta^k_c * (row c of n), the entry is
-    theta^(k_c - k_i).  Past the codes no field operation is made.
+    theta^(k_c - k_i).  A row of n * A_t is its row of n with the slot-t
+    digit added to each nonzero lane's exponent, one masked add and a
+    lane-wise reduction mod r; a row of n * B_t is its row of n with two
+    masks and two shifts (_lanes).  Past the codes no field operation is
+    made.
 
     This is enough: when every match succeeds, x_g * n = n * g makes ker n
     invariant under R, and as W is irreducible under R, ker n is 0 or W.
@@ -249,24 +304,22 @@ def _conjugates_of_basis(n, params):
     DoesNotNormalize.
     """
     r, ell, size = params.r, params.ell, params.n
-    units = [tuple(int(m == t) for m in range(ell)) for t in range(ell)]
-    zeros = (0,) * ell
-    basis = [realize(elem, params) for u in units
-             for elem in (ExtraspecialElement(0, u, zeros), ExtraspecialElement(0, zeros, u))]
     if isinstance(n, MonomialOp):
+        units = [tuple(int(m == t) for m in range(ell)) for t in range(ell)]
+        zeros = (0,) * ell
         unit = MonomialOp(params, n.perm, n.expo)
         unit_inv = unit.inverse()
-        for g in basis:
-            yield unit.compose(g).compose(unit_inv)
+        for u in units:
+            for elem in (ExtraspecialElement(0, u, zeros), ExtraspecialElement(0, zeros, u)):
+                yield unit.compose(realize(elem, params)).compose(unit_inv)
         return
     codes = _theta_codes(_square_rows(n.materialize() if isinstance(n, Operator) else n,
                                       params), params)
-    shift = [tuple(range(s, r)) + tuple(range(s)) + (r,) for s in range(r)]
-    match = {key: (c, k) for c, (k, key)
-             in enumerate(_theta_keyed(codes, identity_op(params), shift))}
-    for g in basis:
+    bits, _, (identity, *steps) = _lanes(r, ell)
+    match = {key: (c, k) for c, (k, key) in enumerate(_theta_keyed(codes, r, bits, *identity))}
+    for step in steps:
         perm, expo = [None] * size, [0] * size
-        for i, (k, key) in enumerate(_theta_keyed(codes, g, shift)):
+        for i, (k, key) in enumerate(_theta_keyed(codes, r, bits, *step)):
             hit = match.get(key)
             if hit is None:
                 raise NotMonomial(f"row {i} of n*g is not a theta multiple of a row of n")

@@ -283,6 +283,20 @@ def test_image_from_file(capsys, tmp_path):
     assert json.loads(out)["word"] == [{"gen": "U", "t": 1, "exp": 1}]
 
 
+def test_image_file_longer_than_the_bound_exits_2(capsys, tmp_path):
+    # a file is read up to cli.MAX_MATRIX_TEXT characters: one more is refused
+    # before the rest is read, and a file at the bound is still read whole
+    bound = spweil.cli.MAX_MATRIX_TEXT
+    path = tmp_path / "g.txt"
+    path.write_text("1 1 0 1".ljust(bound + 1))
+    code, out, err = run_cli(["image", "--r", "3", "--l", "1", "--g", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert f"is longer than {bound} characters" in err
+    path.write_text("1 1 0 1".ljust(bound))
+    code, out, _ = run_cli(["image", "--r", "3", "--l", "1", "--g", str(path)], capsys)
+    assert code == 0 and json.loads(out)["word"] == [{"gen": "U", "t": 1, "exp": 1}]
+
+
 @pytest.mark.parametrize("extra", [[], ["--irreducible", "plus"]])
 def test_image_decomposes_its_input_once(extra, capsys, monkeypatch):
     # cli holds the word it writes into the document; the image reuses it

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spweil.fields import FieldSpec, make_field, parse_field_spec
+from spweil.fields import FieldSpec, make_field, parse_field_spec, smallest_primitive_root
 from spweil.generators import op_A, op_B, op_C, weil_generators
 from spweil.heisenberg import (DoesNotNormalize, ExtraspecialElement,
                                NotCharacterDiagonal, NotMonomial, NotThetaPower,
@@ -375,11 +375,31 @@ def _pi_inputs(params, gens):
     lam = next((x for x in scalars if x != ctx.zero and ctx.dlog_theta(x) is None), None)
     if lam is not None:   # GF(4) has one theta class
         out.append(("two classes", _with_row(m, 0, (ctx.mul(lam, a) for a in m.rows[0]))))
+        # lam on the rows whose last slot digit is 0 and 1 elsewhere, then
+        # that times A_1 (theta^(xi_1) on row xi): every A_t and B_t with
+        # t < l keeps the two classes apart, and B_l mixes them at row 0
+        n = params.n
+        for twist in (0, 1):
+            out.append((f"diag lam {twist}", _diagonal(ctx, [
+                ctx.mul_theta_power(lam if xi % r == 0 else ctx.one, twist * xi // (n // r))
+                for xi in range(n)])))
     return out
 
 
-@pytest.mark.parametrize("r,ell", [(3, 2), (5, 2), (3, 3)])
-@pytest.mark.parametrize("field", ["cyclotomic", "auto-prime", "auto-char2"])
+def _diagonal(ctx, values):
+    n = len(values)
+    return DenseMatrix(ctx, [[a if i == j else ctx.zero for j in range(n)]
+                             for i, a in enumerate(values)])
+
+
+PI_CELLS = [(field, r, ell) for field in ("cyclotomic", "auto-prime", "auto-char2")
+            for r, ell in [(3, 2), (5, 2), (3, 3)]]
+# GF(8) at r = 7 has one theta class; GF(2^100) at r = 101 is above the
+# field order limit
+PI_CELLS += [("cyclotomic", 7, 2), ("auto-prime", 7, 2), ("auto-prime", 101, 1)]
+
+
+@pytest.mark.parametrize("field,r,ell", PI_CELLS)
 def test_pi_matches_the_field_value_reference(field, r, ell):
     # the same projection, or the same DoesNotNormalize text, on normalisers
     # and on inputs that fail the match, the recognition or the form
@@ -396,6 +416,24 @@ def test_pi_matches_the_field_value_reference(field, r, ell):
     assert all(isinstance(got, str) for name, _, got in outcomes[3:]), outcomes
     two = [classes for name, classes, _ in outcomes if name == "two classes"]
     assert two == ([] if (field, r) == ("auto-char2", 3) else [2])   # GF(4): one class
+
+
+def test_pi_matches_the_reference_past_255_classes():
+    # at (17, 2) over GF(4931), n = 289, powers of a generator of GF(4931)*
+    # lie in 289 of its 290 theta classes, numbered past one byte: a
+    # diagonal with one class per row, and the full-support normaliser
+    # F = C_1 * C_2 with one class per column, each kept by every A_t and
+    # refused at B_1; F itself projects
+    ctx = make_field(parse_field_spec("gf:4931", 17))
+    params = WeilParams(17, 2, ctx)
+    n = params.n
+    root = ctx.from_int(smallest_primitive_root(4931))
+    values = [ctx.pow(root, i) for i in range(n)]
+    fourier = ProductOp(params, (op_C(params, 1), op_C(params, 2))).materialize()
+    scaled = DenseMatrix(ctx, [list(map(ctx.mul, row, values)) for row in fourier.rows])
+    for mat in (_diagonal(ctx, values), scaled, fourier):
+        assert _outcome(pi_map, mat, params) == _outcome(reference_pi_map, mat, params)
+    assert _theta_classes(scaled, params) == n
 
 
 @pytest.mark.parametrize("spec", ["cyclotomic", "gf:31"])
