@@ -422,7 +422,7 @@ def test_pi_matches_the_reference_past_255_classes():
     # at (17, 2) over GF(4931), n = 289, powers of a generator of GF(4931)*
     # lie in 289 of its 290 theta classes, numbered past one byte: a
     # diagonal with one class per row, and the full-support normaliser
-    # F = C_1 * C_2 with one class per column, each kept by every A_t and
+    # F = C_1 * C_2 times it, one class per column, each kept by A_1 and
     # refused at B_1; F itself projects
     ctx = make_field(parse_field_spec("gf:4931", 17))
     params = WeilParams(17, 2, ctx)
