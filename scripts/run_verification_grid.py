@@ -5,8 +5,9 @@ one summary row per (r, l, field), with timings.
 Usage: python3 scripts/run_verification_grid.py [--closure] [--jsonl]
 
 --closure adds group-order rows: the closure of the Weil generators of
-Sp(2l, r) over GF(p) at (r, l) = (3, 1), (5, 1), (7, 1), (3, 2), and of
-Sp(2, r) over Q(theta_r) and over GF(2^k) at r = 3, 5, 7.
+Sp(2l, r) over GF(p) at (r, l) = (3, 1), (5, 1), (7, 1), (3, 2), of
+Sp(2, r) over Q(theta_r) and over GF(2^k) at r = 3, 5, 7, and of Sp(4, 3)
+over GF(4), two coefficient planes per row at l = 2.
 
 With --jsonl every row is one JSON object on its own line instead: r, l,
 field, checks (the number of checks), failures (id and witness of each
@@ -29,7 +30,8 @@ GRID = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1)
 CHAR2 = [(3, 1), (3, 2), (5, 1)]
 # (r, l) closes over auto-prime; (r, l, kind) names another field family
 CLOSURE_SETS = [(3, 1), (5, 1), (7, 1), (3, 2)] + [
-    (r, 1, kind) for kind in ("cyclotomic", "auto-char2") for r in (3, 5, 7)]
+    (r, 1, kind) for kind in ("cyclotomic", "auto-char2") for r in (3, 5, 7)] + [
+    (3, 2, "auto-char2")]
 
 
 def main():

@@ -75,17 +75,32 @@ byte order (lane j is entry j on a little-endian host), shared by packing
 and unpacking.
 
 FieldContext.closure_steps(n, ops) gives a breadth-first group count its
-start state and one step per generator: a step loads a state, runs the
-op's mul_packed and returns the canonical state() of the result.  Over
-GF(p^k) that is the tuple of planes with every lane in [0, p), the
-entries' coefficients: a step reduces every int at once, x - (((x * m) >>
-s) & mask) * p, with m, s and the lane mask fixed per prime and lane width
-(lane_division; Granlund and Montgomery 1994), exact for lanes below 2^N,
-N = (8 * width - bits(p)) // 2 - 1; a step whose lanes may reach 2^N (in
-8-byte lanes at r = 3 a Fourier step can from about p = 3,300 on) reduces
-lane by lane instead.  Over Q(theta) it is (den, width, rows) with the
-planes reduced mod the cyclotomic polynomial, gcd(den, every lane) = 1 and
-the narrowest lanes, the matrix's canonical form.
+start state and one step per generator, built by the row_class.  Over
+GF(p^k) (PackedRows.closure_steps) a state is one int holding the whole
+matrix, plane-major: lane block c * n + j packs plane c of row j, and
+every lane is in [0, p), the entries' coefficients, so equal ints are
+equal matrices.  Each generator is compiled once, by running its
+mul_packed on a recorder (_StepRecorder): a monomial or Fourier call
+records (source row, target row, value) entries, each value expanded
+through its k x k matrix (_plane_kernels) into moves of a source block
+onto a target block times an integer coefficient, kept by coefficient,
+then by shift.  A step is then sum_c sum ((c * S) & mask) shifted, one
+mask per coefficient and shift, and one reduction of the whole int, x -
+(((x * m) >> s) & mask) * p, with m, s and the lane mask fixed per prime
+and lane width (lane_division; Granlund and Montgomery 1994), exact for
+lanes below 2^N, N = (8 * width - bits(p)) // 2 - 1.  The lanes are the
+narrowest of 2, 4, 8, 16, ... bytes with 2^N above the largest lane a
+compiled step can make, so no lane is ever reduced on its own.  A Fourier
+factor takes one stage, or three where they need fewer masks: Bluestein's
+factorisation theta^(i*x) = theta^(h*i^2) * theta^(-h*(i-x)^2) *
+theta^(h*x^2), h = (r + 1) / 2, into two diagonal stages and a circulant
+one (Bluestein 1970), which over GF(p) from r = 5 on needs fewer masks
+than the r^2 moves of the kernel.  Any other operator (mul_rows, a dense
+generator) unpacks the state into rows, runs DenseMatrix.mul_rows and
+packs the product.  Over Q(theta) a state is (den, width, rows) with the
+planes reduced mod the cyclotomic polynomial, gcd(den, every lane) = 1
+and the narrowest lanes, the matrix's canonical form; a step loads it
+into PlaneRows, runs the op's mul_packed and takes state() again.
 
 GF(p^k) with q <= MAX_TABLE_ORDER = 2^16 multiplies and inverts by log and
 exp tables (Lidl and Niederreiter, Finite Fields, ch. 10), built by half
@@ -348,19 +363,11 @@ class FieldContext:
     def closure_steps(self, n, ops):
         """(start, steps) for a breadth-first count of the group generated
         by ops, n x n operators or matrices over this field with
-        mul_packed: start is the identity's canonical state() in the
-        context's row_class, steps[i] maps the state of M to that of
-        ops[i] * M by the op's mul_packed, and two states are equal exactly
-        when their matrices are."""
-        packer = self.row_class
-
-        def packed_step(mul_packed):
-            def run(state):
-                packed = packer.from_state(self, state, n)
-                mul_packed(packed)
-                return packed.state()
-            return run
-        return packer.identity(self, n).state(), [packed_step(op.mul_packed) for op in ops]
+        mul_packed: start is the identity's state, steps[i] maps the state
+        of M to that of ops[i] * M, and two states are equal exactly when
+        their matrices are.  The context's row_class defines the states and
+        builds the steps from the ops' mul_packed."""
+        return self.row_class.closure_steps(self, n, ops)
 
     def pow(self, a, e):
         """a^e by squaring; a^-e is (a^-1)^e."""
@@ -503,6 +510,19 @@ class PlaneRows:
                                    self.lanes, width))
         self.rows = [row + (0,) for row in zip(*[planes] * (self.ctx.r - 1))]
         self.den, self.bound, self.width = den, bound, width
+
+    @classmethod
+    def closure_steps(cls, ctx, n, ops):
+        """FieldContext.closure_steps over Q(theta): a state is state(), and
+        a step loads it (from_state), runs the op's mul_packed and returns
+        state() of the result."""
+        def packed_step(mul_packed):
+            def run(state):
+                packed = cls.from_state(ctx, state, n)
+                mul_packed(packed)
+                return packed.state()
+            return run
+        return cls.identity(ctx, n).state(), [packed_step(op.mul_packed) for op in ops]
 
     @classmethod
     def from_state(cls, ctx, state, lanes):
@@ -852,10 +872,8 @@ class PackedRows:
     @classmethod
     def load(cls, ctx, rows):
         """rows of field values, packed."""
-        chain = itertools.chain.from_iterable
-        planes = chain(chain(zip(*map(ctx.coordinates, rows))))
-        return cls(ctx, _pack_signed(planes, len(rows[0]), ctx._lane_plan[0]), len(rows[0]),
-                   ctx.p - 1)
+        return cls(ctx, _pack_signed(_planes_of(ctx, rows), len(rows[0]), ctx._lane_plan[0]),
+                   len(rows[0]), ctx.p - 1)
 
     @classmethod
     def identity(cls, ctx, n):
@@ -865,14 +883,24 @@ class PackedRows:
         return cls(ctx, [1 << shift * j for j in range(n)] + [0] * (n * ctx.k - n), n, 1)
 
     @classmethod
-    def from_state(cls, ctx, state, lanes):
-        return cls(ctx, list(state), lanes, ctx.p - 1)
-
-    def state(self):
-        """The planes with every lane in [0, p), the entries' coefficients,
-        so two states are equal exactly when their matrices are."""
-        self.reduce()
-        return tuple(self.rows)
+    def closure_steps(cls, ctx, n, ops):
+        """FieldContext.closure_steps over GF(p^k): a state is one int
+        holding the whole matrix, plane-major, lane (c * n + j) * n + i the
+        x^c coefficient of entry (j, i), every lane in [0, p), so equal ints
+        are equal matrices.  Each op is compiled once (_StepRecorder), its
+        mul_packed run on a recorder, and its step is the recorded stages.
+        The lanes are the narrowest of 2, 4, 8, 16, ... bytes whose
+        lane_division budget is above the largest lane a stage can make, so
+        every step reduces in one multiply and shift."""
+        recorders = [_StepRecorder(ctx, n) for _ in ops]
+        for op, recorder in zip(ops, recorders):
+            op.mul_packed(recorder)
+        top = (ctx.p - 1) * max([1] + [recorder.growth for recorder in recorders])
+        width = 2
+        while (8 * width - ctx.p.bit_length()) // 2 - 1 < top.bit_length():  # 2^N <= top
+            width *= 2
+        start = sum(1 << 8 * width * (n + 1) * j for j in range(n))
+        return start, [recorder.compile(width) for recorder in recorders]
 
     def reduce(self):
         """Bring every lane into [0, p), so bound becomes p - 1.  Below the
@@ -937,12 +965,150 @@ class PackedRows:
 
     def unpacked(self):
         """The rows as tuples of field values, read off the lanes mod p."""
-        k = self.ctx.k
-        lanes = _unpack_signed(self.rows, self.lanes, self.ctx._lane_plan[0])
-        lanes = list(map(operator.mod, lanes, itertools.repeat(self.ctx.p)))
-        size = len(lanes) // k
-        values = self.ctx.from_coordinates([lanes[c * size:c * size + size] for c in range(k)])
-        return tuple(zip(*[iter(values)] * self.lanes))
+        return _rows_of(self.ctx, _unpack_signed(self.rows, self.lanes, self.ctx._lane_plan[0]),
+                        self.lanes)
+
+
+def _planes_of(ctx, rows):
+    """The coordinates of rows of values over GF(p^k), plane-major: plane 0
+    of every row, then plane 1, ..., each row's entries in turn."""
+    chain = itertools.chain.from_iterable
+    return chain(chain(zip(*map(ctx.coordinates, rows))))
+
+
+def _rows_of(ctx, lanes, size):
+    """Rows of size values read mod p off lanes laid out as _planes_of lays
+    them out."""
+    k = ctx.k
+    lanes = list(map(operator.mod, lanes, itertools.repeat(ctx.p)))
+    plane = len(lanes) // k
+    values = ctx.from_coordinates([lanes[c * plane:c * plane + plane] for c in range(k)])
+    return tuple(zip(*[iter(values)] * size))
+
+
+class _StepRecorder:
+    """One operator's closure step over GF(p^k), compiled from its
+    mul_packed: the operator calls monomial, fourier or mul_rows as it would
+    on PackedRows, and each call records stages, each a function of the
+    lane width that builds a step on the state int (PackedRows.
+    closure_steps).  growth is the most any stage multiplies a lane by."""
+
+    __slots__ = ("ctx", "n", "stages", "growth")
+
+    def __init__(self, ctx, n):
+        self.ctx, self.n = ctx, n
+        self.stages = []
+        self.growth = 1
+
+    def monomial(self, perm, expo, table):
+        """Row j, times table[expo[j]], becomes row perm[j]."""
+        self._record([self._moves(zip(range(len(perm)), perm, expo), table[0])])
+
+    def fourier(self, stride, table):
+        """On each fibre of r rows stride apart, row x times table[i][x] =
+        scale * theta^(i*x) is added to output row i: in one stage, or in
+        three when they take fewer masks, by Bluestein's factorisation
+        theta^(i*x) = theta^(h*i^2) * theta^(-h*(i-x)^2) * theta^(h*x^2)
+        with h = (r + 1) / 2, the inverse of 2 mod r: a diagonal stage, a
+        circulant one on each fibre and a diagonal one times the scale."""
+        r, n, one, scale = len(table), self.n, self.ctx.one, table[0][0]
+        fibres = [(off + x * stride, off + i * stride, i, x)
+                  for base in range(0, n, stride * r) for off in range(base, base + stride)
+                  for i in range(r) for x in range(r)]
+        h = (r + 1) // 2
+        diagonal = [(j, j, h * (j // stride % r) ** 2) for j in range(n)]
+        direct = [self._moves([(s, t, i * x) for s, t, i, x in fibres], scale)]
+        factored = [self._moves(diagonal, one),
+                    self._moves([(s, t, -h * (i - x) ** 2) for s, t, i, x in fibres], one),
+                    self._moves(diagonal, scale)]
+        self._record(min(direct, factored, key=_mask_count))
+
+    def mul_rows(self, mul_rows):
+        """Any other operator: the state unpacked, its mul_rows on the rows,
+        packed again."""
+        self.stages.append(functools.partial(_dense_step, self.ctx, self.n, mul_rows))
+
+    def _moves(self, entries, scale):
+        """(moves, growth) for row s times scale * theta^e added to row t
+        for each (s, t, e): plane d of s, block d * n + s of the state,
+        times R_e[c][d] (_plane_kernels) added to plane c of t, block c * n
+        + t.  moves keeps them by coefficient, then by how many blocks they
+        shift, with the source blocks of each; growth is the largest sum of
+        coefficients into one block."""
+        kernel, r = self.ctx._kernels(scale)[0], self.ctx.r
+        n, k = self.n, self.ctx.k
+        moves = {}
+        growth = [0] * (k * n)
+        for s, t, e in entries:
+            for c, d in itertools.product(range(k), repeat=2):
+                coef = kernel[c][d][e % r]
+                if coef:
+                    source, target = d * n + s, c * n + t
+                    moves.setdefault(coef, {}).setdefault(target - source, []).append(source)
+                    growth[target] += coef
+        return moves, max(growth)
+
+    def _record(self, stages):
+        """Append a move step for each (moves, growth) stage, reducing only
+        where a lane can reach p."""
+        for moves, growth in stages:
+            self.growth = max(self.growth, growth)
+            self.stages.append(functools.partial(_move_step, self.ctx, self.n, moves, growth > 1))
+
+    def compile(self, width):
+        """The step: the stages built for lanes of width bytes, in order."""
+        steps = [stage(width) for stage in self.stages]
+        if len(steps) == 1:
+            return steps[0]
+
+        def run(state):
+            for step in steps:
+                state = step(state)
+            return state
+        return run
+
+
+def _mask_count(stages):
+    """The masks a step of the (moves, growth) stages takes: one per
+    coefficient and shift."""
+    return sum(len(by_shift) for moves, _ in stages for by_shift in moves.values())
+
+
+def _move_step(ctx, n, moves, reduce, width):
+    """The step sum_coef sum_shift ((coef * S) & mask) shifted on a state
+    S, mask covering the shift's source blocks, then, when a lane can reach
+    p, lane_division's reduction of the whole int.  S is first lifted by
+    the largest upward shift, so every move is a shift down."""
+    size = 8 * width * n
+    block = (1 << size) - 1
+    lift = size * max(itertools.chain([0], *moves.values()))
+    coefs = list(moves)
+    picks, masks, shifts = [], [], []
+    for i, by_shift in enumerate(moves.values()):
+        for shift, sources in by_shift.items():
+            picks.append(i)
+            masks.append(sum(block << size * b for b in sources) << lift)
+            shifts.append(lift - size * shift)
+    and_, rshift, p = operator.and_, operator.rshift, ctx.p
+    _, m, s, mask = lane_division(p, width)
+    mask = _every_lane(mask, ctx.k * n * n, width)
+
+    def step(state):
+        scaled = list(map((state << lift).__mul__, coefs))
+        total = sum(map(rshift, map(and_, map(scaled.__getitem__, picks), masks), shifts))
+        return total - ((total * m >> s) & mask) * p if reduce else total
+    return step
+
+
+def _dense_step(ctx, n, mul_rows, width):
+    """The step that unpacks a state into rows of values, multiplies them
+    by mul_rows and packs the product again."""
+    lanes = ctx.k * n * n
+
+    def step(state):
+        rows = _rows_of(ctx, _unpack_signed((state,), lanes, width), n)
+        return _pack_signed(_planes_of(ctx, mul_rows(rows)), lanes, width)[0]
+    return step
 
 
 class PrimeFieldContext(FieldContext):

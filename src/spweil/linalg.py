@@ -148,7 +148,8 @@ class DenseMatrix:
 
     def mul_packed(self, packed):
         """Left-multiply the rows held by a row class (fields.PackedRows,
-        fields.PlaneRows) by self."""
+        fields.PlaneRows), or record that for a GF(p^k) closure step
+        (fields._StepRecorder), by self."""
         packed.mul_rows(self.mul_rows)
 
     def apply(self, vec):

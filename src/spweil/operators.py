@@ -38,7 +38,10 @@ column, and mul_packed on the rows of its context's row_class, GF(p^k)
 coefficient planes (fields.PackedRows, GF(p) being k = 1) or Q(theta)
 planes (fields.PlaneRows).  Every field names a row class, so products
 and closure steps have one route each, ctx.product_rows and
-ctx.closure_steps, which fields.py describes.
+ctx.closure_steps, which fields.py describes.  A GF(p^k) closure step is
+compiled once from the same mul_packed, run on a recorder
+(fields._StepRecorder) that turns each call into masked shifts of one int
+holding the whole matrix.
 
 first_difference compares two operators on their materialised matrices,
 so a product is compared through ctx.product_rows.
@@ -104,7 +107,8 @@ class Operator:
 
     def mul_packed(self, packed):
         """Left-multiply the rows held by a row class (fields.PackedRows,
-        fields.PlaneRows) by self's materialised matrix."""
+        fields.PlaneRows), or record that for a GF(p^k) closure step
+        (fields._StepRecorder), by self's materialised matrix."""
         self.materialize().mul_packed(packed)
 
     def inverse(self):

@@ -1,17 +1,21 @@
+import functools
 import hashlib
 import json
+import random
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spweil import fields, verification
-from spweil.fields import (CyclotomicContext, FieldContext, FieldSpec, PlaneRows, make_field,
-                           parse_field_spec)
+from spweil.fields import (CyclotomicContext, FieldContext, FieldSpec, PlaneRows, lane_division,
+                           make_field, parse_field_spec)
 from spweil.generators import op_B, weil_generators
 from spweil.linalg import DenseMatrix
-from spweil.operators import (DenseOp, FourierOp, MonomialOp, ScalarOp, WeilParams,
-                              negation_monomial)
+from spweil.operators import (DenseOp, FourierOp, MonomialOp, ProductOp, ScalarOp,
+                              WeilParams, negation_monomial)
 from spweil.submodules import restrict, submodule_bases
 from spweil.symplectic import group_order
 from spweil.verification import (CapExceeded, VerificationReport,
@@ -100,11 +104,13 @@ def test_scaled_C_square_trips_negation_check(kind):
 # (kind, r, ell) of the golden relation-suite reports, each plain and under
 # the three negative controls; the hash was recorded before the suite's
 # products became (id, left word, right word) rows and before pi_map
-# matched rows on integer theta codes
+# matched rows on integer theta codes, and recorded again when the vacuous
+# row sl23-x2-central-x, (x, x, x) against itself, left the SL(2,3) rows,
+# the only difference between the two sets of reports
 GOLDEN_SUITE_CELLS = [(kind, r, ell) for kind in ("cyclotomic", "auto-prime")
                       for r, ell in ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (3, 3))]
 GOLDEN_SUITE_CELLS += [("auto-char2", r, ell) for r, ell in ((3, 1), (3, 2), (5, 1), (7, 1))]
-GOLDEN_SUITE_SHA256 = "9b7ebb2b9459d0756a324a06818f6692b3aa72d63b92042592cdb411645c5003"
+GOLDEN_SUITE_SHA256 = "3cb168fed5610e7fbc89575b9fa666d927725533bf65002ebf7837fdfdc70b86"
 
 
 def test_relation_suite_golden_reports():
@@ -211,7 +217,7 @@ def test_sl23_presentation(kind):
     report = check_sl23_presentation(WeilParams(3, 1, ctx))
     assert report.ok, report.summary()
     assert {e.id for e in report.entries} == {
-        "sl23-x4", "sl23-y3", "sl23-xy3", "sl23-x2-central-y", "sl23-x2-central-x"}
+        "sl23-x4", "sl23-y3", "sl23-xy3", "sl23-x2-central-y"}
 
 
 def test_sl23_presentation_requires_r3_l1(gf11):
@@ -348,8 +354,6 @@ def test_closure_order_scaled_monomial_generator(gf11, c, order):
                                           ("auto-prime", 11, 1320),
                                           ("cyclotomic", 3, 24)])
 def test_closure_order_reversed_and_shuffled(kind, r, order):
-    import random
-
     mats = _closure_mats(weil_generators(WeilParams(r, 1, make_field(FieldSpec(kind, r)))))
     assert closure_order(mats[::-1], 10 ** 6) == order
     shuffled = mats + mats[:1]  # a repeated generator changes nothing
@@ -358,8 +362,6 @@ def test_closure_order_reversed_and_shuffled(kind, r, order):
 
 
 def test_closure_order_shuffled_sp43_cap(gf7):
-    import random
-
     mats = _closure_mats(weil_generators(WeilParams(3, 2, gf7)))
     random.Random(4).shuffle(mats)
     with pytest.raises(CapExceeded):
@@ -404,15 +406,19 @@ def test_grid_script_closure_rows_cover_every_family(monkeypatch, capsys):
     spec.loader.exec_module(grid)
     assert {(r, kind[0]) for r, _, *kind in grid.CLOSURE_SETS if kind} == {
         (r, kind) for r in (3, 5, 7) for kind in ("cyclotomic", "auto-char2")}
+    # the full Sp(4,3) over GF(4), a k = 2, l = 2 closure, has its own row
+    assert (3, 2, "auto-char2") in grid.CLOSURE_SETS
     monkeypatch.setattr(grid, "GRID", [])
     monkeypatch.setattr(grid, "CHAR2", [])
     monkeypatch.setattr(grid, "CLOSURE_SETS",
-                        [(3, 1), (5, 1, "cyclotomic"), (5, 1, "auto-char2")])
+                        [(3, 1), (5, 1, "cyclotomic"), (5, 1, "auto-char2"),
+                         (3, 2, "auto-char2")])
     monkeypatch.setattr("sys.argv", ["run_verification_grid.py", "--jsonl", "--closure"])
     assert grid.main() == 0
     rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [(row["field"], row["closure"], row["group_order"]) for row in rows] == [
-        ("GF(7)", 24, 24), ("Q(theta_5)", 120, 120), ("GF(2^4)", 120, 120)]
+        ("GF(7)", 24, 24), ("Q(theta_5)", 120, 120), ("GF(2^4)", 120, 120),
+        ("GF(2^2)", 51840, 51840)]
     for row in rows:
         assert set(row) == {"r", "l", "field", "closure", "group_order", "duration_s"}
 
@@ -457,6 +463,28 @@ def _use_tuple_route(monkeypatch):
     monkeypatch.setattr(FieldContext, "closure_steps", _tuple_route)
 
 
+def _coefficients(a):
+    """The coordinates of a GF(p) value (itself) or a GF(p^k) value (its
+    coefficient tuple)."""
+    return (a,) if isinstance(a, int) else a
+
+
+def _matrix_int(rows, width):
+    """A GF(p^k) closure state built lane by lane: the x^c coefficient of
+    entry (j, i) of the n x n matrix rows in lane (c * n + j) * n + i, of
+    width bytes."""
+    n = len(rows)
+    return sum(x << 8 * width * ((c * n + j) * n + i)
+               for j, row in enumerate(rows) for i, a in enumerate(row)
+               for c, x in enumerate(_coefficients(a)))
+
+
+def _state_width(start, n):
+    """The lane width of a GF(p^k) closure whose start, the identity, has
+    its top 1 in lane n * n - 1."""
+    return (start.bit_length() - 1) // (8 * (n * n - 1))
+
+
 def _sp_mats(spec, r, ell):
     ctx = make_field(parse_field_spec(spec, r))
     return _closure_mats(weil_generators(WeilParams(r, ell, ctx)))
@@ -473,8 +501,10 @@ def test_closure_packed_route_matches_tuple_route(spec, r, monkeypatch):
     mixed = mats + [mats[0] * mats[-1]]
     assert structured_generator(mixed[-1]) is mixed[-1]
     start, _ = mats[0].ctx.closure_steps(r, mats)
-    planes = start[2] if spec == "cyclotomic" else (start,)
-    assert all(isinstance(x, int) for row in planes for x in row)
+    if spec == "cyclotomic":
+        assert all(isinstance(x, int) for row in start[2] for x in row)
+    else:
+        assert isinstance(start, int)   # the whole matrix in one int
     packed = [closure_order(mats, 10 ** 6), closure_order(mixed, 10 ** 6)]
     _use_tuple_route(monkeypatch)
     assert isinstance(mats[0].ctx.closure_steps(r, mats)[0][0], tuple)
@@ -489,7 +519,7 @@ def test_closure_step_multiplies_on_the_left(kind, packed, monkeypatch):
     # a count cannot tell g from its transpose (<g^T> has the order of
     # <g>), so one step from the identity must give g's own state, and a
     # step by h after one by g that of h * g: M's column tuples on the tuple
-    # route, its packed planes over GF(p^k), its canonical planes over
+    # route, its matrix int over GF(p^k), its canonical planes over
     # Q(theta)
     ctx = make_field(FieldSpec(kind, 3))
     if not packed:
@@ -503,11 +533,14 @@ def test_closure_step_multiplies_on_the_left(kind, packed, monkeypatch):
     assert isinstance(ops[2], FourierOp)
     assert all(m.rows != tuple(zip(*m.rows)) for m in mats[:2])
 
+    start, steps = ctx.closure_steps(params.n, ops)
+
     def state(m):
         if not packed:
             return tuple(zip(*m.rows))
-        return ctx.row_class.load(ctx, m.rows).state()
-    start, steps = ctx.closure_steps(params.n, ops)
+        if kind == "cyclotomic":
+            return ctx.row_class.load(ctx, m.rows).state()
+        return _matrix_int(m.rows, _state_width(start, params.n))
     assert start == state(DenseMatrix.identity(ctx, params.n))
     for step, m in zip(steps, mats):
         assert step(start) == state(m)
@@ -597,19 +630,130 @@ def test_closure_cap_sp43_over_gf4_on_both_routes(monkeypatch):
     assert counts == [648, 648]
 
 
-@pytest.mark.parametrize("spec,lane_by_lane", [("gf:4093", False), ("gf:6007", True),
-                                               ("gf:2147483647", True)])
-def test_closure_at_and_past_the_lane_budget(spec, lane_by_lane, monkeypatch):
+@pytest.mark.parametrize("spec,width", [("gf:4093", 8), ("gf:6007", 16),
+                                        ("gf:2147483647", 32)])
+def test_closure_at_and_past_the_lane_budget(spec, width, monkeypatch):
     # over GF(4093) the lam*C_1 step bounds its lanes by 4092 * 8186, just
-    # below lane_division's budget 2^25, so every step multiplies and shifts
-    # near the top of the budget; over GF(6007) (budget 2^24) and
-    # GF(2^31 - 1) the Fourier steps are past it and reduce lane by lane
+    # below lane_division's budget 2^25 in 8-byte lanes, so every step
+    # multiplies and shifts near the top of the budget; over GF(6007)
+    # (budget 2^24 in 8 bytes) and GF(2^31 - 1) the Fourier steps are past
+    # the 8-byte budget, so the lanes widen and still no lane is reduced on
+    # its own.  A step's bound is p - 1 times its matrix's largest row sum
     mats = _sp_mats(spec, 3, 1)
+    p = mats[0].ctx.p
+    bound = (p - 1) * max(sum(row) for m in mats for row in m.rows)
     calls = []
     unpack = fields._unpack_signed
     monkeypatch.setattr(fields, "_unpack_signed", lambda *args: calls.append(1) or unpack(*args))
     assert closure_order(mats, 10 ** 6) == 24
-    assert bool(calls) == lane_by_lane
+    assert not calls
+    start, _ = mats[0].ctx.closure_steps(3, [structured_generator(m) for m in mats])
+    assert _state_width(start, 3) == width
+    assert lane_division(p, width)[0] > bound >= lane_division(p, width // 2)[0]
+
+
+def test_closure_counts_sp43_over_gf7():
+    # the full search over GF(7), 51,840 states, each one int, with the
+    # generators in the reverse of acceptance 2's order
+    assert closure_order(_sp_mats("auto-prime", 3, 2)[::-1], 10 ** 6) == 51840
+
+
+# ---------------------------------------------------------------------------
+# compiled GF(p^k) closure steps against the tuple route, from any matrix
+
+# (field, r, largest l): GF(7), GF(11), GF(4093) at r = 11, GF(2^31 - 1) in
+# 32-byte lanes, GF(4), GF(8), GF(16) and GF(7^2)
+STEP_CELLS = [("gf:7", 3, 3), ("gf:11", 5, 2), ("gf:4093", 11, 1), ("gf:2147483647", 7, 1),
+              ("gf:4", 3, 3), ("gf:8", 7, 1), ("gf:16", 5, 2), ("gf:49", 3, 2)]
+OP_KINDS = ["monomial", "fourier", "scalar", "dense", "product"]
+
+
+@functools.lru_cache(maxsize=None)
+def _step_field(spec, r):
+    return make_field(parse_field_spec(spec, r))
+
+
+def _random_value(ctx, rng, nonzero=False):
+    """A random value of GF(p) or GF(p^k), nonzero on request."""
+    while True:
+        coords = [rng.randrange(ctx.p) for _ in range(ctx.k)]
+        value = coords[0] if ctx.kind == "prime" else tuple(coords)
+        if not nonzero or value != ctx.zero:
+            return value
+
+
+def _random_op(kind, params, rng):
+    """A random operator of one kind: a monomial with a random permutation,
+    exponents and scale, a Fourier factor at a random slot and scale, a
+    scalar, a dense matrix, or the product of a Fourier factor and a
+    monomial."""
+    ctx, n = params.ctx, params.n
+    if kind == "monomial":
+        perm = rng.sample(range(n), n)
+        expo = [rng.randrange(params.r) for _ in range(n)]
+        return MonomialOp(params, perm, expo, _random_value(ctx, rng, nonzero=True))
+    if kind == "fourier":
+        return FourierOp(params, rng.randint(1, params.ell), _random_value(ctx, rng, nonzero=True))
+    if kind == "scalar":
+        return ScalarOp(params, _random_value(ctx, rng, nonzero=True))
+    if kind == "dense":
+        return DenseMatrix(ctx, [[_random_value(ctx, rng) for _ in range(n)] for _ in range(n)])
+    return ProductOp(params, [_random_op(part, params, rng) for part in ("fourier", "monomial")])
+
+
+def _check_compiled_steps(params, ops, rng):
+    """Every compiled step, and every step after another, from a random
+    matrix (singular ones too) equals the tuple route on its columns."""
+    ctx, n = params.ctx, params.n
+    start, steps = ctx.closure_steps(n, ops)
+    _, reference = _tuple_route(ctx, n, ops)
+    width = _state_width(start, n)
+    assert start == _matrix_int(DenseMatrix.identity(ctx, n).rows, width)
+    rows = [[_random_value(ctx, rng) for _ in range(n)] for _ in range(n)]
+    state, cols = _matrix_int(rows, width), tuple(zip(*rows))
+    for i, step in enumerate(steps):
+        once = reference[i](cols)
+        assert step(state) == _matrix_int(list(zip(*once)), width)
+        for j, then in enumerate(steps):
+            assert then(step(state)) == _matrix_int(list(zip(*reference[j](once))), width)
+
+
+@pytest.mark.parametrize("spec,r,top", STEP_CELLS, ids=str)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_compiled_steps_match_the_tuple_route(spec, r, top, data):
+    params = WeilParams(r, data.draw(st.integers(1, top)), _step_field(spec, r))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    kinds = data.draw(st.lists(st.sampled_from(OP_KINDS), min_size=1, max_size=2))
+    _check_compiled_steps(params, [_random_op(kind, params, rng) for kind in kinds], rng)
+
+
+@pytest.mark.parametrize("spec,r", [("gf:7", 3), ("gf:4", 3), ("gf:49", 3),
+                                    ("gf:2147483647", 3)])
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_compiled_fourier_steps_at_every_slot(spec, r, ell):
+    ctx = _step_field(spec, r)
+    params = WeilParams(r, ell, ctx)
+    rng = random.Random(ell)
+    ops = [FourierOp(params, t, _random_value(ctx, rng, nonzero=True))
+           for t in range(1, ell + 1)]
+    _check_compiled_steps(params, ops, rng)
+
+
+@pytest.mark.parametrize("spec,r,stages", [("gf:7", 3, 1), ("gf:4", 3, 1), ("gf:8", 7, 1),
+                                           ("gf:11", 5, 3), ("gf:29", 7, 3),
+                                           ("gf:23", 11, 3), ("gf:4093", 11, 3)])
+def test_fourier_step_takes_the_form_with_fewer_masks(spec, r, stages):
+    # lam*C_1 is one stage, or three by Bluestein's factorisation where
+    # those take fewer masks (GF(p) from r = 5 on here); either way the
+    # step is lam*C_1's
+    ctx = _step_field(spec, r)
+    params = WeilParams(r, 1, ctx)
+    op = weil_generators(params).lamC[0]
+    recorder = fields._StepRecorder(ctx, r)
+    op.mul_packed(recorder)
+    assert len(recorder.stages) == stages
+    _check_compiled_steps(params, [op], random.Random(r))
 
 
 @pytest.mark.parametrize("kind,r,ell", [("cyclotomic", 3, 2), ("auto-prime", 5, 2),
