@@ -6,7 +6,9 @@ Usage: PYTHONPATH=src python3 scripts/cli_digest.py [--list]
 Every argv of RUNS goes in-process through spweil.cli.main, with stdout
 and stderr captured: `gens` in JSON, Magma and GAP; `image`, full and with
 each --irreducible (two of the four end in exit 3 in every field); and
-`verify --json` and `verify --closure --json`.  The fields are
+`verify --json` and `verify --closure --json`; then `gens --full` in all
+three formats for each of FULL_SETS, whose rows a generator set shares
+through its row pool.  The fields are
 cyclotomic, auto-prime, gf2-auto, gf:13^2, gf:3^4 and gf:4294967311
 (GF(2^32 + 15), whose rows pack in 16-byte lanes).  It prints the number
 of runs, the histogram of exit codes and one SHA-256 over every run's
@@ -32,6 +34,8 @@ SETS += [("gf:13^2", 3, 1), ("gf:13^2", 3, 2), ("gf:13^2", 7, 1), ("gf:3^4", 5, 
          ("gf:4294967311", 5, 1)]
 MATRICES = {(3, 1): "2 1 2 0", (3, 2): "0 2 0 1 1 2 0 1 2 0 2 2 1 0 1 0",
             (5, 1): "1 4 3 3", (7, 1): "3 0 5 5", (5, 2): "2 4 4 4 3 4 4 4 3 0 3 1 3 0 1 4"}
+# --full generator sets at l >= 3 over GF(p): (5, 3) over GF(11), n = 125
+FULL_SETS = [("auto-prime", 5, 3)]
 # a closure of Sp(4, r) would take minutes, so at l = 2 the cap skips it
 CLOSURE_CAP = {1: "1000000", 2: "1000"}
 
@@ -47,6 +51,9 @@ def runs():
                           for mode in ("plus", "minus", "socle", "quotient")]
         out += [["verify", *common, "--json"],
                 ["verify", *common, "--closure", "--cap", CLOSURE_CAP[ell], "--json"]]
+    for field, r, ell in FULL_SETS:
+        out += [["gens", "--r", str(r), "--l", str(ell), "--field", field, "--full",
+                 "--format", fmt] for fmt in ("json", "magma", "gap")]
     return out
 
 

@@ -162,15 +162,17 @@ def cmd_image(args):
 
 
 def _matrix_bytes(mat):
-    """sys.getsizeof summed over mat's row tuples and each distinct object in
-    its entries, nested tuples included."""
+    """sys.getsizeof summed over mat's rows and each distinct object in its
+    entries, nested tuples included, each row counted as the tuple of its
+    entries: a bytes row (ctx.row over GF(p), p < 256) stands for that
+    tuple, so the estimate does not depend on the row form."""
     sizes, stack = {}, [mat.rows]
     while stack:
         obj = stack.pop()
         if id(obj) not in sizes:
-            sizes[id(obj)] = sys.getsizeof(obj)
-            if isinstance(obj, tuple):
-                stack.extend(obj)
+            items = tuple(obj) if isinstance(obj, (tuple, bytes)) else ()
+            sizes[id(obj)] = sys.getsizeof(items if isinstance(obj, bytes) else obj)
+            stack.extend(items)
     return sum(sizes.values())
 
 

@@ -316,10 +316,14 @@ class FieldContext:
     r-th root of unity.  Subclasses fix the element encoding, a plain
     hashable value, and define add, sub, neg, mul, dot, inv, from_int, the
     serialization methods serialize_elem, parse_elem, spec_json and
-    describe, and row_class; the rest is shared."""
+    describe, and row_class; the rest is shared.  row is the form of every
+    DenseMatrix row over the context: tuple, or bytes over GF(p) with
+    p < 256, one byte per entry, which the garbage collector does not
+    track."""
 
     kind = None  # "cyclotomic" | "prime" | "extension"
     char = None
+    row = tuple
 
     def mul_theta_power(self, a, e):
         """a * theta^e for any integer e."""
@@ -964,7 +968,8 @@ class PackedRows:
         self.bound = self.ctx.p - 1
 
     def unpacked(self):
-        """The rows as tuples of field values, read off the lanes mod p."""
+        """The rows in ctx.row form, read off the lanes mod p: bytes over
+        GF(p) with p < 256, tuples of field values otherwise."""
         return _rows_of(self.ctx, _unpack_signed(self.rows, self.lanes, self.ctx._lane_plan[0]),
                         self.lanes)
 
@@ -978,12 +983,12 @@ def _planes_of(ctx, rows):
 
 def _rows_of(ctx, lanes, size):
     """Rows of size values read mod p off lanes laid out as _planes_of lays
-    them out."""
+    them out, each a slice of one ctx.row of all the values."""
     k = ctx.k
     lanes = list(map(operator.mod, lanes, itertools.repeat(ctx.p)))
     plane = len(lanes) // k
-    values = ctx.from_coordinates([lanes[c * plane:c * plane + plane] for c in range(k)])
-    return tuple(zip(*[iter(values)] * size))
+    values = ctx.row(ctx.from_coordinates([lanes[c * plane:c * plane + plane] for c in range(k)]))
+    return tuple(values[i:i + size] for i in range(0, len(values), size))
 
 
 class _StepRecorder:
@@ -1132,6 +1137,7 @@ class PrimeFieldContext(FieldContext):
         self.char = p
         self.zero = 0
         self.one = 1
+        self.row = bytes if p < 256 else tuple
         self._set_theta(pow(smallest_primitive_root(p), (p - 1) // r, p))
         self._lane_plan = _lane_plan(r, p, 1)
         self._kernels = functools.lru_cache(maxsize=256)(functools.partial(_plane_kernels, self))

@@ -395,7 +395,7 @@ def image_from_columns(g, op, params):
                 k = move(k)
                 filled.append(k)
         keys = filled
-    return DenseMatrix(ctx, zip(*map(column, keys)))
+    return DenseMatrix.from_columns(ctx, map(column, keys))
 
 
 def pi_map(n, params):

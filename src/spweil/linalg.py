@@ -1,9 +1,12 @@
 """Exact dense matrices over a FieldContext.
 
-Matrices are immutable: a tuple of row tuples of plain field values, plus the
-owning context.  Columns are images of basis vectors (operators act on column
-coordinate vectors).  All algorithms are classical O(n^3) elimination; at the
-dimensions this package works with, exactness beats asymptotics.
+Matrices are immutable: a tuple of rows of plain field values, plus the
+owning context.  Every row is in the context's one row form, ctx.row: bytes
+over GF(p) with p < 256, one byte per entry and no object the garbage
+collector walks, and a tuple over every other field.  Columns are images
+of basis vectors (operators act on column coordinate vectors).  All
+algorithms are classical O(n^3) elimination; at the dimensions this package
+works with, exactness beats asymptotics.
 """
 
 from __future__ import annotations
@@ -47,18 +50,19 @@ def _eliminate(ctx, rows, m):
     return ctx.neg(det) if sign else det
 
 
-def sparse_rows(zero, n, blocks, starts, stride=1, pool=None):
-    """Row tuples of n entries, one per (b, c) in starts, zero but for
-    blocks[b] at columns c, c + stride, ...: slices [n - c, 2n - c) of one
-    2n-long window per block, zero but for the block at n, n + stride, ....
-    pool, a dict a caller keeps for one n and zero, maps (block, stride) to
-    {column: row}: a row made before is returned as that tuple, not sliced."""
+def sparse_rows(zero, n, blocks, starts, stride=1, pool=None, row=tuple):
+    """Rows of n entries in the form row (ctx.row for a DenseMatrix), one
+    per (b, c) in starts, zero but for blocks[b] at columns c, c + stride,
+    ...: slices [n - c, 2n - c) of one 2n-long window per block, zero but
+    for the block at n, n + stride, ....  pool, a dict a caller keeps for
+    one n, zero and row, maps (block, stride) to {column: row}: a row made
+    before is returned as that object, not sliced."""
     pad = [zero] * n
     windows = []
     for block in blocks:
         window = pad + pad
         window[n:n + len(block) * stride:stride] = block
-        windows.append(tuple(window))
+        windows.append(row(window))
     if pool is None:
         return tuple(windows[b][n - c:2 * n - c] for b, c in starts)
     made = [pool.setdefault((block, stride), {}) for block in blocks]
@@ -100,15 +104,16 @@ class DenseMatrix:
 
     def __init__(self, ctx, rows):
         self.ctx = ctx
-        self.rows = tuple(map(tuple, rows))
+        self.rows = tuple(map(ctx.row, rows))
 
     @classmethod
     def identity(cls, ctx, n):
-        return cls(ctx, sparse_rows(ctx.zero, n, [(ctx.one,)], ((0, i) for i in range(n))))
+        return cls(ctx, sparse_rows(ctx.zero, n, [(ctx.one,)], ((0, i) for i in range(n)),
+                                    row=ctx.row))
 
     @classmethod
     def from_columns(cls, ctx, cols):
-        return cls(ctx, zip(*cols))
+        return cls(ctx, map(ctx.row, zip(*cols)))
 
     @property
     def nrows(self):
@@ -141,10 +146,11 @@ class DenseMatrix:
         return NotImplemented
 
     def mul_rows(self, rows):
-        """The rows of self * M, for M given as a tuple of row tuples."""
+        """The rows of self * M in ctx.row form, for M given as a tuple of
+        rows."""
         cols = list(zip(*rows))
-        dot = self.ctx.dot
-        return tuple(tuple(dot(row, col) for col in cols) for row in self.rows)
+        dot, form = self.ctx.dot, self.ctx.row
+        return tuple(form([dot(row, col) for col in cols]) for row in self.rows)
 
     def mul_packed(self, packed):
         """Left-multiply the rows held by a row class (fields.PackedRows,
@@ -161,7 +167,7 @@ class DenseMatrix:
 
     def scale(self, c):
         mul = self.ctx.mul
-        return DenseMatrix(self.ctx, [tuple(mul(c, a) for a in row) for row in self.rows])
+        return DenseMatrix(self.ctx, [[mul(c, a) for a in row] for row in self.rows])
 
     def trace(self):
         ctx = self.ctx
@@ -171,7 +177,7 @@ class DenseMatrix:
         return acc
 
     def transpose(self):
-        return DenseMatrix(self.ctx, zip(*self.rows))
+        return DenseMatrix.from_columns(self.ctx, self.rows)
 
     def det(self):
         """Exact determinant by forward elimination with row swaps."""

@@ -26,12 +26,13 @@ apply() costs O(n) for a monomial, one mul(table[e], v) per entry, and
 O(n*r) for a Fourier factor; only apply(), mul_packed() and materialize()
 make field values.  materialize() returns the DenseMatrix whose column xi
 is apply(e_xi): a monomial's r entry values, or a Fourier factor's r
-slot_block rows, are each written once into a zero-padded window, and every
-row is a tuple sliced from one of them (linalg.sparse_rows), which shares
-equal rows through a caller's row pool (the others ignore it).  det() and
-trace() are those of materialize() unless the structure gives them
-directly: a monomial's from its permutation and exponents, a Fourier
-factor's trace as r^(l-1) times its kernel's.
+slot_block rows, are each written once into a zero-padded window in the
+context's row form ctx.row, and every row is a slice of one of them
+(linalg.sparse_rows), which shares equal rows through a caller's row pool
+(the others ignore it).  det() and trace() are those of materialize()
+unless the structure gives them directly: a monomial's from its
+permutation and exponents, a Fourier factor's trace as r^(l-1) times its
+kernel's.
 
 Each operator multiplies by two kernels and nothing else: apply on a
 column, and mul_packed on the rows of its context's row_class, GF(p^k)
@@ -233,7 +234,8 @@ class MonomialOp(Operator):
         for j, (p, e) in enumerate(zip(self.perm, self.expo)):
             starts[p] = (e, j)
         blocks = [(v,) for v in self.table]
-        return DenseMatrix(self.ctx, sparse_rows(self.ctx.zero, self.n, blocks, starts, 1, pool))
+        ctx = self.ctx
+        return DenseMatrix(ctx, sparse_rows(ctx.zero, self.n, blocks, starts, 1, pool, ctx.row))
 
     def det(self):
         """Determinant: permutation sign times scale^n times theta^(sum of
@@ -314,9 +316,9 @@ class FourierOp(Operator):
         window of K's row x (linalg.sparse_rows)."""
         r, stride = self.params.r, self._stride
         starts = ((i // stride % r, i - i // stride % r * stride) for i in range(self.n))
-        kernel = slot_block(self, self.t).rows
-        return DenseMatrix(self.ctx, sparse_rows(self.ctx.zero, self.n, kernel, starts, stride,
-                                                 pool))
+        kernel, ctx = slot_block(self, self.t).rows, self.ctx
+        return DenseMatrix(ctx, sparse_rows(ctx.zero, self.n, kernel, starts, stride, pool,
+                                            ctx.row))
 
     def inverse(self):
         # C_t^2 = r * N_t with N_t negating slot t, so C_t^-1 = r^-1 * N_t * C_t

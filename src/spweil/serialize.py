@@ -15,15 +15,16 @@ Matrix keys: "C1".."Cl" are the determinant-one lam*C_t; "D12"... and
 "A1"..., "B1"..., "E1"..., "sigma".
 
 All three writers work per distinct entry and per distinct row.  Equal rows
-of a generator set are one tuple (generator_matrices' row pool lives for
-one call), and a writer keeps each row's text, or its form list in
-build_document, by id(row) for one document: documents may share row lists
-as they share entry forms.  A matrix's new rows get one table from entry to
-text (DenseMatrix.render_rows; at most r + 1 entries in a Weil generator)
-and each is a C-level join over it.  dumps_document writes the bytes of
-json.dumps(doc, indent=2) + "\n" itself, since the standard library
-encodes with its pure-Python encoder whenever indent is set; the tests
-keep json.dumps as the reference.
+of a generator set are one row object in the context's row form, ctx.row
+(generator_matrices' row pool lives for one call), and a writer keeps each
+row's text, or its form list in build_document, by id(row) for one
+document: documents may share row lists as they share entry forms.  A
+matrix's new rows get one table from entry to text
+(DenseMatrix.render_rows; at most r + 1 entries in a Weil generator) and
+each is a C-level join over it.  dumps_document writes the bytes of json.dumps(doc,
+indent=2) + "\n" itself, since the standard library encodes with its
+pure-Python encoder whenever indent is set; the tests keep json.dumps as
+the reference.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from .symplectic import GenToken
 
 def generator_matrices(gens, full=False):
     """Named, materialised generator matrices in emission order; equal rows
-    are one tuple, through one row pool (linalg.sparse_rows) for the call."""
+    are one ctx.row object (bytes over GF(p), p < 256, else a tuple),
+    through one row pool (linalg.sparse_rows) for the call."""
     pool = {}
     out = {GenToken(kind, t, s).name: op.materialize(pool)
            for kind, t, s, op in gens.sp_generating_ops()}

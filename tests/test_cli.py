@@ -447,6 +447,62 @@ def test_matrix_bytes_counts_rows_and_each_distinct_entry():
     assert _matrix_bytes(mat) == sum(map(size, parts))
 
 
+def test_matrix_bytes_counts_a_bytes_row_as_its_tuple():
+    # a GF(7) row is bytes, but it is counted as the tuple of its entries,
+    # so the estimate does not depend on the row form
+    from spweil.cli import _matrix_bytes
+    from spweil.fields import PrimeFieldContext
+    from spweil.linalg import DenseMatrix
+
+    ctx = PrimeFieldContext(3, 7)
+    row = bytes([3, 0, 5])
+    mat = DenseMatrix(ctx, [row, row, bytes([0, 0, 1])])
+    assert all(type(x) is bytes for x in mat.rows) and mat.rows[0] is mat.rows[1]
+    size = sys.getsizeof
+    parts = [mat.rows, tuple(row), (0, 0, 1), 3, 0, 5, 1]
+    assert _matrix_bytes(mat) == sum(map(size, parts))
+
+
+def test_verify_closure_over_gf107_skips_on_the_tuple_estimate(capsys, monkeypatch):
+    # |Sp(2,53)| = 148,824 elements of 53 x 53 matrices over GF(107): each
+    # bytes row is counted as its tuple, 3,949,788,960 bytes, past the
+    # limit, so the request skips before any search; counting the bytes
+    # rows themselves would put it under the limit and start a search of
+    # more than the 2 GiB it would estimate
+    import spweil.cli
+
+    monkeypatch.setattr(spweil.cli, "closure_order", _no_closure)
+    code, out, _ = run_cli(["verify", "--r", "53", "--l", "1", "--field", "auto-prime",
+                            "--closure", "--json"], capsys)
+    assert code == 0
+    entry = next(e for e in json.loads(out) if e["id"] == "closure-order")
+    assert entry == {"id": "closure-order", "params": "r=53, l=1, GF(107)", "status": "skip",
+                     "witness": "closure of 148824 elements needs about 3949788960 bytes, "
+                                "above the limit of 2147483648"}
+
+
+def test_verify_closure_over_gf173_is_counted_under_the_limit(capsys, monkeypatch):
+    # |Sp(2,43)| = 79,464 elements of 43 x 43 matrices over GF(173) stay
+    # under the limit on the same estimate, so the search is started; a
+    # stand-in returns the order, the estimate alone decides
+    import spweil.cli
+    from spweil.cli import _matrix_bytes
+    from spweil.fields import FieldSpec, make_field
+    from spweil.generators import weil_generators
+    from spweil.operators import WeilParams
+
+    gens = weil_generators(WeilParams(43, 1, make_field(FieldSpec("auto-prime", 43))))
+    need = 79464 * max(_matrix_bytes(op.materialize()) for *_, op in gens.sp_generating_ops())
+    assert 2 ** 30 < need < spweil.cli.MAX_CLOSURE_BYTES
+    calls = []
+    monkeypatch.setattr(spweil.cli, "closure_order",
+                        lambda mats, cap: calls.append(len(mats)) or 79464)
+    code, out, _ = run_cli(["verify", "--r", "43", "--l", "1", "--field", "auto-prime",
+                            "--closure"], capsys)
+    assert code == 0 and len(calls) == 1
+    assert "[PASS] closure-order (r=43, l=1, GF(173))" in out
+
+
 @pytest.mark.parametrize("field", ["auto-prime", "cyclotomic"])
 def test_verify_closure_sp43_is_under_the_memory_limit(capsys, monkeypatch, field):
     # the Sp(4,3) closure is still started over GF(7) and Q(theta_3); the

@@ -20,8 +20,11 @@ def test_run_list_covers_every_command_and_field():
     fields = {a[a.index("--field") + 1] for a in runs}
     assert fields == {"cyclotomic", "auto-prime", "gf2-auto", "gf:13^2", "gf:3^4",
                       "gf:4294967311"}
-    assert len(runs) == 10 * len(module.SETS)
+    assert len(runs) == 10 * len(module.SETS) + 3 * len(module.FULL_SETS) == 173
     assert {a[0] for a in runs} == {"gens", "image", "verify"}
+    full = [a for a in runs if "--full" in a]
+    assert [a[a.index("--format") + 1] for a in full] == ["json", "magma", "gap"]
+    assert all(a[:7] == ["gens", "--r", "5", "--l", "3", "--field", "auto-prime"] for a in full)
 
 
 def test_digest_is_stable_and_sees_one_byte():
@@ -43,6 +46,7 @@ def test_digest_is_stable_and_sees_one_byte():
 def test_main_prints_count_histogram_and_digest(capsys, monkeypatch):
     module = _load_script()
     monkeypatch.setattr(module, "SETS", [("gf:3^4", 5, 1)])
+    monkeypatch.setattr(module, "FULL_SETS", [])
     assert module.main([]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["runs 10", "exit codes 0:8 3:2"]

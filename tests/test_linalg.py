@@ -46,6 +46,7 @@ def test_sparse_rows_place_each_block(n, data):
             row[c + k * stride] = v
         want.append(tuple(row))
     assert sparse_rows(0, n, blocks, starts, stride) == tuple(want)
+    assert sparse_rows(0, n, blocks, starts, stride, row=bytes) == tuple(map(bytes, want))
     # through a pool the rows are the same, and a second call returns the
     # first call's row objects, one per distinct row
     pool = {}

@@ -285,34 +285,37 @@ def test_monomial_materialize_matches_column_walk(spec, ell):
         assert op.materialize() == _column_walk(op)
 
 
-class _TupleRowsOnly(DenseMatrix):
-    """A DenseMatrix that takes tuple rows only, so a materialisation that
-    builds list rows for DenseMatrix to copy fails."""
+class _FormRowsOnly(DenseMatrix):
+    """A DenseMatrix that takes rows in ctx.row form only, so a
+    materialisation that builds rows in another form for DenseMatrix to
+    convert fails."""
 
     __slots__ = ()
 
     def __init__(self, ctx, rows):
         rows = tuple(rows)
-        assert all(type(row) is tuple for row in rows)
+        assert all(type(row) is ctx.row for row in rows)
         super().__init__(ctx, rows)
 
 
 @pytest.mark.parametrize("spec", FAST_PATH_CTXS, ids=str)
-def test_materialized_rows_are_built_as_tuples(spec, monkeypatch):
+def test_materialized_rows_are_built_in_row_form(spec, monkeypatch):
     # monomial, Fourier, identity and product materialisations hand
-    # DenseMatrix tuple rows, and DenseMatrix keeps them as they are
+    # DenseMatrix rows in ctx.row form (bytes over GF(7) and GF(11),
+    # tuples over Q(theta) and GF(4)), and DenseMatrix keeps them as given
     ctx = make_field(spec)
+    assert ctx.row is (bytes if ctx.kind == "prime" else tuple)
     params = WeilParams(ctx.r, 2, ctx)
     lam = lambda_scalar(ctx.r, ctx)
     ops = [op_U(params, 1), op_B(params, 2).compose(ScalarOp(params, lam)),
            FourierOp(params, 1), FourierOp(params, 2, lam), identity_op(params),
            ProductOp(params, (op_C(params, 1), op_D(params, 1, 2), op_C(params, 2))),
            ProductOp(params, ())]
-    monkeypatch.setattr("spweil.operators.DenseMatrix", _TupleRowsOnly)
-    mats = [op.materialize() for op in ops] + [_TupleRowsOnly.identity(ctx, params.n)]
+    monkeypatch.setattr("spweil.operators.DenseMatrix", _FormRowsOnly)
+    mats = [op.materialize() for op in ops] + [_FormRowsOnly.identity(ctx, params.n)]
     for mat in mats:
-        assert type(mat) is _TupleRowsOnly
-        assert all(type(row) is tuple for row in mat.rows)
+        assert type(mat) is _FormRowsOnly
+        assert all(type(row) is ctx.row for row in mat.rows)
         assert all(DenseMatrix(ctx, mat.rows).rows[i] is row for i, row in enumerate(mat.rows))
 
 
@@ -475,7 +478,8 @@ def _column_route(ctx, factors, rows=None):
     """The rows of the product of factors times M, with the columns of M, or
     of the last factor's matrix when rows is None, sent through every other
     factor's apply, right to left: the reference for ctx.product_rows, whose
-    row classes share none of its kernels."""
+    row classes share none of its kernels.  The rows are in ctx.row form,
+    as a DenseMatrix holds them."""
     if rows is None:
         cols = factors[-1].materialize().columns()
         factors = factors[:-1]
@@ -483,7 +487,7 @@ def _column_route(ctx, factors, rows=None):
         cols = zip(*rows)
     for f in reversed(factors):
         cols = [f.apply(col) for col in cols]
-    return tuple(zip(*cols))
+    return tuple(map(ctx.row, zip(*cols)))
 
 
 def _unit_columns(params):

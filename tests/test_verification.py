@@ -450,11 +450,12 @@ def test_pi_generator_images_witness_names_the_generator(gf7):
 
 
 def _tuple_route(ctx, n, ops):
-    """ctx.closure_steps on column tuples: a state is M's tuple of column
-    tuples and a step applies the op to every column.  The reference for
-    the row classes' states, which shares none of their kernels."""
+    """ctx.closure_steps on columns: a state is M's tuple of columns, each
+    in ctx.row form as the identity's rows are, and a step applies the op
+    to every column.  The reference for the row classes' states, which
+    shares none of their kernels."""
     def step(op):
-        return lambda cols: tuple(tuple(op.apply(c)) for c in cols)
+        return lambda cols: tuple(ctx.row(op.apply(c)) for c in cols)
     return DenseMatrix.identity(ctx, n).rows, [step(op) for op in ops]
 
 
@@ -507,7 +508,7 @@ def test_closure_packed_route_matches_tuple_route(spec, r, monkeypatch):
         assert isinstance(start, int)   # the whole matrix in one int
     packed = [closure_order(mats, 10 ** 6), closure_order(mixed, 10 ** 6)]
     _use_tuple_route(monkeypatch)
-    assert isinstance(mats[0].ctx.closure_steps(r, mats)[0][0], tuple)
+    assert isinstance(mats[0].ctx.closure_steps(r, mats)[0][0], mats[0].ctx.row)
     assert packed == [closure_order(mats, 10 ** 6), closure_order(mixed, 10 ** 6)]
     assert packed == [group_order(1, r)] * 2
 
@@ -531,13 +532,13 @@ def test_closure_step_multiplies_on_the_left(kind, packed, monkeypatch):
     ops = [structured_generator(m) for m in mats]
     assert isinstance(ops[0], MonomialOp) and ops[1] is mats[1]
     assert isinstance(ops[2], FourierOp)
-    assert all(m.rows != tuple(zip(*m.rows)) for m in mats[:2])
+    assert all(m != m.transpose() for m in mats[:2])
 
     start, steps = ctx.closure_steps(params.n, ops)
 
     def state(m):
         if not packed:
-            return tuple(zip(*m.rows))
+            return tuple(map(ctx.row, zip(*m.rows)))
         if kind == "cyclotomic":
             return ctx.row_class.load(ctx, m.rows).state()
         return _matrix_int(m.rows, _state_width(start, params.n))

@@ -196,7 +196,7 @@ def test_reduction_mod_p_is_the_prime_image(case):
     prime = generator_set("auto-prime", r, ell)
     ctx = prime.params.ctx
     rows = weil_image_op(g, cyc).materialize().rows
-    assert tuple(tuple(reduced_mod_p(a, ctx) for a in row) for row in rows) == \
+    assert tuple(ctx.row([reduced_mod_p(a, ctx) for a in row]) for row in rows) == \
         weil_image(g, prime).rows
 
 
